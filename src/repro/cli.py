@@ -43,19 +43,14 @@ harness's own metrics (cache hit/miss counters, per-variant wall time
 and worker attribution) as JSON, and print a one-line summary of the
 same after their regular output.
 
-Multi-worker campaigns run under the fault-tolerant supervisor
-(:mod:`repro.harness.supervisor`; see ``docs/RESILIENCE.md``).  The
+Multi-worker campaigns (``--jobs N`` with N > 1) run on the supervised
+local process pool (:mod:`repro.harness.supervisor`; see
+``docs/RESILIENCE.md``); ``--jobs 1`` runs serially in process.  The
 commands above plus ``validate`` accept ``--resume`` (skip cells an
-interrupted campaign already journaled), ``--no-supervise`` (the plain
-PR-1 scheduler, byte-identical output), ``--job-timeout SECONDS`` (the
+interrupted campaign already journaled), ``--job-timeout SECONDS`` (the
 per-job watchdog deadline), and ``--failures-out PATH`` (structured
-report of timeouts/retries/quarantines/pool rebuilds).
-
-Fleet mode (``docs/RESILIENCE.md`` §8): the same commands accept
-``--transport http --workers HOST:PORT[,...]`` to execute cells on
-remote workers started with ``python -m repro worker --listen
-HOST:PORT``; results merge byte-identically to local runs.
-``python -m repro serve`` runs the long-lived sweep service.
+report of timeouts/retries/quarantines/pool rebuilds).  A malformed
+``REPRO_CHAOS`` setting exits 2 before any work starts.
 """
 
 from __future__ import annotations
@@ -456,11 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "missing ones are re-simulated",
         )
         sub_parser.add_argument(
-            "--no-supervise", action="store_true", dest="no_supervise",
-            help="bypass the fault-tolerant supervisor (no retries, "
-                 "timeouts, or journals); output is byte-identical",
-        )
-        sub_parser.add_argument(
             "--job-timeout", type=float, default=None, metavar="SECONDS",
             dest="job_timeout",
             help="wall-clock deadline per pool job before the watchdog "
@@ -474,19 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "timeouts, quarantines, pool rebuilds) as JSON to PATH",
         )
 
-    def add_transport(sub_parser):
-        sub_parser.add_argument(
-            "--transport", choices=("local", "http"), default=None,
-            help="where campaign cells execute: 'local' (in-process "
-                 "pool) or 'http' (remote workers; needs --workers or "
-                 "REPRO_WORKERS; default: REPRO_TRANSPORT, then local)",
-        )
-        sub_parser.add_argument(
-            "--workers", default=None, metavar="HOST:PORT[,HOST:PORT...]",
-            help="comma-separated endpoints of 'repro worker' processes "
-                 "for the http transport (default: REPRO_WORKERS)",
-        )
-
     sub.add_parser("tables", help="print Tables 1-3")
 
     figure = sub.add_parser("figure", help="regenerate one figure")
@@ -498,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(figure)
     add_metrics_out(figure)
     add_supervise(figure)
-    add_transport(figure)
     add_kernel(figure)
 
     sub.add_parser("headline", help="the abstract's claim")
@@ -525,7 +501,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(run)
     add_metrics_out(run)
     add_supervise(run)
-    add_transport(run)
     add_kernel(run)
 
     trace = sub.add_parser(
@@ -577,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(report)
     add_metrics_out(report)
     add_supervise(report)
-    add_transport(report)
     add_kernel(report)
 
     bench = sub.add_parser(
@@ -611,7 +585,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(bench)
     add_metrics_out(bench)
     add_supervise(bench)
-    add_transport(bench)
     add_kernel(bench)
 
     cache = sub.add_parser("cache", help="persistent result cache maintenance")
@@ -647,75 +620,25 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(validate)
     add_supervise(validate)
-    add_transport(validate)
     add_kernel(validate)
 
-    worker = sub.add_parser(
-        "worker",
-        help="serve campaign cells over HTTP for a remote coordinator "
-             "(the fleet worker; see docs/RESILIENCE.md §8)",
-    )
-    worker.add_argument(
-        "--listen", default="127.0.0.1:8750", metavar="HOST:PORT",
-        help="bind address (default: 127.0.0.1:8750; port 0 picks a "
-             "free port and prints it)",
-    )
-    worker.add_argument(
-        "--max-jobs", type=int, default=None, metavar="N", dest="max_jobs",
-        help="exit after serving N jobs (tests/CI)",
-    )
-    add_kernel(worker)
-
-    serve = sub.add_parser(
-        "serve",
-        help="long-running simulation-as-a-service endpoint: POST /sweep "
-             "streams per-cell results, GET /metrics reports health",
-    )
-    serve.add_argument(
-        "--listen", default="127.0.0.1:8800", metavar="HOST:PORT",
-        help="bind address (default: 127.0.0.1:8800; port 0 picks a "
-             "free port and prints it)",
-    )
-    add_jobs(serve)
-    add_supervise(serve)
-    add_transport(serve)
-    add_kernel(serve)
     return parser
 
 
-def _configure_supervisor(args) -> None:
-    """Apply the --resume/--no-supervise/--job-timeout flags."""
+def _configure_supervisor(args) -> Optional[str]:
+    """Check ``REPRO_CHAOS``, then apply the --resume/--job-timeout flags;
+    returns an error message, applying nothing, if the chaos setting is
+    malformed."""
     from repro.harness import supervisor
 
-    if getattr(args, "no_supervise", False):
-        supervisor.set_enabled(False)
+    try:
+        supervisor.ChaosSpec.from_env()
+    except ValueError as exc:
+        return f"{supervisor.ENV_CHAOS}: {exc}"
     if getattr(args, "resume", False):
         supervisor.set_resume(True)
     if getattr(args, "job_timeout", None) is not None:
         supervisor.set_job_timeout(args.job_timeout)
-
-
-def _configure_transport(args) -> Optional[str]:
-    """Apply --transport/--workers; returns an error message if the
-    combination is unusable."""
-    from repro.harness import transport
-
-    if getattr(args, "transport", None):
-        transport.set_transport(args.transport)
-    if getattr(args, "workers", None):
-        transport.set_workers(args.workers.split(","))
-    try:
-        if transport.configured_transport() == "http":
-            addresses = transport.worker_addresses()
-            if not addresses:
-                return (
-                    "--transport http needs worker endpoints "
-                    "(--workers HOST:PORT[,HOST:PORT...] or REPRO_WORKERS)"
-                )
-            for address in addresses:
-                transport.parse_hostport(address)
-    except transport.TransportConfigError as exc:
-        return str(exc)
     return None
 
 
@@ -730,6 +653,10 @@ def _write_failures(args) -> None:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    chaos_error = _configure_supervisor(args)
+    if chaos_error:
+        print(chaos_error, file=sys.stderr)
+        return 2
     if getattr(args, "jobs", None) is not None:
         parallel.set_default_jobs(args.jobs)
     if getattr(args, "kernel", None):
@@ -746,19 +673,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         import os
 
         os.environ["REPRO_CLASSIFY"] = args.classify
-    _configure_supervisor(args)
-    transport_error = _configure_transport(args)
-    if transport_error:
-        print(transport_error, file=sys.stderr)
-        return 2
-    if args.command == "worker":
-        from repro.harness.worker import serve_worker
-
-        return serve_worker(args.listen, max_jobs=args.max_jobs)
-    if args.command == "serve":
-        from repro.harness.service import serve_service
-
-        return serve_service(args.listen, jobs=args.jobs)
     if args.command == "tables":
         print(table1_text())
         print()

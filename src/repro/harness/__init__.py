@@ -8,9 +8,10 @@ reports.
 Results are cached at two layers: an in-process memo per (benchmark, mode,
 seed, config), and a persistent content-keyed store under ``.repro-cache/``
 (:mod:`repro.harness.cache`) that survives across processes, so warm re-runs
-skip trace generation and simulation entirely.  Variant simulation fans out
-across worker processes via :mod:`repro.harness.parallel` with a
-deterministic merge.
+skip trace generation and simulation entirely.  Variant simulation runs
+through :mod:`repro.harness.parallel`: serially in process for ``--jobs 1``,
+otherwise on the supervised local process pool
+(:mod:`repro.harness.supervisor`), with a deterministic merge either way.
 """
 
 from repro.harness.cache import (
@@ -50,12 +51,6 @@ from repro.harness.figures import (
     render_bar_table,
 )
 from repro.harness.tables import table1_text, table2_text, table3_text
-from repro.harness.transport import (
-    configured_transport,
-    set_transport,
-    set_workers,
-    worker_addresses,
-)
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -66,7 +61,6 @@ __all__ = [
     "cache_root",
     "clear_cache",
     "clear_trace_cache",
-    "configured_transport",
     "default_jobs",
     "prefetch_variants",
     "run_bench",
@@ -75,10 +69,7 @@ __all__ = [
     "system_result",
     "run_variants",
     "set_default_jobs",
-    "set_transport",
-    "set_workers",
     "variant_stats",
-    "worker_addresses",
     "fig8_overheads",
     "fig9_instruction_counts",
     "fig10_fetch_stalls",

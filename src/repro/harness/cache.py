@@ -388,15 +388,9 @@ def _record_crc(record: dict) -> int:
     return zlib.crc32(blob.encode())
 
 
-def record_crc(record: dict) -> int:
-    """Public alias of the integrity CRC — the transport layer seals its
-    response envelopes with the same checksum as on-disk stats."""
-    return _record_crc(record)
-
-
 def stats_record(stats: RunStats) -> dict:
-    """The raw-counter wire/storage record of *stats* (field name →
-    value); inverse of :meth:`RunStats.from_dict`."""
+    """The raw-counter storage record of *stats* (field name → value);
+    inverse of :meth:`RunStats.from_dict`."""
     return _stats_record(stats)
 
 

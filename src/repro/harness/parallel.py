@@ -1,56 +1,34 @@
-"""Parallel variant scheduler: fan (benchmark, mode, config, seed) jobs
-across cores.
+"""Variant scheduler: run (benchmark, mode, config, seed) jobs serially
+or across a local process pool.
 
 The paper's methodology — one recorded trace replayed on many machine
-configurations — is embarrassingly parallel across variants, so the
-scheduler runs them in a :class:`~concurrent.futures.ProcessPoolExecutor`
-and merges results deterministically (results are ordered by job
-position, never by completion order, so ``--jobs N`` output is
-byte-identical to serial output).
+configurations — is embarrassingly parallel across variants.
+:func:`run_variants` runs a job list in process when ``jobs <= 1`` and
+otherwise hands it to the supervised process pool
+(:func:`repro.harness.supervisor.run_supervised` — two-phase trace then
+simulation fan-out, watchdog timeouts, retry with backoff, pool-death
+recovery, resumable journals).  Results are ordered by job position,
+never by completion order, and simulation is a pure function of
+``(trace, config)``, so ``--jobs N`` output is byte-identical to serial
+output.
 
-Work is split into two phases so that every trace is generated exactly
-once fleet-wide:
-
-1. the unique :class:`~repro.harness.runner.TraceKey` set of all
-   cache-missing jobs is generated in parallel, each worker writing the
-   trace into the shared on-disk store (:mod:`repro.harness.cache`);
-2. simulations fan out, each worker loading its trace from the store,
-   simulating, and persisting the resulting stats.
-
-Workers exchange traces in the columnar RPTR2 format: a worker's load is
-four ``array.frombytes`` calls into a column-backed trace, so no
-``Instr`` objects are materialised anywhere on the warm path.
-
-When the persistent cache is disabled (``REPRO_NO_CACHE``) a temporary
-directory serves as the job-scoped shared store and is removed after the
-merge.
-
-Multi-worker campaigns are normally routed through the fault-tolerant
-supervisor (:mod:`repro.harness.supervisor` — watchdog timeouts, retry
-with backoff, pool-death recovery, resumable journals).  ``--no-supervise``
-(``supervisor.set_enabled(False)``) keeps them on the plain two-phase
-``pool.map`` scheduler below, which produces byte-identical results: the
-supervisor changes only *scheduling*, never *what* is computed.
+Pool workers exchange traces through the shared on-disk store in the
+columnar RPTR2 format: a worker's load is four ``array.frombytes``
+calls into a column-backed trace, so no ``Instr`` objects are
+materialised anywhere on the warm path.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
-import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.harness import cache as disk_cache
 from repro.harness import runner
 from repro.harness.runner import TraceKey
-from repro.obs import metrics as obs_metrics
 from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import simulate
 
 
 @dataclass(frozen=True)
@@ -85,52 +63,15 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-# ----------------------------------------------------------------------
-# worker entry points (top-level so they pickle)
-# ----------------------------------------------------------------------
-def _trace_worker(payload: Tuple[TraceKey, str]) -> Tuple[int, float, int]:
-    """Generate one trace into the shared store; returns ``(length,
-    wall_seconds, worker_pid)`` so the coordinator can attribute work."""
-    key, root = payload
-    started = time.perf_counter()
-    path = disk_cache.trace_path(key, root=root)
-    if path is not None and path.exists():
-        return 0, time.perf_counter() - started, os.getpid()
-    trace = runner.generate_trace(key)
-    disk_cache.store_trace(key, trace, root=root)
-    return len(trace), time.perf_counter() - started, os.getpid()
-
-
-def _sim_worker(
-    payload: Tuple[TraceKey, MachineConfig, str]
-) -> Tuple[RunStats, float, int]:
-    """Simulate one variant, reading its trace from the shared store.
-
-    Returns ``(stats, wall_seconds, worker_pid)``."""
-    key, config, root = payload
-    started = time.perf_counter()
-    trace = disk_cache.load_cached_trace(key, root=root)
-    if trace is None:
-        # phase 1 should have produced it; regenerate defensively
-        trace = runner.generate_trace(key)
-        disk_cache.store_trace(key, trace, root=root)
-    stats = simulate(trace, config)
-    disk_cache.store_stats(key, config, stats, root=root)
-    return stats, time.perf_counter() - started, os.getpid()
-
-
-# ----------------------------------------------------------------------
-# scheduler
-# ----------------------------------------------------------------------
 def run_variants(
     jobs_list: Sequence[VariantJob], jobs: Optional[int] = None
 ) -> List[RunStats]:
     """Run every job and return results in job order (deterministic merge).
 
     With ``jobs <= 1`` (or a single job) everything runs serially in
-    process through :func:`repro.harness.runner.run_variant`; results are
-    identical either way because simulation is a pure function of
-    ``(trace, config)``.
+    process through :func:`repro.harness.runner.run_variant`; otherwise
+    the supervised process pool runs them.  Results are identical either
+    way because simulation is a pure function of ``(trace, config)``.
     """
     jobs_list = list(jobs_list)
     n_workers = default_jobs() if jobs is None else max(1, jobs)
@@ -144,102 +85,7 @@ def run_variants(
 
     from repro.harness import supervisor
 
-    if supervisor.enabled():
-        return supervisor.run_supervised(jobs_list, n_workers)
-
-    results: List[Optional[RunStats]] = [None] * len(jobs_list)
-    missing: List[Tuple[int, VariantJob, TraceKey]] = []
-    for index, job in enumerate(jobs_list):
-        key = job.trace_key
-        memo = runner._STATS_CACHE.get((key, job.config))
-        if memo is not None:
-            results[index] = memo
-            continue
-        started = time.perf_counter()
-        cached = runner.peek_cached_stats(key, job.config)
-        if cached is not None:
-            results[index] = cached
-            obs_metrics.record_variant(
-                "sim",
-                f"{key.abbrev}/{key.mode.value}",
-                "disk",
-                time.perf_counter() - started,
-            )
-        else:
-            missing.append((index, job, key))
-    if not missing:
-        return results  # type: ignore[return-value]
-
-    root = disk_cache.cache_root()
-    scratch: Optional[tempfile.TemporaryDirectory] = None
-    if root is None:
-        scratch = tempfile.TemporaryDirectory(prefix="repro-scratch-")
-        root = Path(scratch.name)
-    try:
-        root_str = str(root)
-        # phase 1: each needed trace is generated exactly once fleet-wide
-        seen = set()
-        gen_keys: List[TraceKey] = []
-        for _, _, key in missing:
-            if key in seen:
-                continue
-            seen.add(key)
-            memo = runner._TRACE_CACHE.get(key)
-            if memo is not None:
-                # already generated in this process: publish to the store
-                path = disk_cache.trace_path(key, root=root_str)
-                if path is not None and not path.exists():
-                    disk_cache.store_trace(key, memo, root=root_str)
-                continue
-            path = disk_cache.trace_path(key, root=root_str)
-            if path is None or not path.exists():
-                gen_keys.append(key)
-        pool = ProcessPoolExecutor(max_workers=min(n_workers, len(missing)))
-        try:
-            if gen_keys:
-                for key, (length, wall_s, pid) in zip(
-                    gen_keys,
-                    pool.map(_trace_worker, [(key, root_str) for key in gen_keys]),
-                ):
-                    if length:
-                        obs_metrics.record_variant(
-                            "trace",
-                            f"{key.abbrev}/{key.mode.value}",
-                            "generated",
-                            wall_s,
-                            worker=f"pid:{pid}",
-                        )
-            # phase 2: fan out the simulations
-            payloads = [(key, job.config, root_str) for _, job, key in missing]
-            for (index, job, key), (stats, wall_s, pid) in zip(
-                missing, pool.map(_sim_worker, payloads)
-            ):
-                results[index] = stats
-                runner.seed_stats_cache(key, job.config, stats)
-                obs_metrics.record_variant(
-                    "sim",
-                    f"{key.abbrev}/{key.mode.value}",
-                    "simulated",
-                    wall_s,
-                    worker=f"pid:{pid}",
-                )
-            pool.shutdown(wait=True)
-        except KeyboardInterrupt:
-            # Ctrl-C mid-campaign: don't hang in ProcessPoolExecutor's
-            # atexit join waiting for in-flight simulations — cancel the
-            # queue, SIGKILL the workers, and re-raise so the CLI exits
-            # promptly (completed cells are already in the shared store)
-            from repro.harness.supervisor import _terminate_pool
-
-            _terminate_pool(pool)
-            raise
-        except BaseException:
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-    finally:
-        if scratch is not None:
-            scratch.cleanup()
-    return results  # type: ignore[return-value]
+    return supervisor.run_supervised(jobs_list, n_workers)
 
 
 def prefetch_variants(

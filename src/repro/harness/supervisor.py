@@ -1,13 +1,12 @@
-"""Fault-tolerant campaign supervisor for the parallel scheduler.
+"""Fault-tolerant campaign supervisor: the multi-job scheduler.
 
-A figure, report, bench, or validate campaign fans thousands of
-(benchmark, mode, config, seed) simulations across a process pool.
-Without supervision, one OOM-killed worker, one hung simulation, or one
-``KeyboardInterrupt`` aborts the whole fleet and throws away every
-completed cell — exactly the fragility long full-system-simulation
-campaigns cannot tolerate.  This module wraps the scheduler in a
-recovery layer, applying the retry/abort discipline of persistent-memory
-transaction runtimes to the harness itself:
+A figure, report, bench, or validate campaign run with ``--jobs N``
+(``N > 1``) fans its (benchmark, mode, config, seed) simulations across
+a local process pool, and this module is that pool's scheduler.  One
+OOM-killed worker, one hung simulation, or one ``KeyboardInterrupt``
+must not abort the whole campaign and throw away every completed cell,
+so the scheduler applies the retry/abort discipline of
+persistent-memory transaction runtimes to the harness itself:
 
 * **watchdog timeouts** — every pool job has a wall-clock deadline;
   stragglers are killed with the pool and requeued;
@@ -15,7 +14,7 @@ transaction runtimes to the harness itself:
   re-submitted with exponential backoff and *seeded* jitter, so a rerun
   of the same campaign schedules identically;
 * **quarantine** — after ``max_attempts`` failures a job is pulled from
-  the fleet so one poison input cannot starve everything else; it is
+  the pool so one poison input cannot starve everything else; it is
   finished in-process by the chaos-free serial fallback;
 * **pool-death recovery** — a ``BrokenProcessPool`` (worker SIGKILL,
   OOM) rebuilds the pool and re-enqueues the in-flight jobs; after
@@ -30,12 +29,11 @@ transaction runtimes to the harness itself:
   entries, so tests and CI can prove every recovery path actually fires.
 
 None of this changes *what* is computed: results are merged by job
-position exactly as in :mod:`repro.harness.parallel`, simulation is a
-pure function of ``(trace, config)``, and chaos only perturbs scheduling
-and cache files (which are integrity-checked and self-healing) — so a
-campaign that survives any amount of injected failure is byte-identical
-to a clean serial run.  ``--no-supervise`` bypasses this module
-entirely and reproduces the unsupervised scheduler behaviour.
+position, simulation is a pure function of ``(trace, config)``, and
+chaos only perturbs scheduling and cache files (which are
+integrity-checked and self-healing) — so a campaign that survives any
+amount of injected failure is byte-identical to a clean serial run
+(:func:`repro.harness.parallel.run_variants` with ``jobs <= 1``).
 
 See ``docs/RESILIENCE.md`` for the failure taxonomy and policies.
 """
@@ -85,64 +83,44 @@ _MAX_EVENTS = 1000
 class ChaosSpec:
     """Per-event-type injection probabilities, seeded for reproducibility.
 
-    Process faults — ``kill`` SIGKILLs the worker before it starts
-    (exercises ``BrokenProcessPool`` recovery), ``hang`` sleeps long
-    enough to trip the watchdog (exercises timeouts), ``corrupt``
-    garbles the cache entry the worker just wrote (exercises
-    integrity-check recovery).
-
-    Network faults (http transport, injected coordinator-side by
-    :mod:`repro.harness.transport`) — ``drop`` loses a response after
-    the worker did the work, ``delay`` pushes latency past the request
-    deadline, ``garble`` flips response bytes (the CRC envelope must
-    reject them), ``partition`` makes the peer unreachable for the
-    attempt.
+    ``kill`` SIGKILLs the worker before it starts (exercises
+    ``BrokenProcessPool`` recovery), ``hang`` sleeps long enough to trip
+    the watchdog (exercises timeouts), ``corrupt`` garbles the cache
+    entry the worker just wrote (exercises integrity-check recovery).
+    Faults fire only inside pool workers, never in the serial path.
 
     Draws are deterministic in ``(seed, job digest, attempt)``, so a
     chaotic campaign replays identically.
     """
 
-    _PROCESS_EVENTS = ("kill", "hang", "corrupt")
-    _NETWORK_EVENTS = ("drop", "delay", "garble", "partition")
+    _EVENTS = ("kill", "hang", "corrupt")
 
     kill: float = 0.0
     hang: float = 0.0
     corrupt: float = 0.0
-    drop: float = 0.0
-    delay: float = 0.0
-    garble: float = 0.0
-    partition: float = 0.0
     seed: int = 0
 
-    def process_active(self) -> bool:
-        return any(getattr(self, name) > 0 for name in self._PROCESS_EVENTS)
-
-    def network_active(self) -> bool:
-        return any(getattr(self, name) > 0 for name in self._NETWORK_EVENTS)
-
     def active(self) -> bool:
-        return self.process_active() or self.network_active()
+        return any(getattr(self, name) > 0 for name in self._EVENTS)
 
     def render(self) -> str:
         return ",".join(
             f"{name}:{getattr(self, name):g}"
-            for name in self._PROCESS_EVENTS + self._NETWORK_EVENTS
+            for name in self._EVENTS
             if getattr(self, name) > 0
         )
 
     @classmethod
     def parse(cls, text: str, seed: int = 0) -> "ChaosSpec":
-        """Parse ``"kill:0.1,drop:0.05,garble:0.2"`` (any subset)."""
-        rates = {
-            name: 0.0 for name in cls._PROCESS_EVENTS + cls._NETWORK_EVENTS
-        }
+        """Parse ``"kill:0.1,hang:0.05,corrupt:0.2"`` (any subset)."""
+        rates = {name: 0.0 for name in cls._EVENTS}
         for clause in filter(None, (c.strip() for c in text.split(","))):
             name, _, value = clause.partition(":")
             name = name.strip()
             if name not in rates:
                 raise ValueError(
                     f"unknown chaos event {name!r} in {text!r} "
-                    f"(expected kill/hang/corrupt/drop/delay/garble/partition)"
+                    "(expected kill/hang/corrupt)"
                 )
             try:
                 rate = float(value)
@@ -245,21 +223,9 @@ class SupervisorConfig:
 # ----------------------------------------------------------------------
 # module state (mirrors parallel.set_default_jobs's CLI plumbing)
 # ----------------------------------------------------------------------
-_ENABLED = True
 _RESUME = False
 _JOB_TIMEOUT_OVERRIDE: Optional[float] = None
 _CAMPAIGNS: List["CampaignReport"] = []
-
-
-def set_enabled(flag: bool) -> None:
-    """Route ``run_variants`` through the supervisor (the default) or
-    straight to the unsupervised scheduler (``--no-supervise``)."""
-    global _ENABLED
-    _ENABLED = bool(flag)
-
-
-def enabled() -> bool:
-    return _ENABLED
 
 
 def set_resume(flag: bool) -> None:
@@ -287,8 +253,7 @@ def current_config() -> SupervisorConfig:
 
 def reset() -> None:
     """Restore default supervisor state (tests)."""
-    global _ENABLED, _RESUME, _JOB_TIMEOUT_OVERRIDE
-    _ENABLED = True
+    global _RESUME, _JOB_TIMEOUT_OVERRIDE
     _RESUME = False
     _JOB_TIMEOUT_OVERRIDE = None
     _CAMPAIGNS.clear()
@@ -430,22 +395,17 @@ class CampaignReport:
     campaign: str
     jobs: int
     chaos: str = ""
-    transport: str = "local"
     prescan: int = 0
     resumed: int = 0
     resumed_quarantined: int = 0
     journal_stale: int = 0
     scheduled: int = 0
     completed: int = 0
-    remote: int = 0
     retries: int = 0
-    net_retries: int = 0
-    reassigned: int = 0
     timeouts: int = 0
     pool_rebuilds: int = 0
     chaos_corrupts: int = 0
     degraded_serial: bool = False
-    degraded_local: bool = False
     quarantined: List[str] = field(default_factory=list)
     events: List[Dict[str, object]] = field(default_factory=list)
 
@@ -460,12 +420,10 @@ class CampaignReport:
 def failure_report() -> Dict[str, object]:
     """Aggregate failure/recovery report of every campaign this session."""
     totals = obs_metrics.supervisor_counters()
-    transport_totals = obs_metrics.transport_counters()
     return {
-        "schema": 2,
+        "schema": 3,
         "totals": totals.as_dict(),
-        "transport": transport_totals.as_dict(),
-        "recovered": totals.any_recovery() or transport_totals.any_activity(),
+        "recovered": totals.any_recovery(),
         "campaigns": [report.as_dict() for report in _CAMPAIGNS],
     }
 
@@ -519,7 +477,7 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
     """
     kind, key, config, root, digest, attempt, spec = payload
     rng = None
-    if spec is not None and spec.process_active():
+    if spec is not None and spec.active():
         rng = _chaos_rng(spec, f"{kind}:{digest}", attempt)
         if rng.random() < spec.kill:
             os.kill(os.getpid(), signal.SIGKILL)
@@ -569,9 +527,11 @@ class _DegradedToSerial(Exception):
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Hard-stop a pool: SIGKILL live workers, then cancel queued work.
 
-    Shared with :mod:`repro.harness.parallel`'s ``KeyboardInterrupt``
-    path — never blocks waiting for a worker that may be hung.  The
-    kill MUST come first: ``shutdown()`` drops the executor's process
+    Runs on every exit from a pooled phase — normal completion, a
+    watchdog or pool-death rebuild, and ``KeyboardInterrupt`` (Ctrl-C
+    must exit promptly, completed cells are already in the store) — and
+    never blocks waiting for a worker that may be hung.  The kill MUST
+    come first: ``shutdown()`` drops the executor's process
     table (``_processes = None``), and a merely-shut-down executor
     still waits for hung workers at interpreter exit.  Killing the
     workers makes the executor observe a broken pool, which is the one
@@ -604,9 +564,7 @@ class _PhaseRunner:
         self.n_workers = n_workers
         self.root = root
         self.config = config
-        # only process faults reach pool workers; network faults belong
-        # to the http transport layer
-        self.chaos = chaos if chaos.process_active() else None
+        self.chaos = chaos if chaos.active() else None
         self.report = report
         self.on_done = on_done
         self.on_quarantine = on_quarantine
@@ -803,12 +761,18 @@ class _PhaseRunner:
 def run_supervised(
     jobs_list: Sequence, n_workers: int
 ) -> List[RunStats]:
-    """Fault-tolerant equivalent of
-    :func:`repro.harness.parallel.run_variants` for ``n_workers > 1``.
+    """Run *jobs_list* across ``n_workers`` pool workers; results in job
+    order.  :func:`repro.harness.parallel.run_variants` calls this for
+    ``jobs > 1``.
 
-    Identical result semantics (deterministic job-position merge, both
-    cache layers honoured, every trace generated once fleet-wide) plus
-    the supervision described in the module docstring.
+    Work is split into two phases so that every trace is generated
+    exactly once per campaign: first the unique trace keys of all
+    cache-missing jobs are generated into the shared on-disk store, then
+    the simulations fan out, each worker loading its trace from the
+    store.  When the persistent cache is disabled a temporary directory
+    serves as the campaign's shared store.  Both cache layers are
+    honoured, results merge by job position, and the supervision
+    described in the module docstring applies to both phases.
     """
     import tempfile
 
@@ -911,11 +875,6 @@ def run_supervised(
 
         report.scheduled = len(missing)
 
-        # imported lazily: transport imports this module at load time
-        from repro.harness import transport as transport_mod
-
-        fleet = transport_mod.maybe_fleet(config, chaos, report)
-
         def journal_quarantine(task: _Task) -> None:
             journal.append_quarantine(task.digest, task.label)
 
@@ -960,10 +919,7 @@ def run_supervised(
             n_workers, root_str, config, chaos, report, trace_done,
             on_quarantine=journal_quarantine,
         )
-        if trace_tasks and fleet is None:
-            # with an http fleet the trace phase is skipped: workers own
-            # their stores and (re)generate traces inside sim jobs
-            runner_.run(trace_tasks)
+        runner_.run(trace_tasks)
 
         # ---- phase 2: simulations ------------------------------------
         sim_tasks: List[_Task] = []
@@ -981,20 +937,10 @@ def run_supervised(
             results[task.index] = result
             job = job_by_index[task.index]
             runner.seed_stats_cache(task.key, job.config, result)
-            if worker.startswith("http:"):
-                source = "remote"
-                # remote workers own their stores; persist the result in
-                # the campaign root too, so the journal's promise (a
-                # journaled cell is loadable here) holds for --resume
-                disk_cache.store_stats(
-                    task.key, job.config, result, root=root_str
-                )
-            else:
-                source = "simulated"
             obs_metrics.record_variant(
-                "sim", task.label, source, wall, worker=worker
+                "sim", task.label, "simulated", wall, worker=worker
             )
-            journal.append(task.digest, task.label, source)
+            journal.append(task.digest, task.label, "simulated")
             report.completed += 1
 
         sim_runner = _PhaseRunner(
@@ -1002,11 +948,6 @@ def run_supervised(
             on_quarantine=journal_quarantine,
         )
         sim_runner.degraded = runner_.degraded  # don't re-learn the lesson
-        if fleet is not None:
-            # degradation ladder rung 1: the fleet completes what it
-            # can; whatever it leaves not-done falls through to the
-            # local pool below, which itself degrades to serial
-            fleet.run(sim_tasks, sim_done)
         sim_runner.run(sim_tasks)
 
         report.completed += report.prescan + report.resumed

@@ -8,8 +8,8 @@ variant, how long the real work took, and which worker did it — so
 
 Recording is in-process and append-only.  The serial path
 (:func:`repro.harness.runner.run_variant` / ``trace_for_key``) records
-disk hits and fresh work; the parallel scheduler
-(:mod:`repro.harness.parallel`) records per-worker wall time and PID
+disk hits and fresh work; the supervised process pool
+(:mod:`repro.harness.supervisor`) records per-worker wall time and PID
 for fanned-out jobs.  In-process memo hits are *not* recorded — they
 are dictionary lookups, and recording them would swamp the signal
 (figure assembly loops re-read every variant from the memo).
@@ -55,7 +55,7 @@ class SupervisorCounters:
 
     ``retries`` counts re-submissions after a worker failure, ``timeouts``
     watchdog kills of over-deadline jobs, ``quarantined`` jobs pulled from
-    the fleet after repeated failures (they finish in the serial fallback),
+    the pool after repeated failures (they finish in the serial fallback),
     ``pool_rebuilds`` recoveries from a broken process pool,
     ``serial_degradations`` campaigns that gave up on pools entirely,
     ``resumed`` jobs skipped on ``--resume`` because the campaign journal
@@ -91,63 +91,6 @@ class SupervisorCounters:
 
 
 _SUPERVISOR = SupervisorCounters()
-
-
-@dataclass
-class TransportCounters:
-    """Fleet-health accounting of the http worker transport
-    (:mod:`repro.harness.transport`).
-
-    ``requests`` counts job submissions to remote workers and
-    ``remote_jobs`` the ones that returned a verified result;
-    ``retries``/``timeouts`` are failed attempts charged to jobs,
-    ``crc_rejected`` responses dropped by the integrity envelope,
-    ``reassignments`` jobs moved off an unusable worker,
-    ``heartbeats``/``heartbeat_misses`` liveness probes and their
-    failures, ``dead_workers`` peers dropped for the campaign,
-    ``worker_quarantines`` bounded worker cool-offs,
-    ``fleet_exhausted`` jobs that burned their network attempts,
-    ``degraded_local`` campaigns that fell back to the local pool, and
-    ``worker_cache_degraded`` workers that reported their own cache
-    switched off mid-campaign.
-    """
-
-    requests: int = 0
-    remote_jobs: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    crc_rejected: int = 0
-    reassignments: int = 0
-    heartbeats: int = 0
-    heartbeat_misses: int = 0
-    dead_workers: int = 0
-    worker_quarantines: int = 0
-    fleet_exhausted: int = 0
-    degraded_local: int = 0
-    worker_cache_degraded: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-    def any_activity(self) -> bool:
-        """Whether the http transport did anything at all."""
-        return any(asdict(self).values())
-
-    def any_degradation(self) -> bool:
-        """Whether any fleet fault-handling path actually fired."""
-        return any(
-            value
-            for key, value in asdict(self).items()
-            if key not in ("requests", "remote_jobs", "heartbeats")
-        )
-
-
-_TRANSPORT = TransportCounters()
-
-
-def transport_counters() -> TransportCounters:
-    """This process's fleet transport accounting (a live object)."""
-    return _TRANSPORT
 
 
 @dataclass
@@ -208,11 +151,10 @@ def variant_records() -> List[VariantRecord]:
 
 def reset_metrics() -> None:
     """Drop all recorded work (tests and bench phases use this)."""
-    global _SUPERVISOR, _SYSTEM, _TRANSPORT
+    global _SUPERVISOR, _SYSTEM
     _RECORDS.clear()
     _SUPERVISOR = SupervisorCounters()
     _SYSTEM = SystemCounters()
-    _TRANSPORT = TransportCounters()
 
 
 # ----------------------------------------------------------------------
@@ -252,19 +194,18 @@ def metrics_snapshot() -> Dict[str, object]:
     registry (:mod:`repro.obs.telemetry` — empty unless enabled), and
     the system accounting of any multi-core runs this process made.
 
-    Schema 4 added ``telemetry`` and ``system``; schema 5 adds
-    ``transport`` (http fleet health)."""
+    Schema 4 added ``telemetry`` and ``system``; schema 5 added a
+    ``transport`` block that schema 6 removed again."""
     from repro.harness import cache as disk_cache
     from repro.obs import telemetry
     from repro.uarch.kernel import resolve_backend
 
     return {
-        "schema": 5,
+        "schema": 6,
         "kernel_backend": resolve_backend(None),
         "cache_session": disk_cache.cache_counters().as_dict(),
         "cache_lifetime": disk_cache.lifetime_cache_counters(),
         "supervisor": _SUPERVISOR.as_dict(),
-        "transport": _TRANSPORT.as_dict(),
         "system": _SYSTEM.as_dict(),
         "telemetry": telemetry.snapshot(),
         "summary": summarize(),
@@ -328,11 +269,4 @@ def render_metrics_line() -> Optional[str]:
             if value and key not in ("campaigns", "jobs")
         )
         parts.append(f"supervisor recovered [{recovery}]")
-    if _TRANSPORT.any_activity():
-        health = ", ".join(
-            f"{value} {key}"
-            for key, value in _TRANSPORT.as_dict().items()
-            if value
-        )
-        parts.append(f"transport [{health}]")
     return "harness: " + ", ".join(parts)

@@ -114,10 +114,6 @@ class ValidationReport:
             # still trustworthy (results are pure and merge-deterministic),
             # but the report says the run was not failure-free
             "supervisor": supervisor.as_dict(),
-            # same rationale for the fleet transport: remote execution
-            # with retries/reassignments yields the same verdicts, but
-            # the report records that the fleet had to recover
-            "transport": obs_metrics.transport_counters().as_dict(),
             "engines": {name: rep.as_dict() for name, rep in self.engines.items()},
         }
 
@@ -155,13 +151,5 @@ class ValidationReport:
                 if value and key not in ("campaigns", "jobs")
             )
             lines.append(f"  supervisor recovered [{recovery}]")
-        transport = obs_metrics.transport_counters()
-        if transport.any_degradation():
-            health = ", ".join(
-                f"{value} {key}"
-                for key, value in transport.as_dict().items()
-                if value
-            )
-            lines.append(f"  transport recovered [{health}]")
         lines.append("overall: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)

@@ -1,12 +1,13 @@
-"""Parallel variant scheduler (repro.harness.parallel): serial-vs-parallel
-determinism, cache sharing, and job-count resolution."""
+"""Variant scheduler (repro.harness.parallel): serial-vs-pool determinism,
+cache sharing, Ctrl-C handling of the supervised pool, and job-count
+resolution."""
 
 import os
 
 import pytest
 
 from repro.harness import cache
-from repro.harness import parallel
+from repro.harness import supervisor
 from repro.harness.parallel import (
     VariantJob,
     default_jobs,
@@ -109,8 +110,6 @@ class TestInterrupt:
     def test_ctrl_c_kills_workers_and_reraises(self, monkeypatch):
         """Ctrl-C mid-campaign must SIGKILL in-flight workers and cancel
         the queue instead of blocking in the executor's atexit join."""
-        from repro.harness import supervisor
-
         events = []
 
         class FakeProc:
@@ -121,23 +120,19 @@ class TestInterrupt:
             def __init__(self, max_workers=None):
                 self._processes = {1: FakeProc(), 2: FakeProc()}
 
-            def map(self, fn, payloads):
+            def submit(self, fn, payload):
                 raise KeyboardInterrupt
 
             def shutdown(self, wait=True, cancel_futures=False):
                 events.append(("shutdown", wait, cancel_futures))
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", FakePool)
-        supervisor.set_enabled(False)  # exercise the legacy scheduler path
-        try:
-            jobs = [
-                VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL),
-                VariantJob("HM", PersistMode.BASE, MachineConfig(), **SMALL),
-            ]
-            with pytest.raises(KeyboardInterrupt):
-                run_variants(jobs, jobs=2)
-        finally:
-            supervisor.set_enabled(True)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", FakePool)
+        jobs = [
+            VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL),
+            VariantJob("HM", PersistMode.BASE, MachineConfig(), **SMALL),
+        ]
+        with pytest.raises(KeyboardInterrupt):
+            run_variants(jobs, jobs=2)
         assert events.count("kill") == 2
         assert ("shutdown", False, True) in events
 
@@ -156,7 +151,7 @@ class TestJobResolution:
         def no_pool(*args, **kwargs):
             raise AssertionError("ProcessPoolExecutor should not be used")
 
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(supervisor, "ProcessPoolExecutor", no_pool)
         jobs = [VariantJob("LL", PersistMode.BASE, MachineConfig(), **SMALL)]
         (result,) = run_variants(jobs, jobs=1)
         assert result.cycles > 0

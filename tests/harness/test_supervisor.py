@@ -1,6 +1,6 @@
 """Fault-tolerant campaign supervisor (repro.harness.supervisor):
 chaos-vs-serial determinism, retry/quarantine/pool-rebuild recovery,
-resumable journals, and the --no-supervise escape hatch."""
+resumable journals, failure reports, and the CLI surface."""
 
 import json
 import os
@@ -71,8 +71,10 @@ class TestChaosSpec:
         assert spec.render() == "kill:0.1,hang:0.05,corrupt:1"
 
     def test_parse_rejects_unknown_event(self):
-        with pytest.raises(ValueError, match="unknown chaos event"):
-            supervisor.ChaosSpec.parse("explode:0.5")
+        # old drop/delay/garble/partition settings must fail loudly too
+        for event in ("explode", "drop", "delay", "garble", "partition"):
+            with pytest.raises(ValueError, match="unknown chaos event"):
+                supervisor.ChaosSpec.parse(f"{event}:0.5")
 
     def test_parse_rejects_bad_rates(self):
         with pytest.raises(ValueError):
@@ -204,16 +206,6 @@ class TestSupervisedDeterminism:
         supervisor.reset()
         rerun = run_variants(jobs, jobs=2)
         assert rerun == serial
-
-    def test_no_supervise_bypasses_everything(self, monkeypatch):
-        jobs = _jobs()
-        serial = _serial_baseline(jobs, monkeypatch)
-        supervisor.set_enabled(False)
-        legacy = run_variants(jobs, jobs=2)
-        assert legacy == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.campaigns == 0  # the supervisor never ran
-        assert supervisor.campaign_reports() == []
 
 
 class TestResume:
@@ -371,7 +363,8 @@ class TestFailureReport:
         monkeypatch.setenv(supervisor.ENV_CHAOS, "kill:1.0")
         run_variants(_jobs(n_modes=1), jobs=2)
         report = supervisor.failure_report()
-        assert report["schema"] == 2
+        assert report["schema"] == 3
+        assert "transport" not in report
         assert report["recovered"] is True
         assert len(report["campaigns"]) == 1
         campaign = report["campaigns"][0]
@@ -393,10 +386,10 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["figure", "8", "--resume", "--no-supervise",
+            ["figure", "8", "--resume",
              "--job-timeout", "12", "--failures-out", "f.json"]
         )
-        assert args.resume and args.no_supervise
+        assert args.resume
         assert args.job_timeout == 12.0
         assert args.failures_out == "f.json"
 
@@ -405,8 +398,37 @@ class TestCliFlags:
 
         for argv in (
             ["run", "LL", "--resume"],
-            ["report", "--no-supervise"],
+            ["report", "--resume"],
             ["bench", "--job-timeout", "5"],
             ["validate", "--failures-out", "x.json"],
         ):
             build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["worker"],
+            ["serve"],
+            ["figure", "8", "--transport", "local"],
+            ["figure", "8", "--workers", "127.0.0.1:8751"],
+            ["figure", "8", "--no-supervise"],
+        ],
+        ids=["worker", "serve", "transport", "workers", "no-supervise"],
+    )
+    def test_retired_fleet_surface_is_rejected(self, argv):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+
+    def test_bad_chaos_setting_exits_2_before_any_work(self, monkeypatch, capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv(supervisor.ENV_CHAOS, "drop:0.1")
+        assert main(["figure", "8", "--benchmarks", "LL"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.strip().splitlines()
+        assert "unknown chaos event 'drop'" in line
+        assert obs_metrics.variant_records() == []

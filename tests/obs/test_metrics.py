@@ -113,7 +113,8 @@ class TestCacheCounters:
         out = tmp_path / "metrics.json"
         obs_metrics.write_metrics(out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 5  # v5 added transport fleet health
+        assert payload["schema"] == 6  # v6 dropped the transport block
+        assert "transport" not in payload
         assert payload["kernel_backend"] in ("python", "numpy")
         assert payload["summary"]["records"] == 1
         assert payload["variants"][0]["label"] == "BT/base"

@@ -126,6 +126,6 @@ class TestPublishers:
         telemetry.set_enabled(True)
         telemetry.counter_inc("custom.probe", 3)
         snap = metrics.metrics_snapshot()
-        assert snap["schema"] == 5
+        assert snap["schema"] == 6
         assert snap["telemetry"]["counters"]["custom.probe"] == 3
         assert "system" in snap

@@ -59,6 +59,7 @@ class TestValidationReport:
         assert data["seed"] == 5
         assert data["quick"] is True
         assert data["engines"]["demo"]["ok"] is True
+        assert "supervisor" in data and "transport" not in data
 
     def test_write_and_summary(self, tmp_path):
         report = self._populated()
