@@ -80,6 +80,7 @@ from repro.harness import parallel
 from repro.harness.bench import (
     DEFAULT_HISTORY,
     DEFAULT_OUTPUT,
+    GEN_IPS_FLOOR,
     PIPELINE_IPS_FLOORS,
     check_floor,
     compare_to_history,
@@ -689,7 +690,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(_run_system_text(args.abbrev, args.cores, args.contention))
         else:
             if args.contention:
-                parser.error("--contention needs --cores >= 2")
+                print("--contention needs --cores >= 2")
+                return 2
             print(_run_text(args.abbrev, scale=args.scale))
         _print_metrics(args)
     elif args.command == "trace":
@@ -733,6 +735,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 for backend, floor in sorted(PIPELINE_IPS_FLOORS.items())
             )
             print(f"pipeline_ips floors ok ({floors} instr/s)")
+            print(f"gen_ips floor ok (>= {GEN_IPS_FLOOR:,} instr/s)")
     elif args.command == "cache":
         if args.action == "clear":
             removed = harness_cache.clear_cache()

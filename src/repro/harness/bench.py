@@ -8,6 +8,10 @@ Times the three layers the performance work targets and records them in
 * **warm** — the same regeneration against the now-populated persistent
   cache (must be at least ~5x faster; warm runs only read JSON and
   columnar RPTR2 traces);
+* **trace generation** — recorded micro-ops per second of a fresh,
+  uncached ``generate_trace`` (construct, fast-forward populate, timed
+  run) of the RT and HM LOG_P_SF traces at scaled sizes, the layer a
+  cold sweep spends most of its time in;
 * **pipeline throughput** — committed instructions per second of the
   timing model itself, measured **per kernel backend** (pure-Python
   walker and, when available, the vectorized NumPy kernel) on one long
@@ -43,7 +47,13 @@ from typing import Dict, List, Optional, Sequence
 from repro.harness import cache as disk_cache
 from repro.harness.figures import fig8_overheads
 from repro.harness.parallel import default_jobs
-from repro.harness.runner import all_benchmarks, build_trace, clear_trace_cache
+from repro.harness.runner import (
+    TraceKey,
+    all_benchmarks,
+    build_trace,
+    clear_trace_cache,
+    generate_trace,
+)
 from repro.txn.modes import PersistMode
 from repro.uarch.classify import resolve_mode as resolve_classify_mode
 from repro.uarch.config import MachineConfig
@@ -85,7 +95,10 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: ``cpu_count``) so history records are comparable across machines,
 #: and the append-only ``BENCH_history.jsonl`` trail every run joins
 #: (``bench --compare`` reads it — see :func:`compare_to_history`).
-BENCH_SCHEMA_VERSION = 7
+#: 8: added the trace-generation cell (``gen_trace``,
+#: ``gen_instructions``, ``gen_seconds``, ``gen_ips``) with its floor
+#: ``GEN_IPS_FLOOR``.
+BENCH_SCHEMA_VERSION = 8
 
 #: Append-only JSON-lines trail of every bench record ever taken on
 #: this checkout; ``bench --compare`` mines it for the best comparable
@@ -105,6 +118,7 @@ COMPARE_METRICS = (
     "sweep_ips_by_backend",
     "classify_ips",
     "system_ips",
+    "gen_ips",
 )
 
 #: Sustained-throughput trace: the paper's linked-list benchmark on the
@@ -138,6 +152,21 @@ SYSTEM_CORES = 2
 SYSTEM_CONTENTION = 0.5
 SYSTEM_SIM_OPS = 200
 SYSTEM_SIM_OPS_QUICK = 60
+
+#: Generation cell: a fresh, uncached ``generate_trace`` of each of
+#: these benchmarks at LOG_P_SF and the registry's scaled sizes, best of
+#: ``GEN_REPS`` per benchmark.  RT is dry-run heavy (full logging of a
+#: rebalancing tree), HM store heavy (a large zeroed table); together
+#: they cover what a cold sweep's generation spends its time on.  Quick
+#: mode measures the same cell: it is already only a few seconds.
+GEN_BENCHMARKS = ("RT", "HM")
+GEN_REPS = 3
+
+#: Floor for ``gen_ips`` under ``bench --enforce-floor``: about 40% of
+#: the rate measured on a 2-CPU development container, which read
+#: 49k–90k micro-ops/s as the host's speed swung.  The logged populate
+#: this cell guards against ran it at ~13k on the same host.
+GEN_IPS_FLOOR = 30_000
 
 #: Per-backend regression floors for ``bench --enforce-floor`` (CI):
 #: the run fails if a measured backend's sustained ``pipeline_ips``
@@ -213,6 +242,24 @@ def _isolated_cache(root: str):
             os.environ[disk_cache.ENV_CACHE_DIR] = saved_dir
         if saved_off is not None:
             os.environ[disk_cache.ENV_NO_CACHE] = saved_off
+
+
+def measure_generation(seed: int = 7, reps: int = GEN_REPS) -> Dict[str, float]:
+    """The generation cell: micro-ops recorded and best-of-*reps*
+    seconds summed over :data:`GEN_BENCHMARKS`."""
+    instructions = 0
+    seconds = 0.0
+    for abbrev in GEN_BENCHMARKS:
+        key = TraceKey(abbrev, PersistMode.LOG_P_SF, seed)
+        best = float("inf")
+        for _ in range(reps):
+            gc.collect()
+            t0 = time.perf_counter()
+            trace = generate_trace(key)
+            best = min(best, time.perf_counter() - t0)
+        instructions += len(trace)
+        seconds += best
+    return {"instructions": instructions, "seconds": seconds}
 
 
 def run_bench(
@@ -368,6 +415,7 @@ def run_bench(
             finally:
                 if gc_was_enabled:
                     gc.enable()
+            generation = measure_generation(seed)
             sweep_seconds = {
                 backend: sum(times) for backend, times in sweep_best.items()
             }
@@ -453,6 +501,17 @@ def run_bench(
         "system_seconds": round(system_best, 3),
         "system_ips": (
             round(system_instructions / system_best) if system_best else None
+        ),
+        "gen_trace": {
+            "benchmarks": list(GEN_BENCHMARKS),
+            "mode": PersistMode.LOG_P_SF.value,
+            "reps": GEN_REPS,
+        },
+        "gen_instructions": generation["instructions"],
+        "gen_seconds": round(generation["seconds"], 3),
+        "gen_ips": (
+            round(generation["instructions"] / generation["seconds"])
+            if generation["seconds"] else None
         ),
     }
     if output:
@@ -688,6 +747,14 @@ def render_bench(record: Dict[str, object]) -> str:
             f"  kernel phase split: {split}"
             f" (classify_ips {_fmt(record.get('classify_ips'), ',')})"
         )
+    if record.get("gen_ips") is not None:
+        descriptor = record.get("gen_trace") or {}
+        lines.append(
+            f"  trace generation  : {_fmt(record.get('gen_ips'), '>8,')} instr/s"
+            f" ({'+'.join(descriptor.get('benchmarks') or [])},"
+            f" {_fmt(record.get('gen_instructions'), ',')} micro-ops"
+            f" in {_fmt(record.get('gen_seconds'))} s)"
+        )
     if record.get("system_ips") is not None:
         descriptor = record.get("system_trace") or {}
         lines.append(
@@ -716,12 +783,13 @@ def check_floor(
 ) -> Optional[str]:
     """Return an error message if any measured backend's sustained
     ``pipeline_ips`` is below its floor (or the measurement is missing),
-    else ``None``.  CI runs the quick bench with ``--enforce-floor`` so
-    a regression — the walker sliding back to per-object dispatch, or
-    the NumPy kernel silently degrading to walker speed — fails the
-    build instead of silently shipping.  Only backends actually measured
-    are checked, so the no-NumPy CI leg enforces the Python floor
-    alone."""
+    or ``gen_ips`` is below :data:`GEN_IPS_FLOOR`, else ``None``.  CI
+    runs the quick bench with ``--enforce-floor`` so a regression — the
+    walker sliding back to per-object dispatch, the NumPy kernel
+    silently degrading to walker speed, populate doing persistence work
+    again — fails the build instead of silently shipping.  Only
+    backends actually measured are checked, so the no-NumPy CI leg
+    enforces the Python floor alone."""
     floors = PIPELINE_IPS_FLOORS if floors is None else floors
     by_backend = record.get("pipeline_ips_by_backend")
     if not isinstance(by_backend, dict) or not by_backend:
@@ -752,4 +820,13 @@ def check_floor(
                     f"{ips:,} instr/s is below the checked-in floor of "
                     f"{floor:,} instr/s"
                 )
+    # so does the backend-independent generation cell (absent in pre-v8
+    # records)
+    gen_ips = record.get("gen_ips")
+    if floors is PIPELINE_IPS_FLOORS and isinstance(gen_ips, (int, float)):
+        if gen_ips < GEN_IPS_FLOOR:
+            problems.append(
+                f"trace generation regression: {gen_ips:,} instr/s is below "
+                f"the checked-in floor of {GEN_IPS_FLOOR:,} instr/s"
+            )
     return "; ".join(problems) if problems else None

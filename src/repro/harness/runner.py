@@ -80,7 +80,9 @@ def generate_trace(key: TraceKey) -> Trace:
         # registry, so the trace stays a pure function of the key
         kwargs["heap_size"] = spec.paper_heap_bytes
     bench = Workbench(mode=key.mode, record=True, seed=key.seed, **kwargs)
-    workload = spec.build(bench)
+    # the constructor's stores are dropped by populate's finish_init
+    with bench.untimed():
+        workload = spec.build(bench)
     workload.populate(init_ops)
     workload.run(sim_ops)
     return bench.trace

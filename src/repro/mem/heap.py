@@ -8,14 +8,27 @@ for crash semantics).
 
 Addresses are plain Python ints.  Address 0 is reserved as the NULL pointer
 and never handed out by the allocator.
+
+The bytes live in an anonymous private mapping rather than a
+``bytearray``: the kernel hands out zero pages lazily, so a 64 MiB heap
+costs nothing up front and only the pages a workload touches become
+resident.  The mapping is ``MAP_PRIVATE`` so a forked process (a pool
+worker) gets a copy-on-write view instead of sharing a live heap.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol
+import mmap
+import struct
+from contextlib import contextmanager
+from typing import Iterator, List, Optional, Protocol
 
 #: Cache-block size used throughout the reproduction (paper Table 2).
 CACHE_BLOCK = 64
+
+#: Little-endian unsigned machine word, the unit of every typed access.
+U64 = struct.Struct("<Q")
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 class MemoryObserver(Protocol):
@@ -39,7 +52,7 @@ class NVMHeap:
         if size <= 0 or size % CACHE_BLOCK:
             raise ValueError("heap size must be a positive multiple of the block size")
         self.size = size
-        self._data = bytearray(size)
+        self._data = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE)
         self._observers: List[MemoryObserver] = []
 
     # ------------------------------------------------------------------
@@ -52,12 +65,31 @@ class NVMHeap:
     def detach(self, observer: MemoryObserver) -> None:
         self._observers.remove(observer)
 
+    @contextmanager
+    def unobserved(self, observer: MemoryObserver) -> Iterator[None]:
+        """Detach *observer* for the block, then put it back at its
+        original index (also when the block raises).
+
+        Re-entrant: if *observer* is not attached — an enclosing block
+        already detached it — nothing changes.
+        """
+        observers = self._observers
+        index = next((i for i, obs in enumerate(observers) if obs is observer), None)
+        if index is None:
+            yield
+            return
+        del observers[index]
+        try:
+            yield
+        finally:
+            observers.insert(index, observer)
+
     # ------------------------------------------------------------------
     # raw access (no observation) — used by persistence-domain snapshots
     # ------------------------------------------------------------------
     def raw_read(self, addr: int, size: int) -> bytes:
         self._check(addr, size)
-        return bytes(self._data[addr : addr + size])
+        return self._data[addr : addr + size]
 
     def raw_write(self, addr: int, payload: bytes) -> None:
         self._check(addr, len(payload))
@@ -67,17 +99,19 @@ class NVMHeap:
     # typed accessors (observed)
     # ------------------------------------------------------------------
     def load_u64(self, addr: int, meta: Optional[str] = None) -> int:
-        self._check(addr, 8)
+        if addr <= 0 or addr + 8 > self.size:  # _check, inlined: hot path
+            raise outside_heap(addr, 8)
         for obs in self._observers:
             obs.load(addr, 8, meta)
-        return int.from_bytes(self._data[addr : addr + 8], "little")
+        return U64.unpack_from(self._data, addr)[0]
 
     def store_u64(self, addr: int, value: int, meta: Optional[str] = None) -> None:
         # Data is written *before* observers run: an observer reacting to
         # the store (e.g. a crash tester forcing an eviction) must see the
         # post-store cache contents, like real write-back hardware would.
-        self._check(addr, 8)
-        self._data[addr : addr + 8] = (value & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
+        if addr <= 0 or addr + 8 > self.size:
+            raise outside_heap(addr, 8)
+        U64.pack_into(self._data, addr, value & _MASK64)
         for obs in self._observers:
             obs.store(addr, 8, meta)
 
@@ -86,16 +120,18 @@ class NVMHeap:
         return value - (1 << 64) if value >= (1 << 63) else value
 
     def store_i64(self, addr: int, value: int, meta: Optional[str] = None) -> None:
-        self.store_u64(addr, value & 0xFFFFFFFFFFFFFFFF, meta)
+        self.store_u64(addr, value & _MASK64, meta)
 
     def load_bytes(self, addr: int, size: int, meta: Optional[str] = None) -> bytes:
         """Load *size* bytes, observed one machine word per 8 bytes."""
         self._check(addr, size)
-        for offset in range(0, size, 8):
-            chunk = min(8, size - offset)
-            for obs in self._observers:
-                obs.load(addr + offset, chunk, meta)
-        return bytes(self._data[addr : addr + size])
+        observers = self._observers
+        if observers:
+            for offset in range(0, size, 8):
+                chunk = min(8, size - offset)
+                for obs in observers:
+                    obs.load(addr + offset, chunk, meta)
+        return self._data[addr : addr + size]
 
     def store_bytes(self, addr: int, payload: bytes, meta: Optional[str] = None) -> None:
         """Store bytes, observed one machine word per 8 bytes.
@@ -105,10 +141,12 @@ class NVMHeap:
         size = len(payload)
         self._check(addr, size)
         self._data[addr : addr + size] = payload
-        for offset in range(0, size, 8):
-            chunk = min(8, size - offset)
-            for obs in self._observers:
-                obs.store(addr + offset, chunk, meta)
+        observers = self._observers
+        if observers:
+            for offset in range(0, size, 8):
+                chunk = min(8, size - offset)
+                for obs in observers:
+                    obs.store(addr + offset, chunk, meta)
 
     # ------------------------------------------------------------------
     # helpers
@@ -119,7 +157,7 @@ class NVMHeap:
 
     def snapshot(self) -> bytes:
         """Full functional image (used by crash testing as ground truth)."""
-        return bytes(self._data)
+        return self._data[:]
 
     def restore(self, image: bytes) -> None:
         """Overwrite the full functional image (crash rollback)."""
@@ -129,4 +167,10 @@ class NVMHeap:
 
     def _check(self, addr: int, size: int) -> None:
         if addr <= 0 or addr + size > self.size:
-            raise IndexError(f"access [{addr:#x}, {addr + size:#x}) outside heap")
+            raise outside_heap(addr, size)
+
+
+def outside_heap(addr: int, size: int) -> IndexError:
+    """The error for an access to ``[addr, addr + size)`` that is not
+    inside a heap (address 0 is the NULL pointer)."""
+    return IndexError(f"access [{addr:#x}, {addr + size:#x}) outside heap")

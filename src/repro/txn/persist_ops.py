@@ -14,7 +14,8 @@ same workload source produces all of Figure 8's variants.
 
 from __future__ import annotations
 
-from typing import Optional
+from contextlib import contextmanager
+from typing import Iterator, Optional
 
 from repro.isa.recorder import TraceRecorder
 from repro.pmem.domain import PersistenceDomain
@@ -53,6 +54,21 @@ class PersistOps:
         self.n_clflushopt = 0
         self.n_pcommit = 0
         self.n_sfence = 0
+
+    @contextmanager
+    def suspended(self) -> Iterator[None]:
+        """Gate as ``BASE`` for the block, then restore the real mode
+        (also when the block raises).
+
+        Inside, no persistency instruction is issued and — since a
+        :class:`~repro.txn.manager.TxManager` reads its mode from here —
+        no undo log is written.  Fast-forward populate runs in this state.
+        """
+        mode, self.mode = self.mode, PersistMode.BASE
+        try:
+            yield
+        finally:
+            self.mode = mode
 
     # ------------------------------------------------------------------
     def clwb(self, addr: int, meta: Optional[str] = None) -> None:

@@ -6,20 +6,38 @@ import abc
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Set
+from typing import Callable, ContextManager, Iterator, Optional, Set
 
 from repro.isa.recorder import TraceRecorder
 from repro.isa.trace import Trace
 from repro.mem.alloc import Allocator
 from repro.mem.heap import NVMHeap, CACHE_BLOCK
 from repro.pmem.domain import PersistenceDomain
-from repro.txn.manager import TxManager
+from repro.txn.manager import TxManager, TxStats
 from repro.txn.modes import PersistMode
 from repro.txn.persist_ops import PersistOps
 
 
 #: Marker emitted between operations; tests use it to slice traces.
 OP_MARKER = "op-boundary"
+
+
+@contextmanager
+def fast_forward(heap: NVMHeap, recorder: Optional[TraceRecorder]) -> Iterator[None]:
+    """The paper's fast-forward mode for one heap and its recorder.
+
+    Nothing is recorded, and the heap does not call the recorder at
+    all: the outermost level detaches it from the heap's observers and
+    puts it back at its original index afterwards, also when the block
+    raises.  The recorder's own flag still drops what reaches it
+    directly (persistency instructions, compute padding).  Any other
+    observer, such as a persistence domain, keeps seeing every access.
+    """
+    if recorder is None:
+        yield
+        return
+    with recorder.fast_forward(), heap.unobserved(recorder):
+        yield
 
 
 @dataclass
@@ -79,14 +97,9 @@ class Workbench:
     def trace(self) -> Optional[Trace]:
         return self.recorder.trace if self.recorder else None
 
-    @contextmanager
-    def untimed(self) -> Iterator[None]:
+    def untimed(self) -> ContextManager[None]:
         """Suppress trace recording (the paper's fast-forward mode)."""
-        if self.recorder is None:
-            yield
-        else:
-            with self.recorder.fast_forward():
-                yield
+        return fast_forward(self.heap, self.recorder)
 
     def finish_init(self) -> None:
         """Declare initialisation complete: everything becomes durable and
@@ -95,12 +108,14 @@ class Workbench:
         Mirrors the paper's methodology where #InitOps run in fast-forward
         and simulation starts from a clean, fully-persisted structure —
         constructor-time stores (table zeroing etc.) are dropped from the
-        trace so they are not billed to the measured ops.
+        trace so they are not billed to the measured ops, and the
+        transaction and persistency counters start from zero.
         """
         if self.domain is not None:
             self.domain.sync_base()
         if self.recorder is not None:
             self.recorder.trace = Trace()
+        self.tx.stats = TxStats()
         self.persist.n_clwb = 0
         self.persist.n_clflushopt = 0
         self.persist.n_pcommit = 0
@@ -136,8 +151,17 @@ class PersistentWorkload(abc.ABC):
     # population / operations
     # ------------------------------------------------------------------
     def populate(self, n_ops: int) -> None:
-        """Run *n_ops* untimed operations to warm the structure up."""
-        with self.bench.untimed():
+        """Run *n_ops* operations in fast-forward to warm the structure
+        up, then start the timed phase.
+
+        Fast-forward does only the functional work.  Undo logging and
+        persistency instructions are gated off as in ``BASE``: they
+        decide what recovery could roll back, never the committed image,
+        and :meth:`Workbench.finish_init` discards them anyway.  The
+        full-logging dry runs and the unlogged-store guard stay on, so
+        the write-set analysis is still checked on every operation.
+        """
+        with self.bench.untimed(), self.persist.suspended():
             for _ in range(n_ops):
                 self.random_operation()
         self.bench.finish_init()

@@ -54,10 +54,10 @@ from repro.isa.trace import Trace
 from repro.mem.alloc import Allocator
 from repro.mem.heap import NVMHeap, CACHE_BLOCK
 from repro.pmem.domain import PersistenceDomain
-from repro.txn.manager import TxManager
+from repro.txn.manager import TxManager, TxStats
 from repro.txn.modes import PersistMode
 from repro.txn.persist_ops import PersistOps
-from repro.workloads.base import PersistentWorkload, Workbench
+from repro.workloads.base import PersistentWorkload, Workbench, fast_forward
 from repro.workloads.registry import PAPER_SPECS
 
 _BLOCK_MASK = ~(CACHE_BLOCK - 1)
@@ -216,13 +216,16 @@ class ConcurrentBench:
         self.tx = self.managers[core]
 
     def untimed(self):
-        return self.recorder.fast_forward()
+        return fast_forward(self.heap, self.recorder)
 
     def finish_init(self) -> None:
-        """End the populate phase: persist everything, drop recordings."""
+        """End the populate phase: persist everything, drop recordings,
+        zero the counters."""
         if self.domain is not None:
             self.domain.sync_base()
         self.recorder.reset_all()
+        for manager in self.managers:
+            manager.stats = TxStats()
         self.persist.n_clwb = 0
         self.persist.n_clflushopt = 0
         self.persist.n_pcommit = 0
@@ -303,20 +306,22 @@ def generate_concurrent(
         track_persistence=track_persistence,
         seed=seed,
     )
-    partitions = [_partition(bench, abbrev) for _ in range(n_cores + 1)]
-
     # ---- untimed populate (identical key streams feed the oracle) ----
+    # fast-forward as in PersistentWorkload.populate: functional work
+    # only, no undo logging or persistency instructions
     populate_keys: List[List[int]] = []
     with bench.untimed():
-        for pid, part in enumerate(partitions):
-            rng = random.Random(seed * 7919 + pid)
-            keys = [rng.randrange(part._key_space) for _ in range(init_ops)]
-            populate_keys.append(keys)
-            for op_index, key in enumerate(keys):
-                core = pid if pid < n_cores else op_index % n_cores
-                bench.set_active(core)
-                part.tx = bench.tx
-                part.operation(key)
+        partitions = [_partition(bench, abbrev) for _ in range(n_cores + 1)]
+        with bench.persist.suspended():
+            for pid, part in enumerate(partitions):
+                rng = random.Random(seed * 7919 + pid)
+                keys = [rng.randrange(part._key_space) for _ in range(init_ops)]
+                populate_keys.append(keys)
+                for op_index, key in enumerate(keys):
+                    core = pid if pid < n_cores else op_index % n_cores
+                    bench.set_active(core)
+                    part.tx = bench.tx
+                    part.operation(key)
     bench.finish_init()
 
     # ---- timed phase -------------------------------------------------

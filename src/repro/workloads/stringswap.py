@@ -36,15 +36,19 @@ class StringSwapWorkload(PersistentWorkload):
         self._key_space = n_strings * n_strings
         self.meta = self._alloc_node()
         self.array = self.alloc.alloc(n_strings * STRING_SIZE)
+        # string i is the alphabet rotated left by i, cut to STRING_SIZE
         alphabet = (string.ascii_letters + string.digits).encode()
-        for i in range(n_strings):
-            payload = bytes(alphabet[(i + j) % len(alphabet)] for j in range(STRING_SIZE))
-            self.heap.store_bytes(self._entry(i), payload)
+        ring = alphabet * (STRING_SIZE // len(alphabet) + 2)
+        payloads = [
+            ring[i % len(alphabet) : i % len(alphabet) + STRING_SIZE]
+            for i in range(n_strings)
+        ]
+        self.heap.store_bytes(self.array, b"".join(payloads))
         self.heap.store_u64(self.meta + 0, self.array)
         self.heap.store_u64(self.meta + 8, n_strings)
         self.heap.store_u64(self.meta + 16, 0)  # swap counter
         #: model: index -> string bytes.
-        self.model = {i: self._read(i) for i in range(n_strings)}
+        self.model = dict(enumerate(payloads))
 
     def _entry(self, index: int) -> int:
         return self.array + index * STRING_SIZE

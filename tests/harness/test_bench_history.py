@@ -5,15 +5,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.harness import bench
 from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
     COMPARE_TOLERANCE,
+    GEN_IPS_FLOOR,
     append_history,
+    check_floor,
     comparable,
     compare_to_history,
     load_history,
+    measure_generation,
+    render_bench,
     render_compare,
 )
+from repro.harness.runner import TraceKey, generate_trace
+from repro.txn.modes import PersistMode
 
 
 def _record(**overrides):
@@ -31,6 +38,7 @@ def _record(**overrides):
         "sweep_ips_by_backend": {"python": 900_000, "numpy": 1_500_000},
         "classify_ips": 3_000_000,
         "system_ips": 150_000,
+        "gen_ips": 90_000,
     }
     record.update(overrides)
     return record
@@ -171,6 +179,11 @@ class TestCompare:
         result = compare_to_history(_record(), history, ref="aaa")
         assert any("system_ips" in f for f in result["regressions"])
 
+    def test_generation_regression_flagged(self):
+        result = compare_to_history(_record(gen_ips=40_000), [_record()])
+        (finding,) = result["regressions"]
+        assert finding.startswith("gen_ips:")
+
     def test_render_is_human_readable(self):
         current = _record(system_ips=10_000)
         result = compare_to_history(current, [_record()])
@@ -179,3 +192,41 @@ class TestCompare:
         assert "system_ips" in text
         empty = render_compare(compare_to_history(_record(), []))
         assert "no comparable history" in empty
+
+
+class TestGenerationCell:
+    def _floored(self, **overrides):
+        record = _record(**overrides)
+        record["pipeline_ips_by_backend"] = dict(bench.PIPELINE_IPS_FLOORS)
+        record["miss_ips_by_backend"] = dict(bench.MISS_IPS_FLOORS)
+        return record
+
+    def test_floor_enforced(self):
+        assert check_floor(self._floored(gen_ips=GEN_IPS_FLOOR)) is None
+        error = check_floor(self._floored(gen_ips=GEN_IPS_FLOOR - 1))
+        assert error is not None and "trace generation regression" in error
+
+    def test_pre_v8_record_has_no_generation_floor(self):
+        record = self._floored()
+        del record["gen_ips"]
+        assert check_floor(record) is None
+
+    def test_schema_version(self):
+        assert BENCH_SCHEMA_VERSION == 8
+
+    def test_rendered(self):
+        record = _record(
+            gen_trace={"benchmarks": ["RT", "HM"]},
+            gen_instructions=42_431,
+            gen_seconds=0.5,
+        )
+        assert "trace generation  :   90,000 instr/s (RT+HM, 42,431" in (
+            render_bench(record)
+        )
+
+    def test_measure_counts_recorded_micro_ops(self, monkeypatch):
+        monkeypatch.setattr(bench, "GEN_BENCHMARKS", ("LL",))
+        cell = measure_generation(seed=7, reps=1)
+        trace = generate_trace(TraceKey("LL", PersistMode.LOG_P_SF, 7))
+        assert cell["instructions"] == len(trace)
+        assert cell["seconds"] > 0

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs import metrics as obs_metrics
 
 
 class TestParser:
@@ -64,3 +65,21 @@ class TestCommands:
         assert "# Reproduction report" in text
         assert "Figure 13" in text
         assert "Headline" in text
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "LL", "--contention", "0.5"],
+            ["run", "LL", "--cores", "1", "--contention", "0.5"],
+            ["trace", "LL", "--contention", "0.5"],
+        ],
+        ids=["run", "run-one-core", "trace"],
+    )
+    def test_contention_without_cores_exits_2(self, argv, capsys):
+        before = len(obs_metrics.variant_records())
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().out.strip().splitlines()
+        assert line == "--contention needs --cores >= 2"
+        assert len(obs_metrics.variant_records()) == before  # nothing ran

@@ -1,5 +1,7 @@
 """NVMHeap typed access, observation, and snapshots (repro.mem.heap)."""
 
+import os
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +107,25 @@ class TestObservers:
         heap.raw_read(0x100, 8)
         assert obs.events == []
 
+    def test_unobserved_restores_position(self, heap):
+        a, b = _Recorder(), _Recorder()
+        heap.attach(a)
+        heap.attach(b)
+        with heap.unobserved(a):
+            with heap.unobserved(a):  # already detached: no-op
+                heap.load_u64(0x100)
+        heap.load_u64(0x100)
+        assert len(a.events) == 1 and len(b.events) == 2
+        assert heap._observers == [a, b]
+
+    def test_unobserved_restores_on_exception(self, heap):
+        a = _Recorder()
+        heap.attach(a)
+        with pytest.raises(KeyError):
+            with heap.unobserved(a):
+                raise KeyError
+        assert heap._observers == [a]
+
     def test_multiple_observers(self, heap):
         a, b = _Recorder(), _Recorder()
         heap.attach(a)
@@ -120,6 +141,30 @@ class TestSnapshots:
         heap.store_u64(0x100, 99)
         heap.restore(image)
         assert heap.load_u64(0x100) == 42
+
+    def test_reads_return_bytes(self, heap):
+        heap.store_u64(0x100, 42)
+        assert type(heap.snapshot()) is bytes
+        assert type(heap.raw_read(0x100, 8)) is bytes
+        assert type(heap.load_bytes(0x100, 8)) is bytes
+        assert len(heap.snapshot()) == heap.size
+
+    def test_fresh_heap_reads_zero(self):
+        heap = NVMHeap(1 << 26)
+        assert heap.load_u64(heap.size - 8) == 0
+        assert heap.raw_read(0x1000, 64) == bytes(64)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_forked_child_does_not_share_the_heap(self, heap):
+        """The mapping is private: a forked worker gets its own copy."""
+        heap.store_u64(0x100, 1)
+        pid = os.fork()
+        if pid == 0:  # child
+            heap.store_u64(0x100, 2)
+            os._exit(0 if heap.load_u64(0x100) == 2 else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+        assert heap.load_u64(0x100) == 1
 
     def test_restore_wrong_size_rejected(self, heap):
         with pytest.raises(ValueError):
