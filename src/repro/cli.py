@@ -28,12 +28,11 @@ Commands
     crash-consistency fuzzer, trace property fuzzer) and write a JSON
     report; exits non-zero on any failed check.  See docs/VALIDATION.md.
 
-``figure``, ``report``, ``run``, ``bench``, and ``validate`` accept
-``--kernel {auto,python,numpy}`` to pick the simulation kernel backend
-(exported as ``REPRO_KERNEL`` so parallel workers inherit it; both
-backends are cycle-identical — see docs/PERFORMANCE.md).  ``run``
-accepts ``--scale paper`` to simulate Table 1's full operation counts
-instead of the scaled defaults.
+The simulation kernel is chosen automatically: the NumPy batch kernel
+when numpy >= 1.20 imports, the pure-Python segment walker otherwise
+(both are cycle-identical — see docs/PERFORMANCE.md).  ``run`` accepts
+``--scale paper`` to simulate Table 1's full operation counts instead of
+the scaled defaults.
 
 ``figure``, ``report``, ``run``, and ``bench`` accept ``--jobs N`` to fan
 variant simulation across N worker processes (default: all cores);
@@ -427,23 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
                  "wall time/worker) as JSON to PATH",
         )
 
-    def add_kernel(sub_parser):
-        sub_parser.add_argument(
-            "--kernel", choices=("auto", "python", "numpy"), default=None,
-            help="simulation kernel backend: 'numpy' for the vectorized "
-                 "batch kernel, 'python' for the pure-Python segment "
-                 "walker, 'auto' to pick numpy when available (default: "
-                 "REPRO_KERNEL, then auto); both are cycle-identical",
-        )
-        sub_parser.add_argument(
-            "--classify", choices=("auto", "batch", "scalar"), default=None,
-            help="cache classification pass of the numpy kernel: 'batch' "
-                 "pins the set-partitioned stack-distance engine, "
-                 "'scalar' pins the per-access walk, 'auto' routes each "
-                 "batch by its eligibility probe (default: "
-                 "REPRO_CLASSIFY, then auto); all are cycle-identical",
-        )
-
     def add_supervise(sub_parser):
         sub_parser.add_argument(
             "--resume", action="store_true",
@@ -476,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(figure)
     add_metrics_out(figure)
     add_supervise(figure)
-    add_kernel(figure)
 
     sub.add_parser("headline", help="the abstract's claim")
 
@@ -502,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(run)
     add_metrics_out(run)
     add_supervise(run)
-    add_kernel(run)
 
     trace = sub.add_parser(
         "trace",
@@ -553,7 +533,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(report)
     add_metrics_out(report)
     add_supervise(report)
-    add_kernel(report)
 
     bench = sub.add_parser(
         "bench", help="time cold/warm harness runs and pipeline throughput"
@@ -586,7 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(bench)
     add_metrics_out(bench)
     add_supervise(bench)
-    add_kernel(bench)
 
     cache = sub.add_parser("cache", help="persistent result cache maintenance")
     cache.add_argument("action", choices=("info", "clear"))
@@ -621,7 +599,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_jobs(validate)
     add_supervise(validate)
-    add_kernel(validate)
 
     return parser
 
@@ -660,20 +637,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     if getattr(args, "jobs", None) is not None:
         parallel.set_default_jobs(args.jobs)
-    if getattr(args, "kernel", None):
-        # exported rather than threaded through every call site so that
-        # parallel worker processes inherit the same backend choice; the
-        # backends are cycle-identical, so this never affects results or
-        # cache keys, only wall-clock speed
-        import os
-
-        os.environ["REPRO_KERNEL"] = args.kernel
-    if getattr(args, "classify", None):
-        # same worker-inheritance rationale as --kernel; classification
-        # modes are cycle-identical so only wall-clock speed can differ
-        import os
-
-        os.environ["REPRO_CLASSIFY"] = args.classify
     if args.command == "tables":
         print(table1_text())
         print()

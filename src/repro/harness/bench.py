@@ -55,7 +55,6 @@ from repro.harness.runner import (
     generate_trace,
 )
 from repro.txn.modes import PersistMode
-from repro.uarch.classify import resolve_mode as resolve_classify_mode
 from repro.uarch.config import MachineConfig
 from repro.uarch import kernel as kernel_mod
 from repro.uarch.kernel import numpy_available, resolve_backend
@@ -98,7 +97,9 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: 8: added the trace-generation cell (``gen_trace``,
 #: ``gen_instructions``, ``gen_seconds``, ``gen_ips``) with its floor
 #: ``GEN_IPS_FLOOR``.
-BENCH_SCHEMA_VERSION = 8
+#: 9: dropped ``classify_mode``: the kernel has one classification pass,
+#: so there is no mode to record or to match in :func:`comparable`.
+BENCH_SCHEMA_VERSION = 9
 
 #: Append-only JSON-lines trail of every bench record ever taken on
 #: this checkout; ``bench --compare`` mines it for the best comparable
@@ -473,7 +474,6 @@ def run_bench(
         "pipeline_ips": pipeline_ips.get(active_backend),
         "pipeline_ips_by_backend": pipeline_ips,
         "pipeline_phase_seconds": _round_phases(sustained_phases),
-        "classify_mode": resolve_classify_mode(None),
         "miss_trace": {
             "benchmark": MISS_BENCHMARK,
             "mode": PersistMode.BASE.value,
@@ -586,10 +586,9 @@ def _comparable_metrics(record: Dict[str, object]) -> Dict[str, float]:
 
 def comparable(record: Dict[str, object], prior: Dict[str, object]) -> bool:
     """Whether *prior* is a like-for-like baseline for *record*: same
-    quick/full shape, same active kernel backend, and same classify
-    mode — anything else measures a different configuration, not a
-    regression."""
-    keys = ("quick", "kernel_backend", "classify_mode")
+    quick/full shape and same active kernel backend — anything else
+    measures a different configuration, not a regression."""
+    keys = ("quick", "kernel_backend")
     return all(prior.get(key) == record.get(key) for key in keys)
 
 

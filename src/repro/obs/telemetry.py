@@ -1,10 +1,10 @@
 """Process-wide telemetry registry: counters, gauges, histograms.
 
 The simulation and harness layers publish named measurements here —
-batch counts and per-phase wall clock from the NumPy kernel, routing
-decisions from the classification engine, run totals from the pipeline,
-cache traffic, supervisor recoveries — and ``--metrics-out`` folds the
-whole registry into its snapshot (see :mod:`repro.obs.metrics`).
+batch counts and per-phase wall clock from the NumPy kernel, run totals
+from the pipeline, cache traffic, supervisor recoveries — and
+``--metrics-out`` folds the whole registry into its snapshot (see
+:mod:`repro.obs.metrics`).
 
 **Disabled by default, and free when disabled.**  Every publish call
 starts with one module-level ``bool`` test and returns immediately, so
@@ -13,7 +13,7 @@ cost one branch when telemetry is off.  Enable with
 ``REPRO_TELEMETRY=1`` in the environment or :func:`set_enabled`; the
 ``bench``/``--metrics-out`` paths enable it around the work they
 measure.  Note the simulated-cycle contract is untouched either way:
-telemetry records *host-side* facts (wall clock, call counts, routing),
+telemetry records *host-side* facts (wall clock, call counts),
 so enabling it never changes results, only what gets observed.
 
 Three instrument kinds, all process-local and append-cheap:

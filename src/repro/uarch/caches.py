@@ -101,36 +101,6 @@ class CacheLevel:
         ways, tag = self._locate(block)
         return tag in ways
 
-    # ---- bulk state hooks for the batched classification engine ------
-    # (repro.uarch.classify mirrors touched sets, resolves whole access
-    # streams as array passes, and hands the end state back through
-    # these two methods instead of replaying every fill/evict)
-
-    def snapshot_set(self, index: int) -> Tuple[List[int], List[bool]]:
-        """Parallel ``(tags, dirty)`` lists of set *index*, LRU→MRU."""
-        ways = self._sets[index]
-        return list(ways.keys()), list(ways.values())
-
-    def apply_sets(self, sets: Dict[int, Tuple[List[int], List[bool]]],
-                   fills: int, flush_evicts: int) -> None:
-        """Install post-batch residency and advance the stamp.
-
-        *sets* maps set index to its final parallel ``(tags, dirty)``
-        lists in LRU→MRU order — the same dict insertion order the
-        sequential walk would have left.  *fills* counts fill
-        insertions and *flush_evicts* successful flush invalidations;
-        together they advance :attr:`stamp` exactly as the equivalent
-        ``fill``/``evict`` call sequence would have.  Statistics
-        counters are untouched — they remain the caller's business.
-        """
-        level_sets = self._sets
-        for si, (tags, dirty) in sets.items():
-            ways = level_sets[si]
-            ways.clear()
-            for tag, bit in zip(tags, dirty):
-                ways[tag] = bit
-        self.stamp += fills + flush_evicts
-
 
 class CacheHierarchy:
     """L1D + L2 + L3 with NVMM behind (via the memory controller)."""

@@ -54,14 +54,11 @@ class PipelineConfig:
     ``kernel`` is ``auto`` (numpy when importable, else Python),
     ``python`` (force the segment walker), or ``numpy`` (force the
     vectorized kernel; warns once and degrades to Python if numpy is
-    missing or too old).  ``kernel_min_batch`` is the batch length below
-    which the kernel defers to the walker — the kernel's fixed per-batch
-    cost only amortises past about a thousand instructions per
-    event-free span.
+    missing or too old).  Either way the kernel only takes batches of at
+    least :data:`repro.uarch.kernel.KERNEL_MIN_BATCH` instructions.
     """
 
     kernel: str = "auto"
-    kernel_min_batch: int = 1024
 
 
 @dataclass(frozen=True)

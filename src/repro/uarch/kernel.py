@@ -53,15 +53,14 @@ asserted by the conformance matrix and the property tests in
 
 from __future__ import annotations
 
-import os
 import warnings
 from collections import deque
 from time import perf_counter as _perf_counter
 
 from repro.obs import telemetry as _telemetry
 
-#: Backend names accepted by ``--kernel`` / ``REPRO_KERNEL`` /
-#: :class:`repro.uarch.config.PipelineConfig`.
+#: Backend names accepted by :class:`repro.uarch.config.PipelineConfig`
+#: and :func:`repro.uarch.pipeline.simulate`.
 BACKENDS = ("auto", "python", "numpy")
 
 #: Oldest numpy this kernel is tested against.
@@ -72,6 +71,8 @@ NUMPY_MIN_VERSION = (1, 20)
 #: passes) only amortises past about a thousand instructions per
 #: event-free span, measured across the harness benchmark sweep
 #: (event-dense logging traces hit this constantly between barriers).
+#: Read at call time, so tests can lower it to force the kernel onto
+#: short spans.
 KERNEL_MIN_BATCH = 1024
 
 #: Long batches are solved in chunks of this many instructions so the
@@ -146,15 +147,11 @@ def reset_phase_seconds():
 def resolve_backend(requested=None) -> str:
     """Resolve a backend request to the backend that will actually run.
 
-    Precedence: explicit *requested* argument, then the ``REPRO_KERNEL``
-    environment variable, then ``auto``.  ``auto`` and ``numpy`` degrade
-    to ``python`` when numpy is missing or too old — with a single
-    warning per process, after which the fallback is silent.
+    *requested* defaults to ``auto``.  ``auto`` and ``numpy`` degrade to
+    ``python`` when numpy is missing or too old — with a single warning
+    per process, after which the fallback is silent.
     """
     request = (requested or "auto").strip().lower() or "auto"
-    if request == "auto":
-        # an explicit backend beats the environment; "auto" defers to it
-        request = os.environ.get("REPRO_KERNEL", "auto").strip().lower() or "auto"
     if request not in BACKENDS:
         raise ValueError(
             f"unknown kernel backend {request!r}; expected one of {BACKENDS}"
@@ -418,48 +415,9 @@ def _elide_runs(T, q0, q1, shift):
     return dup_run, keep, eff_store
 
 
-_classify_engine = None
-
-
 def _classify(model, T, q0, q1):
     """Classify the batch's ops [*q0*, *q1*): cache behaviour from
-    access order alone.
-
-    Dispatches between two cycle-identical implementations on the
-    ``REPRO_CLASSIFY`` mode (see :mod:`repro.uarch.classify`): the
-    batched set-partitioned engine, which resolves whole streams as
-    per-set array passes, and the scalar walk below.  ``auto`` prefers
-    the engine for any batch past the exact-path cutoff and falls back
-    when the engine declines (flush-dense batches, non-uniform block
-    geometry); ``batch``/``scalar`` pin one path.  Returns per-kind
-    latency arrays, flush writeback flags, deferred WPQ records
-    ``((op_ordinal, code, sub_ordinal), block)`` (ordinals global for
-    ops, batch-local for subs), and the L1-hit count the walker would
-    have accumulated inline.
-    """
-    global _classify_engine
-    engine = _classify_engine
-    if engine is None:
-        from repro.uarch import classify as engine
-        _classify_engine = engine
-    dup_run, keep, eff_store = _elide_runs(T, q0, q1, model.caches.l1.block_bits)
-    mode = engine.resolve_mode()
-    if mode != "scalar" and q1 - q0 > _CLASSIFY_EXACT_MAX:
-        result = engine.classify_batch(
-            model, T, q0, q1, keep, eff_store,
-            int(np.count_nonzero(dup_run)), mode == "batch",
-        )
-        if result is not None:
-            _telemetry.counter_inc("classify.routed_batch")
-            return result
-        _telemetry.counter_inc("classify.declined")
-    _telemetry.counter_inc("classify.routed_scalar")
-    return _classify_scalar(model, T, q0, q1, dup_run, keep, eff_store)
-
-
-def _classify_scalar(model, T, q0, q1, dup_run, keep, eff_store):
-    """One in-order pass over the batch's ops [*q0*, *q1*) against the
-    real caches.
+    access order alone, in one in-order pass against the real caches.
 
     Hit levels, LRU movement, dirty writebacks, and latencies depend only
     on access order, never on cycle times, so this pass fully determines
@@ -491,6 +449,7 @@ def _classify_scalar(model, T, q0, q1, dup_run, keep, eff_store):
     sets1 = l1._sets
     mask1 = l1.n_sets - 1
     shift1 = l1.block_bits
+    dup_run, keep, eff_store = _elide_runs(T, q0, q1, shift1)
     nway1 = l1.ways
     l1_lat = model.config.l1.latency
     access = caches.access
@@ -853,7 +812,7 @@ def _scalar_chunk(length, width, depth, fq_cap, rob_cap, lsq_cap,
 # ----------------------------------------------------------------------
 # batch advance
 # ----------------------------------------------------------------------
-def advance(model, columns, segments, ei, min_batch=KERNEL_MIN_BATCH):
+def advance(model, columns, segments, ei):
     """Advance *model* through the batch starting at ``entries[ei]``.
 
     Processes every instruction of the batchable entries plus the compute
@@ -861,8 +820,9 @@ def advance(model, columns, segments, ei, min_batch=KERNEL_MIN_BATCH):
     phase would, and returns the index of that event entry (its prefix
     consumed, matching the walker's ``prefix_done`` protocol) — or
     ``len(entries)`` when the batch runs through the tail.  Returns
-    ``None`` when the upcoming batch is too small to be worth it (the
-    caller falls through to the Python fast phase).
+    ``None`` when the upcoming batch is shorter than
+    :data:`KERNEL_MIN_BATCH` (the caller falls through to the Python
+    fast phase).
 
     Preconditions (guaranteed by the caller): numpy backend resolved, the
     model is pristine (``not _deoptimized``), no speculation is active,
@@ -877,7 +837,7 @@ def advance(model, columns, segments, ei, min_batch=KERNEL_MIN_BATCH):
     prefix = int(segments.runs[ej]) if ej < n_entries else 0
     base = int(cum[ei])
     total = int(cum[ej]) - base + prefix
-    if total < min_batch:
+    if total < KERNEL_MIN_BATCH:
         return None
 
     T = _trace_ops(segments)

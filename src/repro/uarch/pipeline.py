@@ -315,7 +315,6 @@ class PipelineModel:
         meta_idx = columns.meta_idx
         metas = columns.metas
         kernel_advance = self._kernel_advance
-        min_batch = self.pipeline.kernel_min_batch
         ei = 0
         while ei < n_entries:
             prefix_done = False
@@ -329,7 +328,7 @@ class PipelineModel:
                 # next fence/pcommit/clflush/barrier plus that entry's
                 # compute prefix (the walker's prefix_done protocol), or
                 # declines short batches (None) in favour of the walker
-                nj = kernel_advance(self, columns, segments, ei, min_batch)
+                nj = kernel_advance(self, columns, segments, ei)
                 if nj is not None:
                     if nj >= n_entries:
                         return
@@ -1744,7 +1743,7 @@ def simulate(
     Pass a :class:`repro.obs.tracer.SpanTracer` as *tracer* to capture
     cycle-resolved spans (forces the exact per-op loop); ``None`` keeps
     the segment fast path.  *kernel* picks the batch backend (``auto`` /
-    ``python`` / ``numpy``); ``None`` defers to ``REPRO_KERNEL`` and then
-    ``auto`` — both backends are cycle-identical."""
+    ``python`` / ``numpy``; ``None`` means ``auto``) — both backends are
+    cycle-identical."""
     pipeline = PipelineConfig(kernel=kernel) if kernel else None
     return PipelineModel(config, tracer=tracer, pipeline=pipeline).run(trace)

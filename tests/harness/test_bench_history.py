@@ -32,7 +32,6 @@ def _record(**overrides):
         "timestamp_utc": "2026-08-09T00:00:00+00:00",
         "quick": True,
         "kernel_backend": "numpy",
-        "classify_mode": "auto",
         "pipeline_ips_by_backend": {"python": 1_000_000, "numpy": 5_000_000},
         "miss_ips_by_backend": {"python": 400_000, "numpy": 2_000_000},
         "sweep_ips_by_backend": {"python": 900_000, "numpy": 1_500_000},
@@ -109,10 +108,14 @@ class TestComparable:
     def test_same_shape_is_comparable(self):
         assert comparable(_record(), _record(git_rev="other"))
 
-    def test_different_backend_quick_or_classify_mode_is_not(self):
+    def test_different_backend_or_quick_is_not(self):
         assert not comparable(_record(), _record(kernel_backend="python"))
         assert not comparable(_record(), _record(quick=False))
-        assert not comparable(_record(), _record(classify_mode="scalar"))
+
+    def test_pre_v9_classify_mode_is_ignored(self):
+        # v8 records carry the retired classification mode; the kernel
+        # now has one classification pass, so it no longer splits history
+        assert comparable(_record(), _record(classify_mode="scalar"))
 
 
 class TestCompare:
@@ -212,7 +215,7 @@ class TestGenerationCell:
         assert check_floor(record) is None
 
     def test_schema_version(self):
-        assert BENCH_SCHEMA_VERSION == 8
+        assert BENCH_SCHEMA_VERSION == 9
 
     def test_rendered(self):
         record = _record(

@@ -412,8 +412,11 @@ class TestCliFlags:
             ["figure", "8", "--transport", "local"],
             ["figure", "8", "--workers", "127.0.0.1:8751"],
             ["figure", "8", "--no-supervise"],
+            ["figure", "8", "--classify", "scalar"],
+            ["run", "LL", "--kernel", "python"],
         ],
-        ids=["worker", "serve", "transport", "workers", "no-supervise"],
+        ids=["worker", "serve", "transport", "workers", "no-supervise",
+             "classify", "kernel"],
     )
     def test_retired_fleet_surface_is_rejected(self, argv):
         from repro.cli import build_parser

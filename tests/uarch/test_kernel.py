@@ -1,16 +1,20 @@
 """NumPy batch kernel vs the Python segment walker.
 
 The kernel's contract (repro.uarch.kernel) is cycle-for-cycle identity
-with the walker: same RunStats, same cache/memory-controller counters,
-on every trace.  These tests pin that contract three ways — targeted
-traces aimed at the kernel's own seams (batch threshold, same-block run
-elision, scalar-chunk bailout), property-based random traces from the
-full micro-op grammar, and the benchmark conformance matrix — plus the
-backend-selection plumbing (resolution precedence, graceful degradation
-without numpy, deoptimisation guard).
+with the walker: same RunStats and the same cache hierarchy left behind
+(residency, LRU order, dirty bits, stamps, and counters), on every
+trace.  These tests pin that contract four ways — targeted traces aimed
+at the kernel's own seams (batch threshold, same-block run elision,
+scalar-chunk bailout), directed traces aimed at the classification
+pass's set analysis (same-set thrash, dirty-victim cascades, flush
+segmentation), property-based random traces from the full micro-op
+grammar and from a conflict-biased address pool, and the benchmark
+conformance matrix — plus the backend-selection plumbing (graceful
+degradation without numpy, deoptimisation guard).
 """
 
 import warnings
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,24 +37,58 @@ requires_numpy = pytest.mark.skipif(
 
 SMALL = dict(init_ops=300, sim_ops=12)
 
+#: L1 geometry of the default machine, used to aim traces at one set.
+_CFG = MachineConfig()
+_BLOCK = _CFG.l1.block_size
+_L1_WAYS = _CFG.l1.ways
+_SET_STRIDE = _CFG.l1.n_sets * _BLOCK
 
-def run_backend(trace, config, backend, min_batch=1):
+
+@contextmanager
+def kernel_knobs(min_batch, exact_max=None):
+    """Lower the kernel's batch threshold and, optionally, the
+    classification pass's exact-path cutoff (0 sends every batch through
+    the set analysis); both are read at call time."""
+    saved = kernel.KERNEL_MIN_BATCH, kernel._CLASSIFY_EXACT_MAX
+    kernel.KERNEL_MIN_BATCH = min_batch
+    if exact_max is not None:
+        kernel._CLASSIFY_EXACT_MAX = exact_max
+    try:
+        yield
+    finally:
+        kernel.KERNEL_MIN_BATCH, kernel._CLASSIFY_EXACT_MAX = saved
+
+
+def run_backend(trace, config, backend, min_batch=1, exact_max=None):
     """Run *trace* on an explicit backend; min_batch=1 forces the kernel
-    onto spans the auto threshold would leave to the walker."""
-    model = PipelineModel(
-        config,
-        pipeline=PipelineConfig(kernel=backend, kernel_min_batch=min_batch),
-    )
-    stats = model.run(trace)
+    onto spans the default threshold would leave to the walker."""
+    model = PipelineModel(config, pipeline=PipelineConfig(kernel=backend))
+    with kernel_knobs(min_batch, exact_max):
+        stats = model.run(trace)
     return model, stats
 
 
-def assert_backends_agree(trace, config=None, min_batch=1):
+def cache_state(model):
+    """Everything a run leaves behind in the cache hierarchy."""
+    out = [
+        (level.name, level.stamp, level.hits, level.misses, level.writebacks,
+         [list(ways.items()) for ways in level._sets])
+        for level in model.caches.levels
+    ]
+    out.append(("acc", model.caches.accesses, model.caches.nvmm_reads))
+    return out
+
+
+def assert_backends_agree(trace, config=None, min_batch=1, exact_max=None):
+    """Byte-identical stats *and* hierarchy state, walker vs kernel."""
     config = config or MachineConfig()
     py_model, py_stats = run_backend(trace, config, "python", min_batch)
-    np_model, np_stats = run_backend(trace, config, "numpy", min_batch)
+    np_model, np_stats = run_backend(
+        trace, config, "numpy", min_batch, exact_max
+    )
     assert np_model.kernel_backend == "numpy"
     assert np_stats.as_dict() == py_stats.as_dict()
+    assert cache_state(np_model) == cache_state(py_model)
     return py_model, np_model
 
 
@@ -60,6 +98,14 @@ def alu(n):
 
 def barrier():
     return [Instr(Op.SFENCE), Instr(Op.PCOMMIT), Instr(Op.SFENCE)]
+
+
+def loads(addrs):
+    return [Instr(Op.LOAD, a) for a in addrs]
+
+
+def stores(addrs):
+    return [Instr(Op.STORE, a) for a in addrs]
 
 
 # ----------------------------------------------------------------------
@@ -74,28 +120,12 @@ class TestBackendResolution:
             kernel.resolve_backend("fortran")
 
     def test_request_is_normalised(self):
-        # case/whitespace-insensitive, like the CLI's env plumbing
         assert kernel.resolve_backend(" Python ") == "python"
 
-    def test_auto_defers_to_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert kernel.resolve_backend(None) == "python"
-        assert kernel.resolve_backend("auto") == "python"
-
-    def test_auto_picks_numpy_when_available(self, monkeypatch):
-        monkeypatch.delenv("REPRO_KERNEL", raising=False)
+    def test_auto_picks_numpy_when_available(self):
         expected = "numpy" if kernel.numpy_available() else "python"
         assert kernel.resolve_backend("auto") == expected
-
-    @requires_numpy
-    def test_explicit_request_beats_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "python")
-        assert kernel.resolve_backend("numpy") == "numpy"
-
-    def test_bad_environment_value_raises(self, monkeypatch):
-        monkeypatch.setenv("REPRO_KERNEL", "cuda")
-        with pytest.raises(ValueError):
-            kernel.resolve_backend("auto")
+        assert kernel.resolve_backend(None) == expected
 
 
 # ----------------------------------------------------------------------
@@ -125,8 +155,7 @@ class TestGracefulDegradation:
         )
         with pytest.warns(RuntimeWarning):
             model = PipelineModel(
-                MachineConfig(),
-                pipeline=PipelineConfig(kernel="numpy", kernel_min_batch=1),
+                MachineConfig(), pipeline=PipelineConfig(kernel="numpy")
             )
         assert model.kernel_backend == "python"
         degraded = model.run(trace).as_dict()
@@ -159,24 +188,21 @@ class TestDeoptGuard:
             def _extra_probe(self):
                 return None
 
-        model = Probed(
-            MachineConfig(),
-            pipeline=PipelineConfig(kernel="numpy", kernel_min_batch=1),
-        )
+        model = Probed(MachineConfig(), pipeline=PipelineConfig(kernel="numpy"))
         assert _deoptimized(model)
         # the exact loop must never reach the kernel
         def boom(*args, **kwargs):  # pragma: no cover - failure path
             raise AssertionError("kernel called on a deoptimised model")
 
         model._kernel_advance = boom
-        tweaked = model.run(self.TRACE).as_dict()
+        with kernel_knobs(min_batch=1):
+            tweaked = model.run(self.TRACE).as_dict()
         _, reference = run_backend(self.TRACE, MachineConfig(), "python")
         assert tweaked == reference.as_dict()
 
     def test_instance_override_routes_to_exact_loop(self):
         model = PipelineModel(
-            MachineConfig(),
-            pipeline=PipelineConfig(kernel="numpy", kernel_min_batch=1),
+            MachineConfig(), pipeline=PipelineConfig(kernel="numpy")
         )
         model._compute_batch = lambda count: None
         assert _deoptimized(model)
@@ -322,6 +348,150 @@ class TestPropertyEquivalence:
     @given(trace=grammar_traces())
     def test_speculative_machine(self, trace):
         assert_backends_agree(trace, MachineConfig().with_sp(256))
+
+
+# ----------------------------------------------------------------------
+# directed traces: the classification pass's set analysis, forced onto
+# every batch (exact-path cutoff 0)
+# ----------------------------------------------------------------------
+@requires_numpy
+class TestDirected:
+    def test_same_set_thrash_beyond_associativity(self):
+        # W+4 distinct blocks all landing in L1 set 0, chased for laps:
+        # every lap evicts, so the victim choice must match LRU exactly
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 4)]
+        body = []
+        for lap in range(24):
+            body += loads(blocks) if lap % 3 else stores(blocks)
+        assert_backends_agree(Trace(body), exact_max=0)
+
+    def test_dirty_victim_cascade_l1_l2_l3(self):
+        # dirty a footprint far past every level's per-set capacity —
+        # stride of the *L3* set count makes every block collide in one
+        # set of all three levels — so dirty victims cascade
+        # L1→L2→L3→WPQ; the deferred writeback records must land at the
+        # same times the walker emits them
+        deep_stride = _CFG.l3.n_sets * _BLOCK
+        blocks = [i * deep_stride for i in range(_CFG.l3.ways + 8)]
+        body = stores(blocks)
+        for lap in range(6):
+            body += stores([b + (lap % 2) * 8 for b in blocks])
+            body += loads(list(reversed(blocks)))
+        py_model, _ = assert_backends_agree(Trace(body), exact_max=0)
+        assert py_model.caches.l3.writebacks > 0  # the cascade actually ran
+
+    def test_eviction_free_fast_path(self):
+        # footprint fits the set: after first touch every sub-batch is
+        # closed, so the whole stream resolves as bulk hit refreshes
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS - 2)]
+        body = []
+        for lap in range(30):
+            body += loads(blocks) + stores(blocks[:2])
+        _, np_model = assert_backends_agree(Trace(body), exact_max=0)
+        assert np_model.caches.l1.misses == len(blocks)  # first touches only
+
+    def test_partial_eligibility_split(self):
+        # one quiet set (closed) interleaved with one thrashing set
+        # (offending): bulk refreshes and the exact replay must compose
+        quiet = [i * _SET_STRIDE for i in range(4)]
+        noisy = [_BLOCK + i * _SET_STRIDE for i in range(_L1_WAYS + 3)]
+        body = []
+        for lap in range(20):
+            body += loads(quiet) + stores(noisy[: lap % len(noisy) + 1])
+        assert_backends_agree(Trace(body), exact_max=0)
+
+    def test_flush_segmented_batch(self):
+        # flushes make their set offending; cleans and invalidations must
+        # replay in order with the surrounding fills and evictions
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 2)]
+        body = []
+        for lap in range(10):
+            body += stores(blocks)
+            body.append(Instr(Op.CLWB if lap % 2 else Op.CLFLUSHOPT,
+                              blocks[lap % len(blocks)]))
+            body += loads(blocks)
+        assert_backends_agree(Trace(body), exact_max=0)
+
+    def test_speculative_machine_agrees(self):
+        blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 3)]
+        body = []
+        for lap in range(8):
+            body += stores(blocks) + barrier()
+        assert_backends_agree(
+            Trace(body), MachineConfig().with_sp(256), exact_max=0
+        )
+
+    def test_quiet_and_noisy_pools(self):
+        quiet = [i * _SET_STRIDE for i in range(3)]
+        noisy = [i * _SET_STRIDE for i in range(_L1_WAYS + 8)]
+        for pool in (quiet, noisy):
+            body = []
+            for lap in range(30):
+                body += loads(pool) + stores(pool[:2])
+            assert_backends_agree(Trace(body), exact_max=0)
+
+    def test_benchmark_traces_agree(self):
+        clear_trace_cache()
+        for abbrev in ("LL", "HM"):
+            trace = build_trace(abbrev, PersistMode.LOG_P_SF,
+                                init_ops=800, sim_ops=60)
+            assert_backends_agree(trace, exact_max=0)
+        clear_trace_cache()
+
+
+# ----------------------------------------------------------------------
+# hypothesis: small heaps, high set conflict
+# ----------------------------------------------------------------------
+#: A conflict-heavy address pool: a handful of L1 sets, each with more
+#: distinct blocks than associativity, so random draws sit right on the
+#: hit/evict boundary the set analysis must resolve exactly (the grammar
+#: above spreads 96 consecutive blocks over 64 sets and never evicts).
+_CONFLICT_ADDRS = [
+    si * _BLOCK + way * _SET_STRIDE
+    for si in (0, 1, 2)
+    for way in range(_L1_WAYS + 4)
+]
+
+_conflict_op = st.one_of(
+    st.builds(
+        lambda a, s: Instr(Op.STORE if s else Op.LOAD, a),
+        st.sampled_from(_CONFLICT_ADDRS),
+        st.booleans(),
+    ),
+    st.builds(
+        lambda a, inv: Instr(Op.CLFLUSHOPT if inv else Op.CLWB, a),
+        st.sampled_from(_CONFLICT_ADDRS),
+        st.booleans(),
+    ),
+)
+
+
+@st.composite
+def conflict_traces(draw):
+    # mostly memory traffic with sparse flushes, long enough that one
+    # batch covers several evictions per set
+    return Trace(draw(st.lists(_conflict_op, min_size=20, max_size=220)))
+
+
+@requires_numpy
+class TestConflictFuzz:
+    @settings(
+        max_examples=50,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(trace=conflict_traces())
+    def test_base_machine(self, trace):
+        assert_backends_agree(trace, exact_max=0)
+
+    @settings(
+        max_examples=20,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(trace=conflict_traces())
+    def test_speculative_machine(self, trace):
+        assert_backends_agree(trace, MachineConfig().with_sp(256), exact_max=0)
 
 
 # ----------------------------------------------------------------------
