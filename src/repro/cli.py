@@ -38,7 +38,8 @@ the scaled defaults.
 variant simulation across N worker processes (default: all cores);
 results are merged deterministically, so the output is byte-identical
 for any job count.  They also accept ``--metrics-out PATH`` to dump the
-harness's own metrics (cache hit/miss counters, per-variant wall time
+harness's own metrics (the telemetry registry's counters — cache,
+kernel, pipeline, system and supervisor — plus per-variant wall time
 and worker attribution) as JSON, and print a one-line summary of the
 same after their regular output.
 
@@ -422,8 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_metrics_out(sub_parser):
         sub_parser.add_argument(
             "--metrics-out", default=None, metavar="PATH", dest="metrics_out",
-            help="write harness metrics (cache counters, per-variant "
-                 "wall time/worker) as JSON to PATH",
+            help="write harness metrics (the telemetry counters, "
+                 "per-variant wall time/worker) as JSON to PATH",
         )
 
     def add_supervise(sub_parser):
@@ -437,8 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--job-timeout", type=float, default=None, metavar="SECONDS",
             dest="job_timeout",
             help="wall-clock deadline per pool job before the watchdog "
-                 "kills and requeues it (default: 300, or "
-                 "REPRO_JOB_TIMEOUT)",
+                 "kills and requeues it (default: 300)",
         )
         sub_parser.add_argument(
             "--failures-out", default=None, metavar="PATH",

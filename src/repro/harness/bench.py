@@ -245,6 +245,12 @@ def _isolated_cache(root: str):
             os.environ[disk_cache.ENV_NO_CACHE] = saved_off
 
 
+def _phases_since(before: Dict[str, float]) -> Dict[str, float]:
+    """Kernel classify/solve seconds spent since *before* was read."""
+    after = kernel_mod.phase_seconds()
+    return {phase: after[phase] - before[phase] for phase in after}
+
+
 def measure_generation(seed: int = 7, reps: int = GEN_REPS) -> Dict[str, float]:
     """The generation cell: micro-ops recorded and best-of-*reps*
     seconds summed over :data:`GEN_BENCHMARKS`."""
@@ -377,25 +383,25 @@ def run_bench(
                                 sweep_instructions += stats.instructions
                 for rep in range(reps):
                     for backend in backends:
-                        kernel_mod.reset_phase_seconds()
+                        before = kernel_mod.phase_seconds()
                         t0 = time.perf_counter()
                         stats = simulate(sustained, MachineConfig(), kernel=backend)
                         elapsed = time.perf_counter() - t0
                         if elapsed < sustained_best[backend]:
                             sustained_best[backend] = elapsed
                             if backend == "numpy":
-                                sustained_phases = kernel_mod.phase_seconds()
+                                sustained_phases = _phases_since(before)
                         sustained_instructions = stats.instructions
                 for rep in range(reps):
                     for backend in backends:
-                        kernel_mod.reset_phase_seconds()
+                        before = kernel_mod.phase_seconds()
                         t0 = time.perf_counter()
                         stats = simulate(miss, MachineConfig(), kernel=backend)
                         elapsed = time.perf_counter() - t0
                         if elapsed < miss_best[backend]:
                             miss_best[backend] = elapsed
                             if backend == "numpy":
-                                miss_phases = kernel_mod.phase_seconds()
+                                miss_phases = _phases_since(before)
                         miss_instructions = stats.instructions
                 # multi-core driver throughput (backend-independent: the
                 # co-sim driver always walks the exact loop); a fresh

@@ -53,13 +53,7 @@ import zlib
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.isa.serialize import (
-    TraceFormatError,
-    _MAGIC_V1,
-    _MAGIC_V2,
-    dump_trace,
-    load_trace,
-)
+from repro.isa.serialize import TraceFormatError, dump_trace, load_trace
 from repro.isa.trace import Trace
 from repro.obs import telemetry
 from repro.stats.run import RunStats
@@ -88,7 +82,7 @@ class CacheCounters:
     A *hit* is a successful disk load; a *miss* is a lookup that found
     nothing (disabled cache lookups count as misses too — the caller did
     the work either way); ``corrupt_dropped`` counts entries that existed
-    but failed to parse and were deleted.
+    but failed to parse or verify and were deleted.
     """
 
     trace_hits: int = 0
@@ -112,31 +106,25 @@ class CacheCounters:
         return dataclasses.asdict(self)
 
 
-_COUNTERS = CacheCounters()
-
-
 def _bump(name: str) -> None:
-    """Increment one session counter, mirrored into the telemetry
-    registry (``cache.<name>``) when that is enabled."""
-    setattr(_COUNTERS, name, getattr(_COUNTERS, name) + 1)
+    """Count one cache event in the telemetry registry (``cache.<name>``)."""
     telemetry.counter_inc(f"cache.{name}")
 
 
-#: Session counter totals already folded into ``metrics.json`` — so
-#: repeated :func:`persist_cache_counters` calls only add the delta.
-_PERSISTED = CacheCounters()
-
-
 def cache_counters() -> CacheCounters:
-    """This process's cache traffic so far (a live object — copy to keep)."""
-    return _COUNTERS
+    """This process's cache traffic so far: a snapshot of the registry's
+    ``cache.*`` counters."""
+    return CacheCounters(**{
+        field_.name: int(telemetry.get(f"cache.{field_.name}"))
+        for field_ in dataclasses.fields(CacheCounters)
+    })
 
 
-def reset_cache_counters() -> None:
-    """Zero the session counters (tests and bench phases)."""
-    global _COUNTERS, _PERSISTED
-    _COUNTERS = CacheCounters()
-    _PERSISTED = CacheCounters()
+#: Session totals already folded into ``metrics.json``, so repeated
+#: :func:`persist_cache_counters` calls only add the delta.  They count
+#: against the registry, so :func:`repro.obs.metrics.reset_metrics`
+#: clears them together with it.
+_PERSISTED: dict = {}
 
 
 def _metrics_path(root: Optional[PathLike] = None) -> Optional[Path]:
@@ -167,13 +155,13 @@ def persist_cache_counters(root: Optional[PathLike] = None) -> None:
     totals at ``<root>/metrics.json``.  Best effort and atomic; concurrent
     writers may lose each other's increments, which is acceptable for
     advisory metrics."""
-    global _PERSISTED
     path = _metrics_path(root)
     if path is None:
         return
-    session = _COUNTERS.as_dict()
+    session = cache_counters().as_dict()
     delta = {
-        key: value - getattr(_PERSISTED, key) for key, value in session.items()
+        key: max(0, value - _PERSISTED.get(key, 0))
+        for key, value in session.items()
     }
     if not any(delta.values()):
         return
@@ -185,7 +173,7 @@ def persist_cache_counters(root: Optional[PathLike] = None) -> None:
         _atomic_write(path, lambda handle: handle.write(blob))
     except OSError:
         return
-    _PERSISTED = CacheCounters(**session)
+    _PERSISTED.update(session)
 
 
 #: Reason the cache turned itself off mid-run (``None`` while healthy).
@@ -399,11 +387,11 @@ def load_cached_stats(
 ) -> Optional[RunStats]:
     """The cached :class:`RunStats` for *(key, config)*, or ``None``.
 
-    Checksummed records (``{"crc": ..., "record": {...}}``) are verified
-    before deserialising — a flipped digit in a counter would otherwise
-    load as *plausible but wrong* stats; legacy flat records (written
-    before the integrity envelope existed) load unverified.  Anything
-    that fails to parse or verify is dropped via :func:`_drop_corrupt`.
+    Every record is a checksummed envelope (``{"crc": ..., "record":
+    {...}}``), verified before deserialising — a flipped digit in a
+    counter would otherwise load as *plausible but wrong* stats.
+    Anything that fails to parse or verify, a bare record without the
+    envelope included, is dropped via :func:`_drop_corrupt`.
     """
     path = stats_path(key, config, root)
     if path is None or not path.exists():
@@ -412,23 +400,14 @@ def load_cached_stats(
     try:
         with open(path, "r") as handle:
             data = json.load(handle)
-        if isinstance(data, dict) and (
-            "record" in data or "crc" in data or "schema" in data
+        record = data.get("record") if isinstance(data, dict) else None
+        if (
+            not isinstance(record, dict)
+            or "crc" not in data
+            or _record_crc(record) != data["crc"]
         ):
-            # anything resembling an envelope must verify as one — a
-            # corrupted envelope (e.g. a flipped byte inside the "crc"
-            # or "record" key name itself) must never fall through to
-            # the unverified legacy branch below
-            record = data.get("record")
-            if (
-                not isinstance(record, dict)
-                or "crc" not in data
-                or _record_crc(record) != data["crc"]
-            ):
-                raise ValueError("stats record checksum mismatch")
-            stats = RunStats.from_dict(record)
-        else:
-            stats = RunStats.from_dict(data)
+            raise ValueError("stats record checksum mismatch")
+        stats = RunStats.from_dict(record)
     except (json.JSONDecodeError, TypeError, ValueError, OSError):
         _drop_corrupt(path)
         _bump("corrupt_dropped")
@@ -518,26 +497,10 @@ def clear_cache(root: Optional[PathLike] = None) -> int:
     return removed
 
 
-def _sniff_trace_format(path: Path) -> Optional[str]:
-    """Which RPTR container version a trace file uses (by magic)."""
-    try:
-        with open(path, "rb") as handle:
-            magic = handle.read(len(_MAGIC_V2))
-    except OSError:
-        return None
-    if magic == _MAGIC_V2:
-        return "rptr2"
-    if magic == _MAGIC_V1:
-        return "rptr1"
-    return None
-
-
 def cache_info(root: Optional[PathLike] = None) -> dict:
     """Entry counts and sizes of the cache (for ``repro cache info``).
 
-    Beyond the totals, breaks entries down by kind — trace containers by
-    RPTR format version (a non-zero ``traces_rptr1`` after a schema bump
-    means stale pre-columnar files are still on disk) — and reports the
+    Beyond the totals, breaks entries down by kind and reports the
     session's and, when persisted, the cache's lifetime hit/miss counters.
     Stale ``mkstemp`` staging files older than an hour (leaked by crashed
     writers) are swept as a side effect and the count reported as
@@ -556,10 +519,8 @@ def cache_info(root: Optional[PathLike] = None) -> dict:
         "trace_bytes": 0,
         "stats_bytes": 0,
         "journal_bytes": 0,
-        "traces_rptr1": 0,
-        "traces_rptr2": 0,
         "stale_tmp_removed": 0,
-        "counters_session": _COUNTERS.as_dict(),
+        "counters_session": cache_counters().as_dict(),
         "counters_lifetime": lifetime_cache_counters(root),
     }
     if resolved is None or not resolved.exists():
@@ -580,8 +541,4 @@ def cache_info(root: Optional[PathLike] = None) -> dict:
             size = path.stat().st_size
             info[bytes_key] += size
             info["bytes"] += size
-            if sub == "traces":
-                fmt = _sniff_trace_format(path)
-                if fmt is not None:
-                    info[f"traces_{fmt}"] += 1
     return info

@@ -24,6 +24,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.harness import cache as disk_cache
 from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry
 from repro.isa.trace import Trace
 from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
@@ -241,24 +242,27 @@ def run_system(
     label = f"{abbrev}/{mode.value}@{cores}c/p{contention:g}"
     started = time.perf_counter()
     stats = disk_cache.load_cached_stats(key, config)
-    if stats is not None:
-        _STATS_CACHE[(key, config)] = stats
-        obs_metrics.record_variant(
-            "sim", label, "disk", time.perf_counter() - started
-        )
-        obs_metrics.record_system_run(cores, contention, stats.extra)
-        return stats
-    stats = system_result(
-        abbrev, mode, config, seed,
-        cores=cores, contention=contention,
-        init_ops=init_ops, sim_ops=sim_ops,
-    ).aggregate()
+    source = "disk"
+    if stats is None:
+        stats = system_result(
+            abbrev, mode, config, seed,
+            cores=cores, contention=contention,
+            init_ops=init_ops, sim_ops=sim_ops,
+        ).aggregate()
+        disk_cache.store_stats(key, config, stats)
+        source = "simulated"
     _STATS_CACHE[(key, config)] = stats
-    disk_cache.store_stats(key, config, stats)
     obs_metrics.record_variant(
-        "sim", label, "simulated", time.perf_counter() - started
+        "sim", label, source, time.perf_counter() - started
     )
-    obs_metrics.record_system_run(cores, contention, stats.extra)
+    # served cells only, memo hits excluded like the variant records; the
+    # conflict totals come from the cell's ``extra`` counters, so a disk
+    # hit publishes what a fresh co-simulation would
+    telemetry.counter_inc("system.runs")
+    for name in ("conflict_aborts", "replayed_instructions", "store_broadcasts"):
+        telemetry.counter_inc(f"system.{name}", int(stats.extra.get(name, 0)))
+    telemetry.observe("system.cores", cores)
+    telemetry.observe("system.contention", contention)
     return stats
 
 

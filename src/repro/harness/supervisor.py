@@ -63,9 +63,6 @@ from repro.uarch.pipeline import simulate
 
 ENV_CHAOS = "REPRO_CHAOS"
 ENV_CHAOS_SEED = "REPRO_CHAOS_SEED"
-ENV_JOB_TIMEOUT = "REPRO_JOB_TIMEOUT"
-ENV_MAX_ATTEMPTS = "REPRO_MAX_ATTEMPTS"
-ENV_MAX_POOL_REBUILDS = "REPRO_MAX_POOL_REBUILDS"
 
 #: How long a chaos-injected hang sleeps — far beyond any sane job
 #: timeout, so a hang always manifests as a watchdog timeout.
@@ -178,16 +175,15 @@ def _corrupt_file(path: Path, rng: random.Random) -> None:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Retry/timeout/quarantine policy (env-overridable, see below)."""
+    """Retry/timeout/quarantine policy; only the deadline is a knob
+    (``--job-timeout``)."""
 
     #: wall-clock seconds a single pool job may run before the watchdog
-    #: kills the pool and requeues it (``REPRO_JOB_TIMEOUT``).
+    #: kills the pool and requeues it.
     job_timeout: float = 300.0
-    #: failures (of any kind) before a job is quarantined
-    #: (``REPRO_MAX_ATTEMPTS``).
+    #: failures (of any kind) before a job is quarantined.
     max_attempts: int = 3
-    #: pool deaths tolerated before degrading to serial execution
-    #: (``REPRO_MAX_POOL_REBUILDS``).
+    #: pool deaths tolerated before degrading to serial execution.
     max_pool_rebuilds: int = 3
     #: exponential-backoff base and cap, in seconds.
     backoff_base: float = 0.05
@@ -196,28 +192,6 @@ class SupervisorConfig:
     #: the same campaign back off identically).
     jitter: float = 0.5
     seed: int = 0
-
-    @classmethod
-    def from_env(cls, environ=os.environ) -> "SupervisorConfig":
-        def _float(name: str, default: float, low: float) -> float:
-            try:
-                return max(low, float(environ[name]))
-            except (KeyError, ValueError):
-                return default
-
-        def _int(name: str, default: int, low: int) -> int:
-            try:
-                return max(low, int(environ[name]))
-            except (KeyError, ValueError):
-                return default
-
-        return cls(
-            job_timeout=_float(ENV_JOB_TIMEOUT, cls.job_timeout, 0.1),
-            max_attempts=_int(ENV_MAX_ATTEMPTS, cls.max_attempts, 1),
-            max_pool_rebuilds=_int(
-                ENV_MAX_POOL_REBUILDS, cls.max_pool_rebuilds, 0
-            ),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +219,9 @@ def set_job_timeout(seconds: Optional[float]) -> None:
 
 
 def current_config() -> SupervisorConfig:
-    config = SupervisorConfig.from_env()
-    if _JOB_TIMEOUT_OVERRIDE is not None:
-        config = dataclasses.replace(config, job_timeout=_JOB_TIMEOUT_OVERRIDE)
-    return config
+    if _JOB_TIMEOUT_OVERRIDE is None:
+        return SupervisorConfig()
+    return SupervisorConfig(job_timeout=_JOB_TIMEOUT_OVERRIDE)
 
 
 def reset() -> None:
@@ -416,14 +389,33 @@ class CampaignReport:
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
+    def publish(self) -> None:
+        """Add this campaign to the registry's ``supervisor.*`` totals
+        (:data:`repro.obs.metrics.SUPERVISOR_TOTALS`)."""
+        counts = {
+            "campaigns": 1,
+            "jobs": self.jobs,
+            "retries": self.retries,
+            "timeouts": self.timeouts,
+            "quarantined": len(self.quarantined),
+            "pool_rebuilds": self.pool_rebuilds,
+            "serial_degradations": int(self.degraded_serial),
+            "resumed": self.resumed,
+            "resumed_quarantined": self.resumed_quarantined,
+            "journal_stale": self.journal_stale,
+            "chaos_corrupts": self.chaos_corrupts,
+        }
+        for key in obs_metrics.SUPERVISOR_TOTALS:
+            telemetry.counter_inc(f"supervisor.{key}", counts[key])
+
 
 def failure_report() -> Dict[str, object]:
-    """Aggregate failure/recovery report of every campaign this session."""
-    totals = obs_metrics.supervisor_counters()
+    """Aggregate failure/recovery report of every campaign this session;
+    the totals are read back from the registry."""
     return {
         "schema": 3,
-        "totals": totals.as_dict(),
-        "recovered": totals.any_recovery(),
+        "totals": obs_metrics.supervisor_totals(),
+        "recovered": obs_metrics.supervisor_recovery() is not None,
         "campaigns": [report.as_dict() for report in _CAMPAIGNS],
     }
 
@@ -568,7 +560,6 @@ class _PhaseRunner:
         self.report = report
         self.on_done = on_done
         self.on_quarantine = on_quarantine
-        self.counters = obs_metrics.supervisor_counters()
         self.pool: Optional[ProcessPoolExecutor] = None
         self.rebuilds_left = config.max_pool_rebuilds
         self.degraded = False
@@ -586,12 +577,10 @@ class _PhaseRunner:
             _terminate_pool(self.pool)
             self.pool = None
         if self.rebuilds_left <= 0:
-            self.counters.serial_degradations += 1
             self.report.degraded_serial = True
             self.report.event("serial_degrade", "*", reason=reason)
             raise _DegradedToSerial(reason)
         self.rebuilds_left -= 1
-        self.counters.pool_rebuilds += 1
         self.report.pool_rebuilds += 1
         self.report.event("pool_rebuild", "*", reason=reason)
 
@@ -602,17 +591,14 @@ class _PhaseRunner:
         task.future = None
         self.report.event(kind, task.label, attempt=task.attempts, detail=detail)
         if kind == "timeout":
-            self.counters.timeouts += 1
             self.report.timeouts += 1
         if task.attempts >= self.config.max_attempts:
             task.quarantined = True
-            self.counters.quarantined += 1
             self.report.quarantined.append(task.label)
             self.report.event("quarantine", task.label, attempts=task.attempts)
             if self.on_quarantine is not None:
                 self.on_quarantine(task)
             return
-        self.counters.retries += 1
         self.report.retries += 1
         delay = min(
             self.config.backoff_cap,
@@ -628,7 +614,6 @@ class _PhaseRunner:
         task.done = True
         task.future = None
         if corrupted:
-            self.counters.chaos_corrupts += 1
             self.report.chaos_corrupts += 1
             self.report.event("chaos_corrupt", task.label)
         self.on_done(task, result, wall, f"pid:{pid}")
@@ -779,9 +764,6 @@ def run_supervised(
     jobs_list = list(jobs_list)
     config = current_config()
     chaos = ChaosSpec.from_env()
-    counters = obs_metrics.supervisor_counters()
-    counters.campaigns += 1
-    counters.jobs += len(jobs_list)
 
     results: List[Optional[RunStats]] = [None] * len(jobs_list)
     report = CampaignReport(
@@ -841,7 +823,6 @@ def run_supervised(
                 continue
             results[index] = cached
             if disk_cache.stats_digest(key, job.config) in done_digests:
-                counters.resumed += 1
                 report.resumed += 1
                 obs_metrics.record_variant("sim", label, "resumed", wall)
             else:
@@ -852,7 +833,6 @@ def run_supervised(
         # corrupted): they must be re-simulated
         for _index, job, key in missing:
             if disk_cache.stats_digest(key, job.config) in done_digests:
-                counters.journal_stale += 1
                 report.journal_stale += 1
                 report.event(
                     "journal_stale", f"{key.abbrev}/{key.mode.value}"
@@ -882,7 +862,6 @@ def run_supervised(
             if task.digest not in inherited_quarantine:
                 return False
             task.quarantined = True
-            counters.resumed_quarantined += 1
             report.resumed_quarantined += 1
             report.event("resume_quarantine", task.label)
             return True
@@ -956,6 +935,4 @@ def run_supervised(
         journal.close()
         if scratch is not None:
             scratch.cleanup()
-        if telemetry.enabled():
-            for name, value in counters.as_dict().items():
-                telemetry.gauge_set(f"supervisor.{name}", value)
+        report.publish()

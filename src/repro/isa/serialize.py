@@ -6,7 +6,7 @@ configurations.  The format is a small JSON header plus a compact binary
 body, so traces from the million-instruction range load in milliseconds
 and remain portable (no pickling).
 
-The current format, **RPTR2**, stores the trace's columnar form
+The format, **RPTR2**, stores the trace's columnar form
 (:class:`~repro.isa.columns.TraceColumns`) as four contiguous sections —
 one ``array.tobytes`` blob per column — so loading is four
 ``frombytes`` calls and zero per-instruction Python work::
@@ -19,26 +19,20 @@ one ``array.tobytes`` blob per column — so loading is four
     N x u16 meta-index column    (little endian; 0 = None)
     N x i64 address column       (little endian)
 
-New RPTR2 files end in an **integrity footer** — ``b"RPC2"`` plus the
+Every file ends in an **integrity footer** — ``b"RPC2"`` plus the
 little-endian CRC-32 of every preceding byte (magic, header, and all
 four column sections).  The footer turns silent bit rot into a
 detectable :class:`TraceFormatError`: a flipped byte anywhere in the
-container no longer deserialises into a *different but plausible* trace,
+container never deserialises into a *different but plausible* trace,
 it fails the checksum and the cache layer drops the entry
-(``docs/RESILIENCE.md``).  Footer-less RPTR2 files written before the
-footer existed still load (unverified), so the cache schema version did
-not change.
-
-The original row-at-a-time **RPTR1** format (``N`` interleaved
-``u8 op | u8 size | u16 meta-index | u64 addr`` records) is still read
-transparently and can be written via :func:`dump_trace_legacy`; loads of
-either format produce a column-backed :class:`~repro.isa.trace.Trace`
-without materialising ``Instr`` objects.
+(``docs/RESILIENCE.md``).  The footer is required: a file without one
+(or in any other container format) is rejected the same way.  Loads
+produce a column-backed :class:`~repro.isa.trace.Trace` without
+materialising ``Instr`` objects.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 import sys
@@ -50,12 +44,10 @@ from typing import BinaryIO, Union
 from repro.isa.columns import MAX_METAS, TraceColumns
 from repro.isa.trace import Trace
 
-_MAGIC_V1 = b"RPTR1\n"
 _MAGIC_V2 = b"RPTR2\n"
-_RECORD_V1 = struct.Struct("<BBHQ")
 
 #: Integrity footer of RPTR2 containers: marker + CRC-32 of every byte
-#: before the footer.  Optional on load for backward compatibility.
+#: before the footer.
 _FOOTER_MAGIC = b"RPC2"
 _FOOTER = struct.Struct("<4sI")
 
@@ -102,29 +94,6 @@ def dump_trace(trace: Trace, target: Union[str, Path, BinaryIO]) -> int:
             column.byteswap()
         _emit(column.tobytes())
     written += target.write(_FOOTER.pack(_FOOTER_MAGIC, crc))
-    return written
-
-
-def dump_trace_legacy(trace: Trace, target: Union[str, Path, BinaryIO]) -> int:
-    """Write *trace* in the original row-at-a-time RPTR1 format."""
-    if isinstance(target, (str, Path)):
-        with open(target, "wb") as handle:
-            return dump_trace_legacy(trace, handle)
-    columns = trace.columns()
-    records = io.BytesIO()
-    pack = _RECORD_V1.pack
-    write = records.write
-    for op, addr, size, meta_idx in zip(
-        columns.ops, columns.addrs, columns.sizes, columns.meta_idx
-    ):
-        write(pack(op, size & 0xFF, meta_idx, addr))
-    header = json.dumps(
-        {"count": len(columns), "metas": columns.metas[1:]}
-    ).encode()
-    written = target.write(_MAGIC_V1)
-    written += target.write(struct.pack("<I", len(header)))
-    written += target.write(header)
-    written += target.write(records.getvalue())
     return written
 
 
@@ -177,60 +146,27 @@ def _load_v2(source: BinaryIO) -> Trace:
             column.byteswap()
         loaded[attr] = column
     trailer = source.read()
-    if trailer:
-        # pre-footer files end exactly at the last column; anything else
-        # must be a well-formed footer whose checksum matches
-        if len(trailer) != _FOOTER.size or trailer[:4] != _FOOTER_MAGIC:
-            raise TraceFormatError("corrupt trailer (bad integrity footer)")
-        (_, stored_crc) = _FOOTER.unpack(trailer)
-        if stored_crc != crc:
-            raise TraceFormatError(
-                f"checksum mismatch: footer {stored_crc:#010x}, "
-                f"computed {crc:#010x}"
-            )
+    if len(trailer) != _FOOTER.size or trailer[:4] != _FOOTER_MAGIC:
+        raise TraceFormatError("missing or corrupt integrity footer")
+    (_, stored_crc) = _FOOTER.unpack(trailer)
+    if stored_crc != crc:
+        raise TraceFormatError(
+            f"checksum mismatch: footer {stored_crc:#010x}, "
+            f"computed {crc:#010x}"
+        )
     columns = TraceColumns(
         loaded["ops"], loaded["addrs"], loaded["sizes"], loaded["meta_idx"], metas
     )
     return Trace.from_columns(_validate(columns))
 
 
-def _load_v1(source: BinaryIO) -> Trace:
-    count, metas, _header_raw = _read_header(source)
-    body = source.read(count * _RECORD_V1.size)
-    if len(body) != count * _RECORD_V1.size:
-        raise TraceFormatError(
-            f"truncated body: expected {count} records, "
-            f"got {len(body) // _RECORD_V1.size}"
-        )
-    ops = array("B")
-    addrs = array("q")
-    sizes = array("H")
-    meta_idx = array("H")
-    ops_append = ops.append
-    addrs_append = addrs.append
-    sizes_append = sizes.append
-    meta_append = meta_idx.append
-    try:
-        for op, size, midx, addr in _RECORD_V1.iter_unpack(body):
-            ops_append(op)
-            addrs_append(addr)
-            sizes_append(size)
-            meta_append(midx)
-    except OverflowError:
-        raise TraceFormatError("address out of signed 64-bit range") from None
-    columns = TraceColumns(ops, addrs, sizes, meta_idx, metas)
-    return Trace.from_columns(_validate(columns))
-
-
 def load_trace(source: Union[str, Path, BinaryIO]) -> Trace:
-    """Read a trace previously written by :func:`dump_trace` (either
-    format); the result is column-backed, materialising no ``Instr``."""
+    """Read a trace previously written by :func:`dump_trace`, verifying
+    its footer; the result is column-backed, materialising no ``Instr``."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as handle:
             return load_trace(handle)
     magic = source.read(len(_MAGIC_V2))
-    if magic == _MAGIC_V2:
-        return _load_v2(source)
-    if magic == _MAGIC_V1:
-        return _load_v1(source)
-    raise TraceFormatError(f"bad magic {magic!r}")
+    if magic != _MAGIC_V2:
+        raise TraceFormatError(f"bad magic {magic!r}")
+    return _load_v2(source)

@@ -1,7 +1,8 @@
 """Cycle-resolved observability layer (``repro.obs``).
 
-Opt-in instrumentation threaded through the pipeline, memory controller,
-and harness.  Three pieces:
+Instrumentation threaded through the pipeline, memory controller, and
+harness: cycle-resolved tracing is opt-in, the host-side telemetry
+registry is always on.  Its pieces:
 
 * :mod:`repro.obs.tracer` — the :class:`~repro.obs.tracer.Tracer`
   protocol plus the collecting :class:`~repro.obs.tracer.SpanTracer`
@@ -16,12 +17,14 @@ and harness.  Three pieces:
 * :mod:`repro.obs.perfetto` — Chrome trace-event JSON export (loadable
   in Perfetto / ``chrome://tracing``) plus a dependency-free schema
   validator used by CI.
-* :mod:`repro.obs.metrics` — harness self-observability: cache
-  hit/miss counters and per-variant wall-time/worker records, surfaced
-  by ``run``/``report``/``bench`` and ``--metrics-out``.
+* :mod:`repro.obs.metrics` — harness self-observability: per-variant
+  wall-time/worker records plus read views of the telemetry registry
+  (supervisor totals, the metrics line), surfaced by
+  ``run``/``report``/``bench`` and ``--metrics-out``.
 * :mod:`repro.obs.telemetry` — the process-wide counter/gauge/histogram
-  registry the kernel, classification engine, cache, and supervisor
-  publish into (no-op unless enabled; folded into ``--metrics-out``).
+  registry, always on: the one store of host-side counts, published into
+  by the kernel, pipeline, cache, multi-core runner, and supervisor
+  (``--metrics-out`` writes it as its ``counters`` block).
 
 Multi-core: :class:`~repro.obs.tracer.SystemTracer` spans every core of
 a :class:`~repro.uarch.system.SystemModel` run plus the aggressor→victim

@@ -1,4 +1,4 @@
-"""Harness self-observability: cache effectiveness and variant timing.
+"""Harness self-observability: variant records and views of the registry.
 
 The harness runs parallel, cached, fast-pathed simulation jobs; this
 module records what actually happened — which cache layer served each
@@ -14,9 +14,12 @@ for fanned-out jobs.  In-process memo hits are *not* recorded — they
 are dictionary lookups, and recording them would swamp the signal
 (figure assembly loops re-read every variant from the memo).
 
-Cache hit/miss/corrupt counters live in :mod:`repro.harness.cache`
-(session scope, plus a best-effort lifetime total persisted in the
-cache directory); :func:`metrics_snapshot` folds both in.
+Every count — cache traffic, kernel phases, pipeline runs, multi-core
+cells, supervisor recoveries — lives in the telemetry registry
+(:mod:`repro.obs.telemetry`); the metrics line, the snapshot's
+``counters`` block and the supervisor totals below are read views of
+it.  The one thing kept beside it is the cache's best-effort lifetime
+total, persisted in the cache directory.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
+
+from repro.obs import telemetry
 
 
 @dataclass
@@ -48,94 +53,43 @@ class VariantRecord:
 _RECORDS: List[VariantRecord] = []
 
 
-@dataclass
-class SupervisorCounters:
-    """Fault-tolerance accounting of the campaign supervisor
-    (:mod:`repro.harness.supervisor`).
-
-    ``retries`` counts re-submissions after a worker failure, ``timeouts``
-    watchdog kills of over-deadline jobs, ``quarantined`` jobs pulled from
-    the pool after repeated failures (they finish in the serial fallback),
-    ``pool_rebuilds`` recoveries from a broken process pool,
-    ``serial_degradations`` campaigns that gave up on pools entirely,
-    ``resumed`` jobs skipped on ``--resume`` because the campaign journal
-    already recorded them, ``resumed_quarantined`` jobs routed straight
-    to the serial fallback because the journal recorded their
-    quarantine, ``journal_stale`` journaled jobs whose cached
-    result had vanished and had to be re-simulated, and
-    ``chaos_corrupts`` cache corruptions injected by chaos mode.
-    """
-
-    campaigns: int = 0
-    jobs: int = 0
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-    pool_rebuilds: int = 0
-    serial_degradations: int = 0
-    resumed: int = 0
-    resumed_quarantined: int = 0
-    journal_stale: int = 0
-    chaos_corrupts: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
-
-    def any_recovery(self) -> bool:
-        """Whether any fault-handling path actually fired."""
-        return any(
-            value
-            for key, value in asdict(self).items()
-            if key not in ("campaigns", "jobs")
-        )
+#: The campaign supervisor's session totals, in report order, each
+#: published as ``supervisor.<key>`` when a campaign ends
+#: (:mod:`repro.harness.supervisor`).  ``retries`` counts re-submissions
+#: after a worker failure, ``timeouts`` watchdog kills of over-deadline
+#: jobs, ``quarantined`` jobs pulled from the pool after repeated
+#: failures (they finish in the serial fallback), ``pool_rebuilds``
+#: recoveries from a broken process pool, ``serial_degradations``
+#: campaigns that gave up on pools entirely, ``resumed`` jobs skipped on
+#: ``--resume`` because the campaign journal already recorded them,
+#: ``resumed_quarantined`` jobs routed straight to the serial fallback
+#: because the journal recorded their quarantine, ``journal_stale``
+#: journaled jobs whose cached result had vanished and had to be
+#: re-simulated, and ``chaos_corrupts`` cache corruptions injected by
+#: chaos mode.  Every key after ``jobs`` is a recovery path.
+SUPERVISOR_TOTALS = (
+    "campaigns", "jobs", "retries", "timeouts", "quarantined",
+    "pool_rebuilds", "serial_degradations", "resumed",
+    "resumed_quarantined", "journal_stale", "chaos_corrupts",
+)
 
 
-_SUPERVISOR = SupervisorCounters()
+def supervisor_totals() -> Dict[str, int]:
+    """This process's supervisor totals, read back from the registry."""
+    return {
+        key: int(telemetry.get(f"supervisor.{key}"))
+        for key in SUPERVISOR_TOTALS
+    }
 
 
-@dataclass
-class SystemCounters:
-    """Multi-core co-simulation accounting (``run_system`` cells this
-    process served, memo hits excluded — same convention as the variant
-    records).  Abort/replay/broadcast totals come from the cells'
-    ``extra`` counters, so disk-cached cells contribute the same numbers
-    a fresh co-simulation would."""
-
-    runs: int = 0
-    cores_max: int = 0
-    contention_max: float = 0.0
-    conflict_aborts: int = 0
-    replayed_instructions: int = 0
-    store_broadcasts: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return asdict(self)
-
-
-_SYSTEM = SystemCounters()
-
-
-def system_counters() -> SystemCounters:
-    """This process's multi-core run accounting (a live object)."""
-    return _SYSTEM
-
-
-def record_system_run(cores: int, contention: float, extra: Dict) -> None:
-    """Fold one served multi-core cell into the system accounting.
-
-    *extra* is the cell's ``RunStats.extra`` (carries the system
-    conflict counters — see ``SystemResult.aggregate``)."""
-    _SYSTEM.runs += 1
-    _SYSTEM.cores_max = max(_SYSTEM.cores_max, cores)
-    _SYSTEM.contention_max = max(_SYSTEM.contention_max, contention)
-    _SYSTEM.conflict_aborts += int(extra.get("conflict_aborts", 0))
-    _SYSTEM.replayed_instructions += int(extra.get("replayed_instructions", 0))
-    _SYSTEM.store_broadcasts += int(extra.get("store_broadcasts", 0))
-
-
-def supervisor_counters() -> SupervisorCounters:
-    """This process's supervisor accounting (a live object)."""
-    return _SUPERVISOR
+def supervisor_recovery() -> Optional[str]:
+    """``supervisor recovered [1 retries, ...]`` naming every recovery
+    path that fired this session, or ``None`` when none did."""
+    totals = supervisor_totals()
+    fired = ", ".join(
+        f"{totals[key]} {key}" for key in SUPERVISOR_TOTALS[2:] if totals[key]
+    )
+    return f"supervisor recovered [{fired}]" if fired else None
 
 
 def record_variant(
@@ -150,11 +104,14 @@ def variant_records() -> List[VariantRecord]:
 
 
 def reset_metrics() -> None:
-    """Drop all recorded work (tests and bench phases use this)."""
-    global _SUPERVISOR, _SYSTEM
+    """The one reset (tests and bench phases): drop the variant records
+    and every registry instrument, and with them the cache's
+    persisted-totals baseline, which counts against the registry."""
+    from repro.harness import cache as disk_cache
+
     _RECORDS.clear()
-    _SUPERVISOR = SupervisorCounters()
-    _SYSTEM = SystemCounters()
+    telemetry.reset()
+    disk_cache._PERSISTED.clear()
 
 
 # ----------------------------------------------------------------------
@@ -189,25 +146,20 @@ def summarize() -> Dict[str, object]:
 
 
 def metrics_snapshot() -> Dict[str, object]:
-    """Everything ``--metrics-out`` writes: cache counters (session and
-    lifetime), the per-variant records and their summary, the telemetry
-    registry (:mod:`repro.obs.telemetry` — empty unless enabled), and
-    the system accounting of any multi-core runs this process made.
+    """Everything ``--metrics-out`` writes: the telemetry registry
+    (``counters``), the cache's persisted lifetime totals, and the
+    per-variant records with their summary.
 
-    Schema 4 added ``telemetry`` and ``system``; schema 5 added a
-    ``transport`` block that schema 6 removed again."""
+    Schema 7 folded the ``cache_session``, ``supervisor``, ``system``
+    and ``telemetry`` blocks into ``counters``."""
     from repro.harness import cache as disk_cache
-    from repro.obs import telemetry
     from repro.uarch.kernel import resolve_backend
 
     return {
-        "schema": 6,
+        "schema": 7,
         "kernel_backend": resolve_backend(None),
-        "cache_session": disk_cache.cache_counters().as_dict(),
+        "counters": telemetry.snapshot(),
         "cache_lifetime": disk_cache.lifetime_cache_counters(),
-        "supervisor": _SUPERVISOR.as_dict(),
-        "system": _SYSTEM.as_dict(),
-        "telemetry": telemetry.snapshot(),
         "summary": summarize(),
         "variants": [asdict(record) for record in _RECORDS],
     }
@@ -225,7 +177,6 @@ def write_metrics(path: Union[str, Path]) -> Path:
 def render_metrics_line() -> Optional[str]:
     """One human-readable accounting line, or ``None`` with nothing to say."""
     from repro.harness import cache as disk_cache
-
     from repro.uarch.kernel import resolve_backend
 
     counters = disk_cache.cache_counters()
@@ -257,16 +208,14 @@ def render_metrics_line() -> Optional[str]:
             else ""
         )
     )
-    if _SYSTEM.runs:
+    system_runs = telemetry.get("system.runs")
+    if system_runs:
         parts.append(
-            f"{_SYSTEM.runs} system cells (<= {_SYSTEM.cores_max} cores, "
-            f"{_SYSTEM.conflict_aborts} aborts)"
+            f"{system_runs} system cells "
+            f"(<= {telemetry.get('system.cores')['max']} cores, "
+            f"{telemetry.get('system.conflict_aborts')} aborts)"
         )
-    if _SUPERVISOR.any_recovery():
-        recovery = ", ".join(
-            f"{value} {key}"
-            for key, value in _SUPERVISOR.as_dict().items()
-            if value and key not in ("campaigns", "jobs")
-        )
-        parts.append(f"supervisor recovered [{recovery}]")
+    recovery = supervisor_recovery()
+    if recovery:
+        parts.append(recovery)
     return "harness: " + ", ".join(parts)

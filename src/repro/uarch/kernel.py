@@ -127,21 +127,17 @@ def unavailable_reason():
 
 _warned_fallback = False
 
-#: Cumulative wall-clock split of :func:`advance`: the order-only cache
-#: classification pass vs everything else (the recurrence solve, stats,
-#: and state spill).  Read/reset by the harness microbench so perf
-#: regressions are attributable to the right phase.
-_phase_seconds = {"classify": 0.0, "solve": 0.0}
-
 
 def phase_seconds():
-    """Snapshot of the cumulative per-phase wall-clock split."""
-    return dict(_phase_seconds)
-
-
-def reset_phase_seconds():
-    _phase_seconds["classify"] = 0.0
-    _phase_seconds["solve"] = 0.0
+    """Cumulative wall-clock split of :func:`advance`: the order-only
+    cache classification pass vs everything else (the recurrence solve,
+    stats, and state spill), read from the registry's
+    ``kernel.*_seconds`` counters.  Callers take before/after deltas, so
+    perf regressions are attributable to the right phase."""
+    return {
+        "classify": _telemetry.get("kernel.classify_seconds", 0.0),
+        "solve": _telemetry.get("kernel.solve_seconds", 0.0),
+    }
 
 
 def resolve_backend(requested=None) -> str:
@@ -871,13 +867,9 @@ def advance(model, columns, segments, ei):
     t_start = _perf_counter()
     load_lat, store_lat, flush_wb, records, hits_d = _classify(model, T, q0, q1)
     t_classified = _perf_counter()
-    _phase_seconds["classify"] += t_classified - t_start
-    if _telemetry.enabled():
-        _telemetry.counter_inc("kernel.batches")
-        _telemetry.counter_inc("kernel.batch_ops", q1 - q0)
-        _telemetry.counter_inc(
-            "kernel.classify_seconds", t_classified - t_start
-        )
+    _telemetry.counter_inc("kernel.batches")
+    _telemetry.counter_inc("kernel.batch_ops", q1 - q0)
+    _telemetry.counter_inc("kernel.classify_seconds", t_classified - t_start)
 
     lookup_lat = config.l1.latency + config.l2.latency + config.l3.latency
     mc_roundtrip = config.mc_roundtrip
@@ -1221,6 +1213,5 @@ def advance(model, columns, segments, ei):
     model.caches.l1.hits += hits_d
     model.caches.accesses += hits_d
     t_solved = _perf_counter()
-    _phase_seconds["solve"] += t_solved - t_classified
     _telemetry.counter_inc("kernel.solve_seconds", t_solved - t_classified)
     return ej

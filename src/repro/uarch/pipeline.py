@@ -192,12 +192,9 @@ class PipelineModel:
             self._finish()
         else:
             self.stats.cycles = self._last_retire
-        if _telemetry.enabled():
-            _telemetry.counter_inc("pipeline.runs")
-            _telemetry.counter_inc(
-                "pipeline.instructions", self.stats.instructions
-            )
-            _telemetry.observe("pipeline.run_cycles", self.stats.cycles)
+        _telemetry.counter_inc("pipeline.runs")
+        _telemetry.counter_inc("pipeline.instructions", self.stats.instructions)
+        _telemetry.observe("pipeline.run_cycles", self.stats.cycles)
         return self.stats
 
     # ==================================================================

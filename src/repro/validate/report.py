@@ -101,7 +101,6 @@ class ValidationReport:
     def as_dict(self) -> Dict[str, object]:
         from repro.obs import metrics as obs_metrics
 
-        supervisor = obs_metrics.supervisor_counters()
         return {
             "subsystem": "repro.validate",
             "seed": self.seed,
@@ -113,7 +112,7 @@ class ValidationReport:
             # a validation verdict obtained through retries/requeues is
             # still trustworthy (results are pure and merge-deterministic),
             # but the report says the run was not failure-free
-            "supervisor": supervisor.as_dict(),
+            "supervisor": obs_metrics.supervisor_totals(),
             "engines": {name: rep.as_dict() for name, rep in self.engines.items()},
         }
 
@@ -143,13 +142,8 @@ class ValidationReport:
                 lines.append(f"    ! {failure.name}: {failure.detail}")
         from repro.obs import metrics as obs_metrics
 
-        supervisor = obs_metrics.supervisor_counters()
-        if supervisor.any_recovery():
-            recovery = ", ".join(
-                f"{value} {key}"
-                for key, value in supervisor.as_dict().items()
-                if value and key not in ("campaigns", "jobs")
-            )
-            lines.append(f"  supervisor recovered [{recovery}]")
+        recovery = obs_metrics.supervisor_recovery()
+        if recovery:
+            lines.append(f"  {recovery}")
         lines.append("overall: " + ("PASS" if self.ok else "FAIL"))
         return "\n".join(lines)

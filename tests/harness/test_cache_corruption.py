@@ -119,14 +119,15 @@ class TestStatsCorruptionIsTotal:
         assert not path.exists()
         assert original.cycles > 0
 
-    def test_legacy_flat_record_still_loads(self):
+    def test_legacy_flat_record_is_dropped(self):
+        # a bare record without the CRC envelope cannot be verified: it
+        # is a corrupt entry, dropped and counted as a miss
         original, path, _blob = self._stored_stats()
-        record = {
-            f: getattr(original, f.name)
-            for f in __import__("dataclasses").fields(original)
-        }
-        path.write_text(
-            json.dumps({f.name: v for f, v in record.items()})
-        )
-        loaded = cache.load_cached_stats(KEY, MachineConfig())
-        assert loaded == original
+        path.write_text(json.dumps(cache.stats_record(original)))
+        before = cache.cache_counters()
+        assert cache.load_cached_stats(KEY, MachineConfig()) is None
+        assert not path.exists()
+        after = cache.cache_counters()
+        assert after.corrupt_dropped == before.corrupt_dropped + 1
+        assert after.stats_misses == before.stats_misses + 1
+        assert after.stats_hits == before.stats_hits

@@ -22,13 +22,7 @@ SMALL = dict(init_ops=40, sim_ops=4)
 def isolated(tmp_path, monkeypatch):
     monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "cache"))
     monkeypatch.delenv(cache.ENV_NO_CACHE, raising=False)
-    for var in (
-        supervisor.ENV_CHAOS,
-        supervisor.ENV_CHAOS_SEED,
-        supervisor.ENV_JOB_TIMEOUT,
-        supervisor.ENV_MAX_ATTEMPTS,
-        supervisor.ENV_MAX_POOL_REBUILDS,
-    ):
+    for var in (supervisor.ENV_CHAOS, supervisor.ENV_CHAOS_SEED):
         monkeypatch.delenv(var, raising=False)
     clear_trace_cache()
     cache.reset_runtime_disable()
@@ -91,21 +85,12 @@ class TestChaosSpec:
 
 
 class TestSupervisorConfig:
-    def test_env_overrides(self, monkeypatch):
-        monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "1.5")
-        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "5")
-        monkeypatch.setenv(supervisor.ENV_MAX_POOL_REBUILDS, "7")
-        config = supervisor.SupervisorConfig.from_env()
-        assert config.job_timeout == 1.5
-        assert config.max_attempts == 5
-        assert config.max_pool_rebuilds == 7
-
-    def test_garbage_env_falls_back_to_defaults(self, monkeypatch):
-        monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "soon")
-        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "-3")
-        config = supervisor.SupervisorConfig.from_env()
-        assert config.job_timeout == 300.0
-        assert config.max_attempts == 1  # clamped, not defaulted
+    def test_retired_env_knobs_are_ignored(self, monkeypatch):
+        for var in (
+            "REPRO_JOB_TIMEOUT", "REPRO_MAX_ATTEMPTS", "REPRO_MAX_POOL_REBUILDS",
+        ):
+            monkeypatch.setenv(var, "1")
+        assert supervisor.current_config() == supervisor.SupervisorConfig()
 
     def test_cli_timeout_override(self):
         supervisor.set_job_timeout(2.0)
@@ -165,10 +150,10 @@ class TestSupervisedDeterminism:
         serial = _serial_baseline(jobs, monkeypatch)
         supervised = run_variants(jobs, jobs=2)
         assert supervised == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.campaigns == 1
-        assert counters.jobs == len(jobs)
-        assert not counters.any_recovery()
+        counters = obs_metrics.supervisor_totals()
+        assert counters["campaigns"] == 1
+        assert counters["jobs"] == len(jobs)
+        assert obs_metrics.supervisor_recovery() is None
 
     def test_chaos_kill_recovers_byte_identical(self, monkeypatch):
         jobs = _jobs()
@@ -177,20 +162,20 @@ class TestSupervisedDeterminism:
         monkeypatch.setenv(supervisor.ENV_CHAOS_SEED, "3")
         chaotic = run_variants(jobs, jobs=2)
         assert chaotic == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.any_recovery()
-        assert counters.pool_rebuilds > 0 or counters.serial_degradations > 0
+        counters = obs_metrics.supervisor_totals()
+        assert obs_metrics.supervisor_recovery() is not None
+        assert counters["pool_rebuilds"] > 0 or counters["serial_degradations"] > 0
 
     def test_chaos_hang_trips_the_watchdog(self, monkeypatch):
         jobs = _jobs(n_modes=1)
         serial = _serial_baseline(jobs, monkeypatch)
         monkeypatch.setenv(supervisor.ENV_CHAOS, "hang:1.0")
-        monkeypatch.setenv(supervisor.ENV_JOB_TIMEOUT, "0.3")
+        supervisor.set_job_timeout(0.3)
         results = run_variants(jobs, jobs=2)
         assert results == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.timeouts > 0
-        assert counters.quarantined > 0  # hang:1.0 exhausts every retry
+        counters = obs_metrics.supervisor_totals()
+        assert counters["timeouts"] > 0
+        assert counters["quarantined"] > 0  # hang:1.0 exhausts every retry
 
     def test_chaos_corrupt_never_taints_results(self, monkeypatch):
         jobs = _jobs()
@@ -198,7 +183,7 @@ class TestSupervisedDeterminism:
         monkeypatch.setenv(supervisor.ENV_CHAOS, "corrupt:1.0")
         chaotic = run_variants(jobs, jobs=2)
         assert chaotic == serial
-        assert obs_metrics.supervisor_counters().chaos_corrupts > 0
+        assert obs_metrics.supervisor_totals()["chaos_corrupts"] > 0
         # the poisoned store self-heals: a fresh process sees misses, not
         # wrong data
         clear_trace_cache()
@@ -223,8 +208,8 @@ class TestResume:
         supervisor.set_resume(True)
         resumed = run_variants(jobs, jobs=2)
         assert resumed == first
-        counters = obs_metrics.supervisor_counters()
-        assert counters.resumed == len(jobs)
+        counters = obs_metrics.supervisor_totals()
+        assert counters["resumed"] == len(jobs)
         sources = {r.source for r in obs_metrics.variant_records()}
         assert "simulated" not in sources  # nothing was re-simulated
 
@@ -241,9 +226,9 @@ class TestResume:
         supervisor.set_resume(True)
         resumed = run_variants(jobs, jobs=2)
         assert resumed == first
-        counters = obs_metrics.supervisor_counters()
-        assert counters.resumed == len(jobs) - 1
-        assert counters.journal_stale == 1
+        counters = obs_metrics.supervisor_totals()
+        assert counters["resumed"] == len(jobs) - 1
+        assert counters["journal_stale"] == 1
         simulated = [
             r for r in obs_metrics.variant_records() if r.source == "simulated"
         ]
@@ -315,9 +300,9 @@ class TestQuarantineResume:
         supervisor.set_resume(True)
         resumed = run_variants(jobs, jobs=2)
         assert resumed == first  # the fallback still produced the truth
-        counters = obs_metrics.supervisor_counters()
-        assert counters.resumed == len(jobs) - 1
-        assert counters.resumed_quarantined == 1
+        counters = obs_metrics.supervisor_totals()
+        assert counters["resumed"] == len(jobs) - 1
+        assert counters["resumed_quarantined"] == 1
         report = supervisor.campaign_reports()[-1]
         assert report.resumed_quarantined == 1
         kinds = {event["event"] for event in report.events}
@@ -329,7 +314,10 @@ class TestQuarantineResume:
         jobs = _jobs(n_modes=1)
         serial = _serial_baseline(jobs, monkeypatch)
         monkeypatch.setenv(supervisor.ENV_CHAOS, "kill:1.0")
-        monkeypatch.setenv(supervisor.ENV_MAX_ATTEMPTS, "1")
+        monkeypatch.setattr(
+            supervisor, "current_config",
+            lambda: supervisor.SupervisorConfig(max_attempts=1),
+        )
         results = run_variants(jobs, jobs=2)
         assert results == serial
         campaign = supervisor.campaign_id(jobs)
@@ -353,9 +341,9 @@ class TestQuarantineResume:
         supervisor.set_resume(True)
         resumed = run_variants(jobs, jobs=2)
         assert resumed == serial
-        counters = obs_metrics.supervisor_counters()
-        assert counters.resumed == len(jobs)
-        assert counters.resumed_quarantined == 0
+        counters = obs_metrics.supervisor_totals()
+        assert counters["resumed"] == len(jobs)
+        assert counters["resumed_quarantined"] == 0
 
 
 class TestFailureReport:
@@ -372,6 +360,15 @@ class TestFailureReport:
         assert campaign["chaos"] == "kill:1"
         kinds = {event["event"] for event in campaign["events"]}
         assert "worker_death" in kinds
+        # each event is counted once, in the campaign; the totals are
+        # that count published to the registry
+        totals = report["totals"]
+        assert list(totals) == list(obs_metrics.SUPERVISOR_TOTALS)
+        assert totals["campaigns"] == 1 and totals["jobs"] == 2
+        for key in ("retries", "timeouts", "pool_rebuilds", "chaos_corrupts"):
+            assert totals[key] == campaign[key]
+        assert totals["quarantined"] == len(campaign["quarantined"])
+        assert totals["serial_degradations"] == int(campaign["degraded_serial"])
 
     def test_write_failure_report(self, tmp_path):
         run_variants(_jobs(n_modes=1), jobs=2)

@@ -1,7 +1,8 @@
 """Pinned digests of freshly generated traces and of the runs they drive.
 
 Every benchmark x persistency mode at ``init_ops=60``, ``sim_ops=4``,
-seed 0, generated uncached.  Three tables:
+seed 0, generated uncached, plus a set of multi-core cells.  Four
+tables:
 
 * ``PINNED_TRACE_DIGESTS`` — the trace serialised with
   :func:`repro.isa.serialize.dump_trace`.  Taken before fast-forward
@@ -19,8 +20,14 @@ seed 0, generated uncached.  Three tables:
   pairs, plus the access and NVMM-read totals.  At these sizes no kernel
   batch evicts or flushes, so a dirty bit the kernel gets wrong never
   reaches RunStats; it shows here.
+* ``PINNED_SYSTEM_DIGESTS`` — multi-core cells: the LOG_P_SF
+  concurrent run of HM and BT at ``init_ops=60``, ``sim_ops=8``, seed 0,
+  on 2 and 4 cores at contention 0.0 and 0.9, co-simulated on the
+  baseline machine and on SP256, hashed as the stats cache stores the
+  aggregate.  The SP256 cells at p=0.9 abort and replay, so the table
+  pins the conflict protocol, not only the per-core composition.
 
-Both battery tables were taken while the kernel still had a second,
+The stats and cache tables were taken while the kernel still had a second,
 batched classification engine, and ten of the cells ran a kernel batch
 through it: the battery, not agreement between sibling engines, is the
 contract a refactor of the timing model must keep.
@@ -39,11 +46,12 @@ import json
 import pytest
 
 from repro.harness import cache
-from repro.harness.runner import TraceKey, generate_trace
+from repro.harness.runner import TraceKey, generate_trace, system_result
 from repro.isa.serialize import dump_trace
 from repro.obs import telemetry
 from repro.obs.capture import TRACE_MODES
 from repro.txn.modes import PersistMode
+from repro.uarch.config import MachineConfig
 from repro.uarch.kernel import numpy_available
 from repro.uarch.pipeline import PipelineModel
 from repro.workloads.registry import WORKLOADS
@@ -308,13 +316,95 @@ def test_battery_exercises_the_kernel():
     """At least ten cells hand a batch to the numpy kernel, so the
     battery pins its classification pass and not only the walker."""
     with_batch = 0
-    try:
-        for abbrev in WORKLOADS:
-            for label in TRACE_MODES:
-                telemetry.reset(True)
-                _battery_digests(abbrev, label)
-                with_batch += telemetry.snapshot()["counters"].get(
-                    "kernel.batches", 0) >= 1
-    finally:
-        telemetry.reset()
+    for abbrev in WORKLOADS:
+        for label in TRACE_MODES:
+            before = telemetry.get("kernel.batches")
+            _battery_digests(abbrev, label)
+            with_batch += telemetry.get("kernel.batches") > before
     assert with_batch >= 10
+
+
+PINNED_SYSTEM_DIGESTS = {
+    "HM": {
+        (2, 0.0): {
+            "base": "5d380522660dea2feea15e1b75209ab10c88baea97065f56bf30e82a5c7640f9",
+            "sp256": "8893510497e6724a668abae29fa6c5ec36df92a206c2ea9285225ce0d1327eba",
+        },
+        (2, 0.9): {
+            "base": "3785e7274deca414da52a2a94294e7e562186ff5bf0daf1dddd9fae5119b6154",
+            "sp256": "71b9f182791330e62c0069de79442d4904bdfb368550b89931ee0a230d51c430",
+        },
+        (4, 0.0): {
+            "base": "b117cc05835878839971fc6a40ee8fa0c8f2b0cedd8411ce2e2f539173a56a3d",
+            "sp256": "087f5cef532041c770688a2c80378b767cc3d3bfaf2ebfd907efc41f36a5393b",
+        },
+        (4, 0.9): {
+            "base": "c4273e3b57679251b3069f65622a682abd271e306dd1d5138979c6e115790173",
+            "sp256": "8e96bd151086b0d01d6f0950af6762fbdfd601033c6b192f82f8bef0ba6458be",
+        },
+    },
+    "BT": {
+        (2, 0.0): {
+            "base": "96c60421752540bf7f01595b59d610ca82f5a7ea6c0af6c93a59ceb1f178d606",
+            "sp256": "f5759f3c9bd6fb5ed01339ebdf664d32ab505d575939c3bf63aa589e7fdceee7",
+        },
+        (2, 0.9): {
+            "base": "6162f7e5b801997958d15c2e1dfea2723610059eae4df3ebce52b8f4f4d772f5",
+            "sp256": "68486db96d4e2e4a4d8459401331ead5d852aa0ce56c79e067c698c156229e25",
+        },
+        (4, 0.0): {
+            "base": "9e68345209f89a8c5af9eaf7a9075c6c3cdee377884091e634a9d42bd1d75cca",
+            "sp256": "0edc4744a37544c99b47910146098bc3ef717e24c372ed28b69576709c6f39d3",
+        },
+        (4, 0.9): {
+            "base": "c1f6506a9bb19c20588cc8dee554fed66449f3bfc1a92f829f3bf9aa8a1e6f16",
+            "sp256": "4a5be139003ab45c9dcf727b57ead0bd73f143ed3cb5d8aef3e6975efe081922",
+        },
+    },
+}
+
+_SYSTEM_MACHINES = {"base": MachineConfig(), "sp256": MachineConfig().with_sp(256)}
+
+_SYSTEM_CELLS = [
+    (abbrev, cores, contention, label)
+    for abbrev, cells in PINNED_SYSTEM_DIGESTS.items()
+    for (cores, contention), digests in cells.items()
+    for label in digests
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _system_cell(abbrev, cores, contention, label):
+    """``(stats digest, conflict aborts)`` of one multi-core cell."""
+    stats = system_result(
+        abbrev, PersistMode.LOG_P_SF, _SYSTEM_MACHINES[label], 0,
+        cores=cores, contention=contention, init_ops=60, sim_ops=8,
+    ).aggregate()
+    return (_json_digest(cache.stats_record(stats), sort_keys=True),
+            stats.extra["conflict_aborts"])
+
+
+def test_system_battery_covers_cores_contention_and_machines():
+    assert len(_SYSTEM_CELLS) == 16
+    for cells in PINNED_SYSTEM_DIGESTS.values():
+        assert set(cells) == {(2, 0.0), (2, 0.9), (4, 0.0), (4, 0.9)}
+        for digests in cells.values():
+            assert list(digests) == list(_SYSTEM_MACHINES)
+
+
+@pytest.mark.parametrize(
+    "abbrev,cores,contention,label", _SYSTEM_CELLS,
+    ids=lambda value: str(value),
+)
+def test_system_stats_pinned(abbrev, cores, contention, label):
+    digest, _ = _system_cell(abbrev, cores, contention, label)
+    assert digest == PINNED_SYSTEM_DIGESTS[abbrev][(cores, contention)][label], (
+        f"{abbrev}/{cores}c/p{contention}/{label}: system stats drifted"
+    )
+
+
+def test_system_battery_exercises_abort_and_replay():
+    """The contended SP cells abort and replay, so the table pins the
+    conflict protocol and not only conflict-free composition."""
+    aborting = sum(_system_cell(*cell)[1] > 0 for cell in _SYSTEM_CELLS)
+    assert aborting >= 4

@@ -3,7 +3,7 @@
 The dual-representation contract: a trace's packed columns, its
 materialised ``Instr`` rows, and its serialised bytes must all describe
 the same instruction stream — instruction for instruction — across every
-real workload trace, the legacy RPTR1 format, and fuzz-grammar traces.
+real workload trace and fuzz-grammar traces.
 """
 
 import io
@@ -15,11 +15,7 @@ from repro.harness.runner import build_trace, clear_trace_cache
 from repro.isa.columns import MAX_METAS, OPS_BY_VALUE, TraceColumns
 from repro.isa.instr import Instr
 from repro.isa.ops import Op
-from repro.isa.serialize import (
-    dump_trace,
-    dump_trace_legacy,
-    load_trace,
-)
+from repro.isa.serialize import dump_trace, load_trace
 from repro.isa.trace import Trace
 from repro.txn.modes import PersistMode
 from repro.validate.tracefuzz import generate_trace
@@ -101,19 +97,13 @@ class TestWorkloadRoundTrip:
         rebuilt = Trace.from_columns(columns)
         assert_same_stream(trace, rebuilt)
 
-    def test_serialised_matches_legacy_format(self, abbrev, mode):
-        """RPTR2 and RPTR1 must load the identical instruction stream."""
+    def test_serialised_round_trips(self, abbrev, mode):
+        """RPTR2 bytes load the identical instruction stream."""
         trace = build_trace(abbrev, mode, **SMALL)
-        new = io.BytesIO()
-        old = io.BytesIO()
-        dump_trace(trace, new)
-        dump_trace_legacy(trace, old)
-        new.seek(0)
-        old.seek(0)
-        from_new = load_trace(new)
-        from_old = load_trace(old)
-        assert_same_stream(from_new, from_old)
-        assert_same_stream(trace, from_new)
+        buffer = io.BytesIO()
+        dump_trace(trace, buffer)
+        buffer.seek(0)
+        assert_same_stream(trace, load_trace(buffer))
 
     def test_segments_cover_the_stream(self, abbrev, mode):
         """Segment runs + events + barrier triples partition the trace."""
@@ -141,16 +131,6 @@ class TestFuzzGrammarRoundTrip:
         dump_trace(trace, buffer)
         buffer.seek(0)
         assert_same_stream(trace, load_trace(buffer))
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_grammar_trace_legacy_equivalence(self, seed):
-        trace = generate_trace(seed, length=150)
-        new, old = io.BytesIO(), io.BytesIO()
-        dump_trace(trace, new)
-        dump_trace_legacy(trace, old)
-        new.seek(0)
-        old.seek(0)
-        assert_same_stream(load_trace(new), load_trace(old))
 
     @given(
         st.lists(

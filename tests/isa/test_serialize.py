@@ -130,10 +130,12 @@ class TestIntegrityFooter:
         assert data[-8:-4] == b"RPC2"
         assert list(load_trace(io.BytesIO(data))) == list(sample_trace())
 
-    def test_footerless_rptr2_still_loads(self):
-        # files written before the footer existed end at the last column
+    def test_footerless_rptr2_is_rejected(self):
+        # the footer is required: a container that ends at the last
+        # column carries no checksum, so it cannot be trusted
         data = self._dumped()[:-8]
-        assert list(load_trace(io.BytesIO(data))) == list(sample_trace())
+        with pytest.raises(TraceFormatError, match="integrity footer"):
+            load_trace(io.BytesIO(data))
 
     def test_flipped_body_byte_fails_the_checksum(self):
         data = bytearray(self._dumped())

@@ -1,4 +1,5 @@
-"""Harness self-observability: variant records and cache counters."""
+"""Harness self-observability: variant records and the views of the
+telemetry registry (cache counters, kernel phases, ``--metrics-out``)."""
 
 import json
 
@@ -6,15 +7,14 @@ import pytest
 
 from repro.harness import cache as disk_cache
 from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry
 
 
 @pytest.fixture(autouse=True)
 def _clean_metrics():
     obs_metrics.reset_metrics()
-    disk_cache.reset_cache_counters()
     yield
     obs_metrics.reset_metrics()
-    disk_cache.reset_cache_counters()
 
 
 class TestVariantRecords:
@@ -113,13 +113,97 @@ class TestCacheCounters:
         out = tmp_path / "metrics.json"
         obs_metrics.write_metrics(out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 6  # v6 dropped the transport block
-        assert "transport" not in payload
+        assert payload["schema"] == 7  # v7: one registry counters block
+        assert set(payload) == {
+            "schema", "kernel_backend", "counters", "cache_lifetime",
+            "summary", "variants",
+        }
         assert payload["kernel_backend"] in ("python", "numpy")
         assert payload["summary"]["records"] == 1
         assert payload["variants"][0]["label"] == "BT/base"
-        assert "cache_session" in payload
-        assert "supervisor" in payload
+
+    def test_one_reset_never_lowers_lifetime_totals(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(disk_cache.ENV_CACHE_DIR, str(tmp_path))
+        monkeypatch.delenv(disk_cache.ENV_NO_CACHE, raising=False)
+        from repro.harness.runner import TraceKey
+        from repro.stats.run import RunStats
+        from repro.txn.modes import PersistMode
+        from repro.uarch.config import MachineConfig
+
+        config = MachineConfig()
+        for seed in (1, 2, 3):
+            key = TraceKey("BT", PersistMode.BASE, seed)
+            disk_cache.store_stats(key, config, RunStats(cycles=seed))
+        disk_cache.persist_cache_counters()
+        assert disk_cache.lifetime_cache_counters()["stats_stores"] == 3
+        # the reset restarts the session counts and the persisted
+        # baseline together: new traffic adds on top, nothing is undone
+        obs_metrics.reset_metrics()
+        disk_cache.persist_cache_counters()
+        assert disk_cache.lifetime_cache_counters()["stats_stores"] == 3
+        disk_cache.store_stats(
+            TraceKey("BT", PersistMode.BASE, 4), config, RunStats(cycles=4)
+        )
+        disk_cache.persist_cache_counters()
+        assert disk_cache.lifetime_cache_counters()["stats_stores"] == 4
+        # a bare registry reset (no baseline reset) still never subtracts
+        telemetry.reset()
+        disk_cache.persist_cache_counters()
+        assert disk_cache.lifetime_cache_counters()["stats_stores"] == 4
+
+
+class TestReadViews:
+    """The shapes external readers (the wall-clock bench) rely on."""
+
+    def test_cache_counters_keep_their_seven_fields(self):
+        counters = disk_cache.cache_counters()
+        assert list(counters.as_dict()) == [
+            "trace_hits", "trace_misses", "stats_hits", "stats_misses",
+            "trace_stores", "stats_stores", "corrupt_dropped",
+        ]
+        assert counters.stats_stores == 0
+        assert (counters.hits(), counters.misses(), counters.total()) == (
+            0, 0, 0,
+        )
+
+    def test_kernel_phase_seconds_has_classify_and_solve(self):
+        from repro.uarch import kernel
+
+        assert kernel.phase_seconds() == {"classify": 0.0, "solve": 0.0}
+        telemetry.counter_inc("kernel.solve_seconds", 0.5)
+        assert kernel.phase_seconds() == {"classify": 0.0, "solve": 0.5}
+
+    def test_metrics_out_carries_counters_without_opt_in(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The registry is on for a plain ``--metrics-out`` run: nothing
+        in the environment has to switch it on."""
+        from repro.cli import main
+        from repro.harness import parallel
+        from repro.harness.runner import clear_trace_cache
+        from repro.uarch.kernel import numpy_available
+
+        # --jobs sets a process-wide default; restore it afterwards
+        monkeypatch.setattr(parallel, "_default_jobs", parallel._default_jobs)
+        monkeypatch.setenv(disk_cache.ENV_CACHE_DIR, str(tmp_path / "cache"))
+        monkeypatch.delenv(disk_cache.ENV_NO_CACHE, raising=False)
+        clear_trace_cache()
+        out = tmp_path / "m.json"
+        try:
+            assert main([
+                "figure", "8", "--benchmarks", "LL", "--jobs", "1",
+                "--metrics-out", str(out),
+            ]) == 0
+        finally:
+            clear_trace_cache()
+        capsys.readouterr()
+        counters = json.loads(out.read_text())["counters"]
+        assert counters["pipeline.runs"] >= 1
+        assert counters["cache.stats_stores"] >= 1
+        if numpy_available():
+            assert counters["kernel.batches"] >= 1
 
 
 class TestCacheInfoBreakdown:
@@ -137,7 +221,6 @@ class TestCacheInfoBreakdown:
         disk_cache.store_stats(key, MachineConfig(), RunStats(cycles=1))
         info = disk_cache.cache_info()
         assert info["traces"] == 1 and info["stats"] == 1
-        assert info["traces_rptr2"] == 1 and info["traces_rptr1"] == 0
         assert info["trace_bytes"] > 0 and info["stats_bytes"] > 0
         assert info["bytes"] == info["trace_bytes"] + info["stats_bytes"]
         assert info["counters_session"]["trace_stores"] == 1

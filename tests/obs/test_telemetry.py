@@ -1,62 +1,58 @@
-"""The telemetry registry: no-op when disabled, exact when enabled,
-published into by the kernel/pipeline/cache layers, folded into the
-metrics snapshot."""
+"""The telemetry registry: always on, exact, published into by the
+kernel/pipeline/cache layers, written whole as the metrics snapshot's
+``counters`` block."""
 
 import pytest
 
+from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry
 
 
 @pytest.fixture(autouse=True)
 def _clean_registry():
-    telemetry.reset(enabled_after=False)
+    obs_metrics.reset_metrics()
     yield
-    telemetry.reset(enabled_after=False)
+    obs_metrics.reset_metrics()
 
 
 class TestRegistry:
-    def test_disabled_by_default_and_drops_everything(self):
-        assert not telemetry.enabled()
+    def test_always_on_and_reset_drops_everything(self):
         telemetry.counter_inc("a")
         telemetry.gauge_set("b", 3)
         telemetry.observe("c", 1.5)
-        snap = telemetry.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
+        assert set(telemetry.snapshot()) == {"a", "b", "c"}
+        telemetry.reset()
+        assert telemetry.snapshot() == {}
+        assert telemetry.get("a") == 0
 
     def test_counters_accumulate_floats_allowed(self):
-        telemetry.set_enabled(True)
         telemetry.counter_inc("runs")
         telemetry.counter_inc("runs")
         telemetry.counter_inc("seconds", 0.25)
         telemetry.counter_inc("seconds", 0.5)
         snap = telemetry.snapshot()
-        assert snap["counters"]["runs"] == 2
-        assert snap["counters"]["seconds"] == 0.75
+        assert snap["runs"] == 2
+        assert snap["seconds"] == 0.75
 
     def test_gauges_last_write_wins(self):
-        telemetry.set_enabled(True)
         telemetry.gauge_set("jobs", 4)
         telemetry.gauge_set("jobs", 7)
-        assert telemetry.snapshot()["gauges"]["jobs"] == 7
+        assert telemetry.snapshot()["jobs"] == 7
 
     def test_histogram_summary(self):
-        telemetry.set_enabled(True)
         for value in (10, 30, 20):
             telemetry.observe("cycles", value)
-        summary = telemetry.snapshot()["histograms"]["cycles"]
+        summary = telemetry.snapshot()["cycles"]
         assert summary == {
             "count": 3, "sum": 60, "min": 10, "max": 30, "mean": 20,
         }
 
-    def test_reset_honours_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TELEMETRY", "1")
-        telemetry.reset()
-        assert telemetry.enabled()
+    def test_retired_env_switch_is_ignored(self, monkeypatch):
+        # REPRO_TELEMETRY used to switch the registry off; it is retired
         monkeypatch.setenv("REPRO_TELEMETRY", "0")
         telemetry.reset()
-        assert not telemetry.enabled()
+        telemetry.counter_inc("runs")
+        assert telemetry.get("runs") == 1
 
 
 class TestPublishers:
@@ -68,7 +64,6 @@ class TestPublishers:
         from repro.uarch.kernel import numpy_available
         from repro.uarch.pipeline import simulate
 
-        telemetry.set_enabled(True)
         # a long load-bearing batch, so the numpy kernel (when active)
         # actually runs its classify/solve phases rather than the
         # compute-only closed form
@@ -77,7 +72,7 @@ class TestPublishers:
             instrs.append(Instr(Op.LOAD, 0x10000 + (i * 64) % 32768))
             instrs.append(Instr(Op.ALU))
         stats = simulate(Trace(instrs), MachineConfig())
-        counters = telemetry.snapshot()["counters"]
+        counters = telemetry.snapshot()
         assert counters["pipeline.runs"] == 1
         assert counters["pipeline.instructions"] == stats.instructions
         if numpy_available():
@@ -85,6 +80,7 @@ class TestPublishers:
             assert counters["kernel.classify_seconds"] > 0
 
     def test_simulation_results_identical_with_telemetry_on(self):
+        """Simulated results never depend on what the registry holds."""
         from repro.isa.instr import Instr
         from repro.isa.ops import Op
         from repro.isa.trace import Trace
@@ -95,10 +91,11 @@ class TestPublishers:
             Instr(Op.STORE, 0x2000), Instr(Op.CLWB, 0x2000),
             Instr(Op.SFENCE), Instr(Op.PCOMMIT), Instr(Op.SFENCE),
         ]
-        off = simulate(Trace(instrs), MachineConfig())
-        telemetry.set_enabled(True)
-        on = simulate(Trace(instrs), MachineConfig())
-        assert off.as_dict() == on.as_dict()
+        fresh = simulate(Trace(instrs), MachineConfig())
+        telemetry.counter_inc("pipeline.runs", 1000)
+        telemetry.counter_inc("kernel.classify_seconds", 5.0)
+        again = simulate(Trace(instrs), MachineConfig())
+        assert fresh.as_dict() == again.as_dict()
 
     def test_cache_traffic_published(self, tmp_path, monkeypatch):
         from repro.harness import cache as disk_cache
@@ -109,22 +106,28 @@ class TestPublishers:
         from repro.txn.modes import PersistMode
 
         monkeypatch.setenv(disk_cache.ENV_CACHE_DIR, str(tmp_path))
-        telemetry.set_enabled(True)
         key = TraceKey("LL", PersistMode.BASE, 0)
         assert disk_cache.load_cached_trace(key) is None
         disk_cache.store_trace(key, Trace([Instr(Op.ALU)]))
         assert disk_cache.load_cached_trace(key) is not None
-        counters = telemetry.snapshot()["counters"]
+        counters = telemetry.snapshot()
         assert counters["cache.trace_misses"] == 1
         assert counters["cache.trace_stores"] == 1
         assert counters["cache.trace_hits"] == 1
+        # the session view is built from the same registry counters
+        assert disk_cache.cache_counters().as_dict() == {
+            "trace_hits": 1, "trace_misses": 1, "stats_hits": 0,
+            "stats_misses": 0, "trace_stores": 1, "stats_stores": 0,
+            "corrupt_dropped": 0,
+        }
 
     def test_metrics_snapshot_carries_registry(self):
         from repro.obs import metrics
 
-        telemetry.set_enabled(True)
         telemetry.counter_inc("custom.probe", 3)
         snap = metrics.metrics_snapshot()
-        assert snap["schema"] == 6
-        assert snap["telemetry"]["counters"]["custom.probe"] == 3
-        assert "system" in snap
+        assert snap["schema"] == 7
+        assert snap["counters"]["custom.probe"] == 3
+        # one counters block: the retired per-store blocks are gone
+        for retired in ("cache_session", "supervisor", "system", "telemetry"):
+            assert retired not in snap
