@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.isa.trace import Trace
+from repro.obs import telemetry as _telemetry
 from repro.stats.run import RunStats
 from repro.uarch.config import MachineConfig, PipelineConfig
 from repro.uarch.pipeline import (
@@ -204,6 +205,7 @@ class SystemModel:
             _CoreState(index, core, trace)
             for index, (core, trace) in enumerate(zip(self.cores, traces))
         ]
+        units = 0
         while True:
             if stop_after_aborts is not None and self.conflict_aborts >= stop_after_aborts:
                 break
@@ -216,6 +218,8 @@ class SystemModel:
             if chosen is None:
                 break
             self._unit(states, chosen)
+            units += 1
+        _telemetry.counter_inc("system.units", units)
         if finish:
             for state in states:
                 state.core._finish()

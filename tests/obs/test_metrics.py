@@ -184,6 +184,7 @@ class TestReadViews:
         from repro.harness import parallel
         from repro.harness.runner import clear_trace_cache
         from repro.uarch.kernel import numpy_available
+        from repro.uarch.pipeline import PATHS
 
         # --jobs sets a process-wide default; restore it afterwards
         monkeypatch.setattr(parallel, "_default_jobs", parallel._default_jobs)
@@ -201,6 +202,10 @@ class TestReadViews:
         capsys.readouterr()
         counters = json.loads(out.read_text())["counters"]
         assert counters["pipeline.runs"] >= 1
+        # every simulated instruction is counted on exactly one path
+        assert sum(counters[name] for name in PATHS) == (
+            counters["pipeline.instructions"]
+        )
         assert counters["cache.stats_stores"] >= 1
         if numpy_available():
             assert counters["kernel.batches"] >= 1

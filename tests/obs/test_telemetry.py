@@ -79,6 +79,48 @@ class TestPublishers:
             assert counters["kernel.batches"] >= 1
             assert counters["kernel.classify_seconds"] > 0
 
+    def test_path_counters_split_every_instruction(self):
+        """``pipeline.path.*`` splits each run's instructions by engine
+        path; a traced run takes the exact loop and steps them all."""
+        from repro.isa.instr import Instr
+        from repro.isa.ops import Op
+        from repro.isa.trace import Trace
+        from repro.obs.tracer import SpanTracer
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.pipeline import PATHS, simulate
+
+        instrs = []
+        for i in range(20):
+            instrs += [Instr(Op.ALU)] * 30 + [
+                Instr(Op.STORE, 0x2000 + 64 * i, meta="log"),
+                Instr(Op.CLWB, 0x2000 + 64 * i),
+                Instr(Op.LOAD, 0x9000 + 64 * i),
+                Instr(Op.SFENCE), Instr(Op.PCOMMIT), Instr(Op.SFENCE),
+            ]
+        trace = Trace(instrs)
+        config = MachineConfig().with_sp(256)
+        stats = simulate(trace, config)
+        counts = [telemetry.get(name) for name in PATHS]
+        assert sum(counts) == stats.instructions
+        telemetry.reset()
+        traced = simulate(trace, config, tracer=SpanTracer())
+        kernel, walker, step, step_spec = (telemetry.get(name) for name in PATHS)
+        assert kernel == walker == 0
+        assert step + step_spec == traced.instructions
+        assert step_spec > 0
+
+    def test_system_driver_publishes_units(self):
+        from repro.isa.instr import Instr
+        from repro.isa.ops import Op
+        from repro.isa.trace import Trace
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.system import simulate_system
+
+        trace = Trace([Instr(Op.ALU)] * 8 + [Instr(Op.LOAD, 0x4000)])
+        simulate_system([trace, trace], MachineConfig())
+        # per core: one compute run, then the load
+        assert telemetry.get("system.units") == 4
+
     def test_simulation_results_identical_with_telemetry_on(self):
         """Simulated results never depend on what the registry holds."""
         from repro.isa.instr import Instr
