@@ -10,6 +10,7 @@ from repro.harness.bench import (
     BENCH_SCHEMA_VERSION,
     COMPARE_TOLERANCE,
     GEN_IPS_FLOOR,
+    SP_IPS_FLOOR,
     append_history,
     check_floor,
     comparable,
@@ -38,6 +39,7 @@ def _record(**overrides):
         "classify_ips": 3_000_000,
         "system_ips": 150_000,
         "gen_ips": 90_000,
+        "sp_ips": 600_000,
     }
     record.update(overrides)
     return record
@@ -215,7 +217,7 @@ class TestGenerationCell:
         assert check_floor(record) is None
 
     def test_schema_version(self):
-        assert BENCH_SCHEMA_VERSION == 9
+        assert BENCH_SCHEMA_VERSION == 10
 
     def test_rendered(self):
         record = _record(
@@ -233,3 +235,36 @@ class TestGenerationCell:
         trace = generate_trace(TraceKey("LL", PersistMode.LOG_P_SF, 7))
         assert cell["instructions"] == len(trace)
         assert cell["seconds"] > 0
+
+
+class TestSpeculativeCell:
+    def _floored(self, **overrides):
+        record = _record(**overrides)
+        record["pipeline_ips_by_backend"] = dict(bench.PIPELINE_IPS_FLOORS)
+        record["miss_ips_by_backend"] = dict(bench.MISS_IPS_FLOORS)
+        return record
+
+    def test_floor_enforced(self):
+        assert check_floor(self._floored(sp_ips=SP_IPS_FLOOR)) is None
+        error = check_floor(self._floored(sp_ips=SP_IPS_FLOOR - 1))
+        assert error is not None and "speculative pipeline regression" in error
+
+    def test_pre_v10_record_has_no_speculative_floor(self):
+        record = self._floored()
+        del record["sp_ips"]
+        assert check_floor(record) is None
+
+    def test_regression_flagged_by_compare(self):
+        result = compare_to_history(_record(sp_ips=200_000), [_record()])
+        (finding,) = result["regressions"]
+        assert finding.startswith("sp_ips:")
+
+    def test_rendered(self):
+        record = _record(
+            sp_trace={"benchmark": "SS", "ssb_entries": 256},
+            sp_instructions=72_000,
+            sp_seconds=0.12,
+        )
+        assert "speculative model :  600,000 instr/s (SS SP256, 72,000" in (
+            render_bench(record)
+        )
