@@ -159,11 +159,18 @@ class EpochManager:
         epoch.next_barrier_done = memctrl.pcommit(last_ack)
         return epoch.next_barrier_done
 
-    def commit_oldest(self) -> SpeculativeEpoch:
-        """Retire the oldest epoch: free its checkpoint and SSB entries."""
+    def commit_oldest(self, published: Optional[List[int]] = None) -> SpeculativeEpoch:
+        """Retire the oldest epoch: free its checkpoint and SSB entries.
+
+        The blocks of its buffered stores, which become globally visible
+        now, are appended to *published* (in program order) when given."""
         epoch = self.active.popleft()
         self.checkpoints.release(epoch.checkpoint)
-        self.ssb.pop_epoch(epoch.epoch_id)
+        drained = self.ssb.pop_epoch(epoch.epoch_id)
+        if published is not None:
+            published.extend(
+                entry.block for entry in drained if entry.op is SSBOp.STORE
+            )
         return epoch
 
     # ------------------------------------------------------------------

@@ -110,16 +110,27 @@ class TestPublishers:
         assert step_spec > 0
 
     def test_system_driver_publishes_units(self):
+        """Each system run publishes the instructions its cores retired
+        per engine path (replays included) and its scheduling turns."""
         from repro.isa.instr import Instr
         from repro.isa.ops import Op
         from repro.isa.trace import Trace
+        from repro.obs.tracer import SystemTracer
         from repro.uarch.config import MachineConfig
-        from repro.uarch.system import simulate_system
+        from repro.uarch.system import PATHS, simulate_system
 
         trace = Trace([Instr(Op.ALU)] * 8 + [Instr(Op.LOAD, 0x4000)])
-        simulate_system([trace, trace], MachineConfig())
-        # per core: one compute run, then the load
-        assert telemetry.get("system.units") == 4
+        result = simulate_system([trace, trace], MachineConfig())
+        counts = [telemetry.get(name) for name in PATHS]
+        assert sum(counts) == sum(s.instructions for s in result.per_core) == 18
+        # without SP each core runs its whole trace as one stretch
+        assert telemetry.get("system.stretches") == 2
+        telemetry.reset()
+        # the per-unit oracle: per core one compute run, then the load
+        simulate_system([trace, trace], MachineConfig(), system_tracer=SystemTracer(2))
+        kernel, walker, step, step_spec = (telemetry.get(name) for name in PATHS)
+        assert (kernel, walker, step, step_spec) == (0, 0, 18, 0)
+        assert telemetry.get("system.stretches") == 4
 
     def test_simulation_results_identical_with_telemetry_on(self):
         """Simulated results never depend on what the registry holds."""
