@@ -8,20 +8,24 @@ These tests pin the fixed keying at every layer: digest, disk path,
 ``peek_cached_stats``, and the run_* entry points.
 """
 
+import gc
+import weakref
 from collections import namedtuple
 
 import pytest
 
-from repro.harness import cache
+from repro.harness import cache, runner
 from repro.harness.runner import (
     TraceKey,
     clear_trace_cache,
     peek_cached_stats,
     run_system,
     run_variant,
+    system_result,
 )
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
+from repro.workloads import concurrent
 
 SMALL = dict(init_ops=24, sim_ops=8)
 MODE = PersistMode.LOG_P_SF
@@ -97,3 +101,51 @@ class TestNoAliasing:
     def test_run_system_rejects_single_core(self):
         with pytest.raises(ValueError):
             run_system("HM", MODE, cores=1)
+
+
+class TestConcurrentTraceMemo:
+    """``system_result`` generates each concurrent run once for the two
+    machines Figure 15 runs it on, and keeps nothing but the last run's
+    per-core traces."""
+
+    @pytest.fixture
+    def generated(self, monkeypatch):
+        runs = []
+        real = concurrent.generate_concurrent
+
+        def generate(*args, **kwargs):
+            run = real(*args, **kwargs)
+            runs.append(weakref.ref(run))
+            return run
+
+        monkeypatch.setattr(concurrent, "generate_concurrent", generate)
+        return runs
+
+    def test_two_machines_share_one_generation(self, generated):
+        base = MachineConfig()
+        sp = base.with_sp(256)
+        stall = system_result("HM", MODE, base, cores=2, contention=0.5, **SMALL)
+        spec = system_result("HM", MODE, sp, cores=2, contention=0.5, **SMALL)
+        assert len(generated) == 1
+        # the memo serves the same answers a fresh generation gives
+        clear_trace_cache()
+        again = system_result("HM", MODE, sp, cores=2, contention=0.5, **SMALL)
+        assert len(generated) == 2
+        assert [s.as_dict() for s in again.per_core] == [
+            s.as_dict() for s in spec.per_core
+        ]
+        assert stall.cycles != spec.cycles
+
+    def test_one_entry_and_no_heap(self, generated):
+        config = MachineConfig()
+        system_result("HM", MODE, config, cores=2, contention=0.0, **SMALL)
+        system_result("HM", MODE, config, cores=2, contention=1.0, **SMALL)
+        assert len(generated) == 2
+        assert list(runner._SYSTEM_TRACES) == [
+            TraceKey("HM", MODE, 7, SMALL["init_ops"], SMALL["sim_ops"], 2, 1.0)
+        ]
+        gc.collect()
+        # neither run (nor its heap) outlives its co-simulation
+        assert [ref() for ref in generated] == [None, None]
+        clear_trace_cache()
+        assert not runner._SYSTEM_TRACES
