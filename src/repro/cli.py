@@ -83,6 +83,7 @@ from repro.harness.bench import (
     GEN_IPS_FLOOR,
     PIPELINE_IPS_FLOORS,
     SP_IPS_FLOOR,
+    SYSTEM_IPS_FLOOR,
     check_floor,
     compare_to_history,
     load_history,
@@ -701,6 +702,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"pipeline_ips floors ok ({floors} instr/s)")
             print(f"gen_ips floor ok (>= {GEN_IPS_FLOOR:,} instr/s)")
             print(f"sp_ips floor ok (>= {SP_IPS_FLOOR:,} instr/s)")
+            print(f"system_ips floor ok (>= {SYSTEM_IPS_FLOOR:,} instr/s)")
     elif args.command == "cache":
         if args.action == "clear":
             removed = harness_cache.clear_cache()

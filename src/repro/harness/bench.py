@@ -106,7 +106,9 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: 10: added the single-core speculative cell (``sp_trace``,
 #: ``sp_instructions``, ``sp_seconds``, ``sp_ips``) with its floor
 #: ``SP_IPS_FLOOR``.
-BENCH_SCHEMA_VERSION = 10
+#: 11: ``system_ips`` gained its floor ``SYSTEM_IPS_FLOOR``, once the
+#: co-simulation driver ran its cores in stretches on the segment walker.
+BENCH_SCHEMA_VERSION = 11
 
 #: Append-only JSON-lines trail of every bench record ever taken on
 #: this checkout; ``bench --compare`` mines it for the best comparable
@@ -198,6 +200,15 @@ GEN_IPS_FLOOR = 30_000
 #: 160k–280k, so the floor catches a collapse, and
 #: ``test_speculative_execution_runs_on_the_fast_path`` the path itself.
 SP_IPS_FLOOR = 225_000
+
+#: Floor for ``system_ips`` under ``bench --enforce-floor``: about half
+#: the rate measured on a 2-CPU development container once the
+#: co-simulation driver ran its cores in stretches on the segment walker
+#: (median 171k instr/s over five quick runs, 162k–237k as the host's
+#: speed swung).  Stepping every unit ran the same cell at 80k–140k, so
+#: the floor catches a collapse, and ``test_system_runs_take_the_fast_path``
+#: the path itself.
+SYSTEM_IPS_FLOOR = 85_000
 
 #: Per-backend regression floors for ``bench --enforce-floor`` (CI):
 #: the run fails if a measured backend's sustained ``pipeline_ips``
@@ -443,9 +454,10 @@ def run_bench(
                     stats = simulate(sp_trace, sp_config)
                     sp_best = min(sp_best, time.perf_counter() - t0)
                 sp_instructions = stats.instructions
-                # multi-core driver throughput (backend-independent: the
-                # co-sim driver always walks the exact loop); a fresh
-                # SystemModel per rep, since core stats accumulate
+                # multi-core driver throughput on the SP machine (its
+                # stretches run on the segment walker; the kernel never
+                # runs there, so the cell is backend-independent); a
+                # fresh SystemModel per rep, since core stats accumulate
                 system_best = float("inf")
                 system_instructions = 0
                 for rep in range(reps):
@@ -845,11 +857,12 @@ def check_floor(
     """Return an error message if any measured backend's sustained
     ``pipeline_ips`` is below its floor (or the measurement is missing),
     or ``gen_ips`` is below :data:`GEN_IPS_FLOOR`, or ``sp_ips`` below
-    :data:`SP_IPS_FLOOR`, else ``None``.  CI runs the quick bench with
-    ``--enforce-floor`` so a regression — the walker sliding back to
-    per-object dispatch, the NumPy kernel silently degrading to walker
-    speed, populate doing persistence work again, speculation going back
-    to per-op stepping — fails the build instead of silently shipping.  Only
+    :data:`SP_IPS_FLOOR`, or ``system_ips`` below :data:`SYSTEM_IPS_FLOOR`,
+    else ``None``.  CI runs the quick bench with ``--enforce-floor`` so a
+    regression — the walker sliding back to per-object dispatch, the NumPy
+    kernel silently degrading to walker speed, populate doing persistence
+    work again, speculation or the multi-core driver going back to per-op
+    stepping — fails the build instead of silently shipping.  Only
     backends actually measured are checked, so the no-NumPy CI leg
     enforces the Python floor alone."""
     floors = PIPELINE_IPS_FLOORS if floors is None else floors
@@ -898,5 +911,13 @@ def check_floor(
             problems.append(
                 f"speculative pipeline regression: {sp_ips:,} instr/s is below "
                 f"the checked-in floor of {SP_IPS_FLOOR:,} instr/s"
+            )
+    # and the multi-core driver
+    system_ips = record.get("system_ips")
+    if floors is PIPELINE_IPS_FLOORS and isinstance(system_ips, (int, float)):
+        if system_ips < SYSTEM_IPS_FLOOR:
+            problems.append(
+                f"multi-core driver regression: {system_ips:,} instr/s is "
+                f"below the checked-in floor of {SYSTEM_IPS_FLOOR:,} instr/s"
             )
     return "; ".join(problems) if problems else None

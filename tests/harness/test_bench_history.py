@@ -11,6 +11,7 @@ from repro.harness.bench import (
     COMPARE_TOLERANCE,
     GEN_IPS_FLOOR,
     SP_IPS_FLOOR,
+    SYSTEM_IPS_FLOOR,
     append_history,
     check_floor,
     comparable,
@@ -217,7 +218,7 @@ class TestGenerationCell:
         assert check_floor(record) is None
 
     def test_schema_version(self):
-        assert BENCH_SCHEMA_VERSION == 10
+        assert BENCH_SCHEMA_VERSION == 11
 
     def test_rendered(self):
         record = _record(
@@ -268,3 +269,27 @@ class TestSpeculativeCell:
         assert "speculative model :  600,000 instr/s (SS SP256, 72,000" in (
             render_bench(record)
         )
+
+
+class TestSystemCell:
+    def _floored(self, **overrides):
+        record = _record(**overrides)
+        record["pipeline_ips_by_backend"] = dict(bench.PIPELINE_IPS_FLOORS)
+        record["miss_ips_by_backend"] = dict(bench.MISS_IPS_FLOORS)
+        return record
+
+    def test_floor_enforced(self):
+        assert check_floor(self._floored(system_ips=SYSTEM_IPS_FLOOR)) is None
+        error = check_floor(self._floored(system_ips=SYSTEM_IPS_FLOOR - 1))
+        assert error is not None and "multi-core driver regression" in error
+
+    def test_record_without_the_cell_has_no_floor(self):
+        record = self._floored()
+        del record["system_ips"]
+        assert check_floor(record) is None
+
+    def test_explicit_floors_skip_it(self):
+        """Callers passing their own pipeline floors keep the old
+        single-cell contract, as for the other cells."""
+        record = _record(system_ips=1)
+        assert check_floor(record, floors={"python": 1}) is None
