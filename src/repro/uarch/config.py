@@ -115,6 +115,21 @@ class MachineConfig:
     #: fails only on coherence conflicts / real system failures).
     rollback_penalty: int = 20
 
+    def __post_init__(self) -> None:
+        # the pipeline's windows are born full and their youngest `width`
+        # entries are the dispatch/retire bandwidth groups, so each must
+        # hold at least `width` entries (and a memory op needs an LSQ slot)
+        if self.width < 1:
+            raise ValueError(f"width must be at least 1, got {self.width}")
+        for name in ("fetchq_entries", "rob_entries"):
+            if getattr(self, name) < self.width:
+                raise ValueError(
+                    f"{name} must be at least width ({self.width}), "
+                    f"got {getattr(self, name)}"
+                )
+        if self.lsq_entries < 1:
+            raise ValueError(f"lsq_entries must be at least 1, got {self.lsq_entries}")
+
     @property
     def ssb_latency(self) -> int:
         return ssb_latency(self.ssb_entries)

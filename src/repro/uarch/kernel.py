@@ -814,7 +814,7 @@ def advance(model, columns, segments, ei):
     Processes every instruction of the batchable entries plus the compute
     prefix of the terminating event entry, exactly as the walker's fast
     phase would, and returns the index of that event entry (its prefix
-    consumed, matching the walker's ``prefix_done`` protocol) — or
+    consumed, so the walker steps that event next) — or
     ``len(entries)`` when the batch runs through the tail.  Returns
     ``None`` when the upcoming batch is shorter than
     :data:`KERNEL_MIN_BATCH` (the caller falls through to the Python
@@ -822,7 +822,10 @@ def advance(model, columns, segments, ei):
 
     Preconditions (guaranteed by the caller): numpy backend resolved, the
     model is pristine (``not _deoptimized``), no speculation is active,
-    and the fetch queue and ROB each hold at least ``width`` entries.
+    and the batch starts at an entry's first op.  The fetch queue, ROB
+    and LSQ are always full (:meth:`PipelineModel._fill_windows`); the
+    youngest ``width`` entries of the first two are the dispatch and
+    retire bandwidth groups.
     """
     batch_end = segments.batch_end
     if batch_end is None:  # hand-built TraceSegments without metadata
@@ -924,21 +927,20 @@ def advance(model, columns, segments, ei):
         f0g, f1g = int(f0g), int(f1g)
         koffs = _koffs(length, width)
 
-        # constraint buffers: [sentinel pad | history | this chunk], so the
-        # "queue full" gather for instruction i is simply buffer[i]
+        # constraint buffers: [history | this chunk], so the "queue full"
+        # gather for instruction i is simply buffer[i]; the windows are
+        # born full, so the history is too, and the chunk starts at the
+        # sentinel the fixpoint iterates up from
         dbuf = np.full(fq_cap + length, _SENT, dtype=np.int64)
-        h = len(fq_hist)
-        dbuf[fq_cap - h:fq_cap] = fq_hist
+        dbuf[:fq_cap] = fq_hist
         dview = dbuf[fq_cap:]
         fqc = dbuf[:length]
         rbuf = np.full(rob_cap + length, _SENT, dtype=np.int64)
-        h = len(rob_hist)
-        rbuf[rob_cap - h:rob_cap] = rob_hist
+        rbuf[:rob_cap] = rob_hist
         rview = rbuf[rob_cap:]
         rc = rbuf[:length]
         mbuf = np.full(lsq_cap + nm, _SENT, dtype=np.int64)
-        h = len(lsq_hist)
-        mbuf[lsq_cap - h:lsq_cap] = lsq_hist
+        mbuf[:lsq_cap] = lsq_hist
         mview = mbuf[lsq_cap:]
         cm = mbuf[:nm]
 
@@ -1173,12 +1175,9 @@ def advance(model, columns, segments, ei):
         if nc:
             chain_issue = int(chase_ci[-1])
             chain_ready = int(chase_x[-1])
-        keep = min(fq_cap, len(fq_hist) + length)
-        fq_hist = dbuf[fq_cap + length - keep:].copy()
-        keep = min(rob_cap, len(rob_hist) + length)
-        rob_hist = rbuf[rob_cap + length - keep:].copy()
-        keep = min(lsq_cap, len(lsq_hist) + nm)
-        lsq_hist = mbuf[lsq_cap + nm - keep:].copy()
+        fq_hist = dbuf[length:].copy()
+        rob_hist = rbuf[length:].copy()
+        lsq_hist = mbuf[nm:].copy()
         fg = fbuf[length:].copy()
         last_retire = int(rview[-1])
         chunk_start += length
@@ -1188,8 +1187,6 @@ def advance(model, columns, segments, ei):
     model._fetchq = deque(fq_hist.tolist(), fq_cap)
     model._rob = deque(rob_hist.tolist(), rob_cap)
     model._lsq = deque(lsq_hist.tolist(), lsq_cap)
-    model._dispatch_group = deque(fq_hist[-width:].tolist(), width)
-    model._retire_group = deque(rob_hist[-width:].tolist(), width)
     model._last_fetch = last_fetch
     model._last_retire = last_retire
     model._sb_free = sb_free

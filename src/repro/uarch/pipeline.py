@@ -26,16 +26,17 @@ With ``config.sp_enabled`` the model implements Section 4 of the paper:
 Execution is **event driven**: :meth:`PipelineModel.run` walks the
 trace's pre-computed segment list (:func:`repro.isa.analysis.segment_trace`
 over its columnar form) instead of one ``Instr`` object per micro-op.
-The walker handles compute runs, loads, stores, and flush ops in fully
-inlined loops with the sliding-window state bound to locals, and
-fast-forwards long non-speculative compute runs with a closed-form
-steady-state advance.  It keeps running while the machine speculates:
-it runs the epoch commit schedule only before the op where a commit is
-due, and handles speculative loads (BLT record, bloom probe, SSB
-forwarding) and speculative stores and flushes (into the SSB) in-line.
-Fences, pcommits, barriers, ``clflush``, strongly ordered RMWs under
-speculation and stores that find the SSB full delegate to the exact
-per-op machinery (:meth:`_step`).  The walker is cycle-for-cycle
+The walker runs compute ops, loads, stores, and flush ops through one
+inlined instruction body with the sliding-window state bound to locals,
+speculating or not.  The fetch queue, ROB and LSQ are born full of
+sentinels that never bind, so the dispatch/retire bandwidth groups are
+always the youngest ``width`` entries of the fetch queue and ROB.  Under
+speculation the walker runs the epoch commit schedule only before the op
+where a commit is due, and handles speculative loads (BLT record, bloom
+probe, SSB forwarding) and speculative stores and flushes (into the SSB)
+in-line.  Fences, pcommits, barriers, ``clflush``, strongly ordered RMWs
+under speculation and stores that find the SSB full delegate to the
+exact per-op machinery (:meth:`_step`).  The walker is cycle-for-cycle
 identical to the preserved reference model
 (:mod:`repro.uarch.pipeline_ref`) — asserted by the conformance oracle
 and pinned by the golden battery — and any monkey-patched or overridden
@@ -131,20 +132,16 @@ class PipelineModel:
         self.epochs = EpochManager(self.checkpoints, self.ssb, config.drain_per_cycle)
 
         # ---- sliding-window state -----------------------------------
-        width = config.width
-        self._fetch_group: Deque[int] = deque([0] * width, maxlen=width)
-        self._dispatch_group: Deque[int] = deque([0] * width, maxlen=width)
-        self._retire_group: Deque[int] = deque([0] * width, maxlen=width)
-        #: set when the segment walker left the two groups above behind
-        #: the fetch-queue/ROB tails they equal (see :meth:`_sync_groups`)
-        self._groups_stale = False
-        #: dispatch times of the last `fetchq_entries` instructions
-        self._fetchq: Deque[int] = deque(maxlen=config.fetchq_entries)
-        #: retire times of the last `rob_entries` instructions
-        self._rob: Deque[int] = deque(maxlen=config.rob_entries)
+        # fetch times of the last `width` instructions, dispatch times of
+        # the last `fetchq_entries` (_fetchq) and retire times of the last
+        # `rob_entries` (_rob), born full (see _fill_windows)
+        self._fill_windows(0)
         #: retire times of the last `lsq_entries` memory operations — a
-        #: memory op cannot dispatch while the LSQ is full
-        self._lsq: Deque[int] = deque(maxlen=config.lsq_entries)
+        #: memory op cannot dispatch before the oldest retires; born full
+        #: of 0s, which never bind
+        self._lsq: Deque[int] = deque(
+            [0] * config.lsq_entries, maxlen=config.lsq_entries
+        )
         self._last_retire = 0
         self._last_fetch = 0
 
@@ -296,15 +293,29 @@ class PipelineModel:
         """Walk the pre-computed segment list (see
         :class:`repro.isa.analysis.TraceSegments`).
 
-        Compute runs and load/store/flush events are handled in-line with
-        the sliding-window state held in locals (the *fast phase*);
-        fences, pcommits, clflush, barrier triples, and any op met while
-        the fetch queue or ROB holds fewer than ``width`` entries
-        delegate to :meth:`_step`/:meth:`_barrier` (the *slow phase*).
-        The NumPy kernel, when available, is offered every batch that
-        starts outside speculation.
+        Compute runs and load/store/flush events run through one in-line
+        instruction body with the sliding-window state held in locals
+        (the *fast phase*), speculating or not.  Fences, pcommits,
+        clflush and barrier triples delegate to :meth:`_step` /
+        :meth:`_barrier` one at a time (the *slow phase*), and so, under
+        speculation, do an ``XCHG``/``LOCK_RMW`` (which ends speculation)
+        and a store or flush that finds the SSB full; the fast phase then
+        resumes.  The NumPy kernel, when available, is offered every batch
+        that starts outside speculation.
 
-        **Speculation** stays in the fast phase, in the general bodies:
+        **Windows.**  The fetch queue, ROB and LSQ are born full of
+        sentinels (0, and the restart cycle after :meth:`_do_rollback`).
+        Every fetch is above the oldest fetch-group entry and every
+        dispatch above its fetch, so a sentinel never binds, like the
+        reference model's "not full, no constraint".  Every instruction
+        appends its dispatch time to the fetch queue and its retire time
+        to the ROB, so the width-wide dispatch/retire bandwidth groups are
+        their youngest ``width`` entries: ``fetchq[-width]`` and
+        ``rob[-width]`` (:meth:`_front_end` and :meth:`_retire` read the
+        same).  Loads, stores and flushes that hit the L1 update its LRU
+        order and counters in-line; only misses call the cache hierarchy.
+
+        **Speculation**:
 
         * *polling* — :meth:`_step` runs the epoch commit schedule
           (:meth:`_poll_speculation`) before every op, but it can act
@@ -318,34 +329,10 @@ class PipelineModel:
           :meth:`_load_latency` does;
         * *stores and clwb/clflushopt* retire, apply the
           stores-during-pcommit rule and go to :meth:`_buffered_store` /
-          :meth:`_buffered_flush`: no cache access, no store-buffer port;
-        * an ``XCHG``/``LOCK_RMW`` (which ends speculation) and a store or
-          flush that finds the SSB full go to :meth:`_step`.
+          :meth:`_buffered_flush`: no cache access, no store-buffer port.
 
         When a poll ends speculation the walker leaves at the next entry
         boundary, so the kernel is offered the batch that follows.
-
-        Three further specialisations keep the per-op work minimal:
-
-        * **merged windows** — every instruction's dispatch time is
-          appended to the fetch queue and its retire time to the ROB, so
-          the width-wide dispatch/retire bandwidth groups are always the
-          youngest ``width`` entries of those deques (whenever they hold
-          at least ``width`` entries, which the fast phase requires).
-          The walker therefore maintains only the fetch-group, fetch
-          queue, and ROB deques, and rebuilds the group deques from the
-          tails when it spills back to the machine;
-        * **saturated bodies** — once the fetch queue and ROB are both
-          full they stay full (the deques are bounded), so outside
-          speculation the walker switches to bodies with the occupancy
-          checks compiled out;
-        * **closed-form advance** — long non-speculative compute runs
-          fast-forward once
-          the window is width-periodic (every new fetch/dispatch/retire
-          time equals the value ``width`` instructions earlier plus one,
-          with both queues full and no stalls): the max/+ recurrences are
-          translation invariant, so ``k`` further periods add exactly
-          ``k`` cycles to every window entry and accrue zero stalls.
 
         **Stretches** (the multi-core driver, :mod:`repro.uarch.system`):
 
@@ -353,12 +340,11 @@ class PipelineModel:
           may fall inside the entry's compute prefix (or equal it: the
           event is next), never inside a barrier triple;
         * the walker stops before the first op whose retire clock is at
-          or above *stop_clock* — before every op under speculation,
-          and outside it before every event and wherever the general
-          bodies run.  The test shares the poll's compare:
-          ``limit = min(horizon, stop_clock)``, and the stop is tested
-          *before* the poll, so a commit due at the stop happens at the
-          start of the next stretch;
+          or above *stop_clock*, testing before every op.  The test
+          shares the poll's compare: ``limit = min(horizon,
+          stop_clock)``, and the stop is tested *before* the poll, so a
+          commit due at the stop happens at the start of the next
+          stretch;
         * every block that becomes globally visible is appended to
           ``self._published`` when that is a list: a non-speculative
           store as it drains (here, or in :meth:`_visible_store`), an
@@ -367,9 +353,9 @@ class PipelineModel:
           unit that publishes (the driver has a sleeping core that the
           broadcast would wake ahead of this one).
 
-        The kernel is offered only with no stop and nothing to publish:
-        a kernel batch could overshoot the stop, and its stores are not
-        published.
+        The kernel is offered only from the start of an entry, with no
+        stop and nothing to publish: a kernel batch could overshoot the
+        stop, and its stores are not published.
 
         Returns the per-path instruction counts (see :data:`PATHS`) and
         where the walk stopped, as ``(entry, ops of it retired)`` —
@@ -384,12 +370,7 @@ class PipelineModel:
         coalesce = config.coalesce_barrier_checkpoints
         width = config.width
         neg_w = -width
-        fetchq_entries = config.fetchq_entries
-        rob_entries = config.rob_entries
-        lsq_entries = config.lsq_entries
         depth = config.fetch_to_dispatch
-        steady_window = max(fetchq_entries, rob_entries)
-        steady_min = steady_window + 2 * width + 2
         caches = self.caches
         caches_access = caches.access
         l1 = caches.l1
@@ -401,7 +382,7 @@ class PipelineModel:
         epochs = self.epochs
         visible_flush = self._visible_flush
         step = self._step
-        # the speculation machinery the general bodies drive in-line
+        # the speculation machinery the body drives in-line
         poll = self._poll_speculation
         buffered_store = self._buffered_store
         buffered_flush = self._buffered_flush
@@ -430,28 +411,21 @@ class PipelineModel:
         # ops of entries[ei] retired when the stop clock was reached
         stop_at = -1
         while ei < n_entries:
-            prefix_done = False
-            fast_ok = len(self._fetchq) >= width and len(self._rob) >= width
-            if skip and not epochs.speculating:
-                # resuming inside a prefix outside speculation: the body
-                # chosen below may batch the whole prefix, so step the rest
-                fast_ok = False
-            if fast_ok and kernel_on and not epochs.speculating:
+            nj = None
+            if kernel_on and not skip and not epochs.speculating:
                 # vectorized batch kernel: consumes every entry up to the
                 # next fence/pcommit/clflush/barrier plus that entry's
-                # compute prefix (the walker's prefix_done protocol), or
-                # declines short batches (None) in favour of the walker
+                # compute prefix, or declines short batches (None) in
+                # favour of the walker
                 nj = kernel_advance(self, columns, segments, ei)
-                if nj is not None:
-                    cum = segments.cum_instrs
-                    kernel_n += int(cum[nj]) - int(cum[ei])
-                    if nj >= n_entries:
-                        return (kernel_n, walker_n, step_n, spec_n), (nj, 0)
-                    kernel_n += entries[nj][0]
-                    ei = nj
-                    prefix_done = True
-                    fast_ok = False
-            if fast_ok:
+            if nj is not None:
+                cum = segments.cum_instrs
+                kernel_n += int(cum[nj]) - int(cum[ei])
+                if nj >= n_entries:
+                    return (kernel_n, walker_n, step_n, spec_n), (nj, 0)
+                kernel_n += entries[nj][0]
+                ei = nj
+            else:
                 # ---------- fast phase ----------
                 fg = self._fetch_group
                 fetchq = self._fetchq
@@ -469,13 +443,6 @@ class PipelineModel:
                 chain_issue = self._chain_issue
                 chain_block = self._chain_block
                 inflight = self._inflight_pcommits
-                # occupancy as plain counters (len() is a call; += isn't)
-                n_fq = len(fetchq)
-                n_rob = len(rob)
-                n_lsq = len(lsq)
-                fq_full = n_fq == fetchq_entries
-                rob_full = n_rob == rob_entries
-                lsq_full = n_lsq == lsq_entries
                 # retire-slot counter: retire times are monotone, so the
                 # retire-bandwidth bound rob[-width] + 1 binds exactly
                 # when the last `width` retires share one cycle.  r_slot
@@ -492,19 +459,16 @@ class PipelineModel:
                 horizon = epochs.oldest.barrier_done if spec else _NEVER
                 if stop_on_publish and published:
                     stop_clock = -1  # the slow phase published: stop next
-                # the general bodies test the stop and the poll with one
-                # compare; -1 makes the first `skip` ops fall into the test,
-                # which steps over them (a speculating resume always takes
-                # the general bodies)
+                # the body tests the stop and the poll with one compare;
+                # -1 makes the first `skip` ops fall into the test, which
+                # steps over them
                 limit = horizon if horizon < stop_clock else stop_clock
                 if skip:
                     limit = -1
                 # set once a poll ends speculation: the walker then leaves
-                # at the next entry boundary (prefix_done False) so the
-                # kernel is offered the batch after it; every other exit
-                # leaves mid-entry with the prefix consumed
+                # at the next entry boundary so the kernel is offered the
+                # batch after it
                 rekernel = False
-                prefix_done = True
                 instr_d = -skip
                 loads_d = 0
                 stores_d = 0
@@ -517,310 +481,6 @@ class PipelineModel:
                 while ei < n_entries:
                     run_len, kind, block, mi, idx = entries[ei]
                     instr_d += run_len
-                    if run_len >= steady_min and not spec:
-                        # instrumented loop with the closed-form advance
-                        streak = 0
-                        while run_len:
-                            if streak >= steady_window and run_len > width:
-                                k = run_len // width
-                                fg = deque([t + k for t in fg], width)
-                                fetchq = deque(
-                                    [t + k for t in fetchq], fetchq_entries
-                                )
-                                rob = deque([t + k for t in rob], rob_entries)
-                                self._fetch_group = fg
-                                self._fetchq = fetchq
-                                self._rob = rob
-                                fg_app = fg.append
-                                fq_app = fetchq.append
-                                rob_app = rob.append
-                                last_fetch += k
-                                last_retire += k
-                                run_len -= k * width
-                                break
-                            run_len -= 1
-                            bw_ready = fg[0] + 1
-                            fetch_t = bw_ready
-                            if fq_full:
-                                fq_ready = fetchq[0]
-                                if fq_ready > fetch_t:
-                                    if fq_ready > last_fetch:
-                                        stall_d += fq_ready - (
-                                            bw_ready
-                                            if bw_ready > last_fetch
-                                            else last_fetch
-                                        )
-                                    fetch_t = fq_ready
-                            if fetch_t > last_fetch:
-                                last_fetch = fetch_t
-                            fg_app(fetch_t)
-                            dispatch_bw = fetchq[neg_w] + 1
-                            dispatch_t = fetch_t + depth
-                            if dispatch_bw > dispatch_t:
-                                dispatch_t = dispatch_bw
-                            if rob_full:
-                                bound = rob[0]
-                                if bound > dispatch_t:
-                                    dispatch_t = bound
-                            fq_app(dispatch_t)
-                            if not fq_full and len(fetchq) == fetchq_entries:
-                                fq_full = True
-                            retire_bw = rob[neg_w] + 1
-                            retire_t = dispatch_t + 1
-                            if last_retire > retire_t:
-                                retire_t = last_retire
-                            if retire_bw > retire_t:
-                                retire_t = retire_bw
-                            rob_app(retire_t)
-                            if not rob_full and len(rob) == rob_entries:
-                                rob_full = True
-                            last_retire = retire_t
-                            if (
-                                fq_full
-                                and rob_full
-                                and fetch_t == bw_ready
-                                and dispatch_t == dispatch_bw
-                                and retire_t == retire_bw
-                            ):
-                                streak += 1
-                            else:
-                                streak = 0
-                        # the instrumented loop appended directly; refresh
-                        # the occupancy and retire-slot counters it bypassed
-                        n_fq = len(fetchq)
-                        n_rob = len(rob)
-                        r_slot = 1 if rob[-1] == last_retire else 0
-                        _i = 2
-                        while r_slot and _i <= width and rob[-_i] == last_retire:
-                            r_slot += 1
-                            _i += 1
-
-                    if fq_full and rob_full and not spec:
-                        # ==== saturated: occupancy checks compiled out ====
-                        for _ in range(run_len):
-                            fetch_t = fg[0] + 1
-                            fq_ready = fetchq[0]
-                            if fq_ready > fetch_t:
-                                if fq_ready > last_fetch:
-                                    stall_d += fq_ready - (
-                                        fetch_t
-                                        if fetch_t > last_fetch
-                                        else last_fetch
-                                    )
-                                fetch_t = fq_ready
-                            if fetch_t > last_fetch:
-                                last_fetch = fetch_t
-                            fg_app(fetch_t)
-                            dispatch_t = fetch_t + depth
-                            bound = fetchq[neg_w] + 1
-                            if bound > dispatch_t:
-                                dispatch_t = bound
-                            bound = rob[0]
-                            if bound > dispatch_t:
-                                dispatch_t = bound
-                            fq_app(dispatch_t)
-                            retire_t = dispatch_t + 1
-                            if retire_t > last_retire:
-                                last_retire = retire_t
-                                r_slot = 1
-                            elif r_slot < width:
-                                retire_t = last_retire
-                                r_slot += 1
-                            else:
-                                retire_t = last_retire + 1
-                                last_retire = retire_t
-                                r_slot = 1
-                            rob_app(retire_t)
-
-                        if 2 <= kind <= 5 or kind == _XCHG or kind == _LOCK_RMW:
-                            if last_retire >= stop_clock:
-                                stop_at = entries[ei][0]
-                                break
-                            # ---- inlined front end ----
-                            fetch_t = fg[0] + 1
-                            fq_ready = fetchq[0]
-                            if fq_ready > fetch_t:
-                                if fq_ready > last_fetch:
-                                    stall_d += fq_ready - (
-                                        fetch_t
-                                        if fetch_t > last_fetch
-                                        else last_fetch
-                                    )
-                                fetch_t = fq_ready
-                            if fetch_t > last_fetch:
-                                last_fetch = fetch_t
-                            fg_app(fetch_t)
-                            dispatch_t = fetch_t + depth
-                            bound = fetchq[neg_w] + 1
-                            if bound > dispatch_t:
-                                dispatch_t = bound
-                            bound = rob[0]
-                            if bound > dispatch_t:
-                                dispatch_t = bound
-                            fq_app(dispatch_t)
-
-                            if kind == _LOAD:
-                                loads_d += 1
-                                if lsq_full:
-                                    bound = lsq[0]
-                                    if bound > dispatch_t:
-                                        dispatch_t = bound
-                                tag = block >> l1_shift
-                                if mi:
-                                    # tagged load: streams independently
-                                    ways = l1_sets[tag & l1_mask]
-                                    if tag in ways:
-                                        ways[tag] = ways.pop(tag)
-                                        hits_d += 1
-                                        acc_d += 1
-                                        complete = dispatch_t + l1_latency
-                                    else:
-                                        complete = dispatch_t + caches_access(
-                                            block, False, dispatch_t
-                                        )
-                                elif block == chain_block:
-                                    # another field of the in-flight node
-                                    issue_t = (
-                                        dispatch_t
-                                        if dispatch_t > chain_issue
-                                        else chain_issue
-                                    )
-                                    ways = l1_sets[tag & l1_mask]
-                                    if tag in ways:
-                                        ways[tag] = ways.pop(tag)
-                                        hits_d += 1
-                                        acc_d += 1
-                                        complete = issue_t + l1_latency
-                                    else:
-                                        complete = issue_t + caches_access(
-                                            block, False, issue_t
-                                        )
-                                    if chain_ready > complete:
-                                        complete = chain_ready
-                                else:
-                                    # next chase node: issues after the chain
-                                    issue_t = (
-                                        dispatch_t
-                                        if dispatch_t > chain_ready
-                                        else chain_ready
-                                    )
-                                    ways = l1_sets[tag & l1_mask]
-                                    if tag in ways:
-                                        ways[tag] = ways.pop(tag)
-                                        hits_d += 1
-                                        acc_d += 1
-                                        complete = issue_t + l1_latency
-                                    else:
-                                        complete = issue_t + caches_access(
-                                            block, False, issue_t
-                                        )
-                                    chain_block = block
-                                    chain_issue = issue_t
-                                    chain_ready = complete
-                                retire_t = complete
-                                if retire_t > last_retire:
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                elif r_slot < width:
-                                    retire_t = last_retire
-                                    r_slot += 1
-                                else:
-                                    retire_t = last_retire + 1
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                rob_app(retire_t)
-                                instr_d += 1
-                                lsq_app(retire_t)
-                                if not lsq_full:
-                                    n_lsq += 1
-                                    if n_lsq == lsq_entries:
-                                        lsq_full = True
-
-                            elif kind == _CLWB or kind == _CLFLUSHOPT:
-                                if kind == _CLWB:
-                                    clwbs_d += 1
-                                else:
-                                    clfo_d += 1
-                                retire_t = dispatch_t + 1
-                                if retire_t > last_retire:
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                elif r_slot < width:
-                                    retire_t = last_retire
-                                    r_slot += 1
-                                else:
-                                    retire_t = last_retire + 1
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                rob_app(retire_t)
-                                instr_d += 1
-                                if inflight:
-                                    inflight = [
-                                        t for t in inflight if t > retire_t
-                                    ]
-                                    if inflight:
-                                        sdp_d += 1
-                                visible_flush(block, retire_t, kind == _CLFLUSHOPT)
-
-                            else:  # STORE / XCHG / LOCK_RMW
-                                stores_d += 1
-                                if lsq_full:
-                                    bound = lsq[0]
-                                    if bound > dispatch_t:
-                                        dispatch_t = bound
-                                retire_t = dispatch_t + 1
-                                if retire_t > last_retire:
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                elif r_slot < width:
-                                    retire_t = last_retire
-                                    r_slot += 1
-                                else:
-                                    retire_t = last_retire + 1
-                                    last_retire = retire_t
-                                    r_slot = 1
-                                rob_app(retire_t)
-                                instr_d += 1
-                                lsq_app(retire_t)
-                                if not lsq_full:
-                                    n_lsq += 1
-                                    if n_lsq == lsq_entries:
-                                        lsq_full = True
-                                if inflight:
-                                    inflight = [
-                                        t for t in inflight if t > retire_t
-                                    ]
-                                    if inflight:
-                                        sdp_d += 1
-                                start = retire_t if retire_t > sb_free else sb_free
-                                sb_free = start + 1
-                                tag = block >> l1_shift
-                                ways = l1_sets[tag & l1_mask]
-                                if tag in ways:
-                                    ways.pop(tag)
-                                    ways[tag] = True
-                                    hits_d += 1
-                                    acc_d += 1
-                                    visible = start + l1_latency
-                                else:
-                                    visible = start + caches_access(
-                                        block, True, start
-                                    )
-                                if visible > stores_visible:
-                                    stores_visible = visible
-                                if published is not None:
-                                    published.append(block)
-                                    if stop_on_publish:
-                                        stop_clock = -1
-                            ei += 1
-                            continue
-                        if kind == K_TAIL:
-                            ei += 1
-                            continue
-                        break  # fence / pcommit / clflush / barrier
-
-                    # ==== general bodies (queues still filling, or the
-                    # machine speculating) ====
                     for k in range(run_len):
                         if last_retire >= limit:
                             if k < skip:
@@ -845,16 +505,13 @@ class PipelineModel:
                                     stop_clock = -1  # after this unit
                             limit = horizon if horizon < stop_clock else stop_clock
                         fetch_t = fg[0] + 1
-                        if fq_full:
-                            fq_ready = fetchq[0]
-                            if fq_ready > fetch_t:
-                                if fq_ready > last_fetch:
-                                    stall_d += fq_ready - (
-                                        fetch_t
-                                        if fetch_t > last_fetch
-                                        else last_fetch
-                                    )
-                                fetch_t = fq_ready
+                        fq_ready = fetchq[0]
+                        if fq_ready > fetch_t:
+                            if fq_ready > last_fetch:
+                                stall_d += fq_ready - (
+                                    fetch_t if fetch_t > last_fetch else last_fetch
+                                )
+                            fetch_t = fq_ready
                         if fetch_t > last_fetch:
                             last_fetch = fetch_t
                         fg_app(fetch_t)
@@ -862,15 +519,10 @@ class PipelineModel:
                         bound = fetchq[neg_w] + 1
                         if bound > dispatch_t:
                             dispatch_t = bound
-                        if rob_full:
-                            bound = rob[0]
-                            if bound > dispatch_t:
-                                dispatch_t = bound
+                        bound = rob[0]
+                        if bound > dispatch_t:
+                            dispatch_t = bound
                         fq_app(dispatch_t)
-                        if not fq_full:
-                            n_fq += 1
-                            if n_fq == fetchq_entries:
-                                fq_full = True
                         retire_t = dispatch_t + 1
                         if retire_t > last_retire:
                             last_retire = retire_t
@@ -883,16 +535,13 @@ class PipelineModel:
                             last_retire = retire_t
                             r_slot = 1
                         rob_app(retire_t)
-                        if not rob_full:
-                            n_rob += 1
-                            if n_rob == rob_entries:
-                                rob_full = True
+                    if stop_at >= 0:
+                        break
 
                     if 2 <= kind <= 5 or kind == _XCHG or kind == _LOCK_RMW:
                         if last_retire >= limit:
                             if last_retire >= stop_clock:
-                                if stop_at < 0:  # not already inside the prefix
-                                    stop_at = run_len
+                                stop_at = run_len
                                 break
                             skip = 0
                             if last_retire >= horizon:
@@ -917,16 +566,13 @@ class PipelineModel:
                             break
                         # ---- inlined front end (== _front_end) ----
                         fetch_t = fg[0] + 1
-                        if fq_full:
-                            fq_ready = fetchq[0]
-                            if fq_ready > fetch_t:
-                                if fq_ready > last_fetch:
-                                    stall_d += fq_ready - (
-                                        fetch_t
-                                        if fetch_t > last_fetch
-                                        else last_fetch
-                                    )
-                                fetch_t = fq_ready
+                        fq_ready = fetchq[0]
+                        if fq_ready > fetch_t:
+                            if fq_ready > last_fetch:
+                                stall_d += fq_ready - (
+                                    fetch_t if fetch_t > last_fetch else last_fetch
+                                )
+                            fetch_t = fq_ready
                         if fetch_t > last_fetch:
                             last_fetch = fetch_t
                         fg_app(fetch_t)
@@ -934,22 +580,16 @@ class PipelineModel:
                         bound = fetchq[neg_w] + 1
                         if bound > dispatch_t:
                             dispatch_t = bound
-                        if rob_full:
-                            bound = rob[0]
-                            if bound > dispatch_t:
-                                dispatch_t = bound
+                        bound = rob[0]
+                        if bound > dispatch_t:
+                            dispatch_t = bound
                         fq_app(dispatch_t)
-                        if not fq_full:
-                            n_fq += 1
-                            if n_fq == fetchq_entries:
-                                fq_full = True
 
                         if kind == _LOAD:
                             loads_d += 1
-                            if lsq_full:
-                                bound = lsq[0]
-                                if bound > dispatch_t:
-                                    dispatch_t = bound
+                            bound = lsq[0]
+                            if bound > dispatch_t:
+                                dispatch_t = bound
                             if mi:
                                 # tagged load: streams independently
                                 issue_t = dispatch_t
@@ -1011,16 +651,8 @@ class PipelineModel:
                                 last_retire = retire_t
                                 r_slot = 1
                             rob_app(retire_t)
-                            if not rob_full:
-                                n_rob += 1
-                                if n_rob == rob_entries:
-                                    rob_full = True
                             instr_d += 1
                             lsq_app(retire_t)
-                            if not lsq_full:
-                                n_lsq += 1
-                                if n_lsq == lsq_entries:
-                                    lsq_full = True
 
                         elif kind == _CLWB or kind == _CLFLUSHOPT:
                             if kind == _CLWB:
@@ -1039,10 +671,6 @@ class PipelineModel:
                                 last_retire = retire_t
                                 r_slot = 1
                             rob_app(retire_t)
-                            if not rob_full:
-                                n_rob += 1
-                                if n_rob == rob_entries:
-                                    rob_full = True
                             instr_d += 1
                             # (== _note_store_during_pcommit)
                             if inflight:
@@ -1057,10 +685,9 @@ class PipelineModel:
 
                         else:  # STORE / XCHG / LOCK_RMW
                             stores_d += 1
-                            if lsq_full:
-                                bound = lsq[0]
-                                if bound > dispatch_t:
-                                    dispatch_t = bound
+                            bound = lsq[0]
+                            if bound > dispatch_t:
+                                dispatch_t = bound
                             retire_t = dispatch_t + 1
                             if retire_t > last_retire:
                                 last_retire = retire_t
@@ -1073,16 +700,8 @@ class PipelineModel:
                                 last_retire = retire_t
                                 r_slot = 1
                             rob_app(retire_t)
-                            if not rob_full:
-                                n_rob += 1
-                                if n_rob == rob_entries:
-                                    rob_full = True
                             instr_d += 1
                             lsq_app(retire_t)
-                            if not lsq_full:
-                                n_lsq += 1
-                                if n_lsq == lsq_entries:
-                                    lsq_full = True
                             if inflight:
                                 inflight = [t for t in inflight if t > retire_t]
                             if inflight or (spec and horizon > retire_t):
@@ -1112,13 +731,15 @@ class PipelineModel:
                                         stop_clock = limit = -1
                         ei += 1
                         if rekernel:
-                            prefix_done = False
                             break
                         continue
-                    if kind == K_TAIL and stop_at < 0:
+                    if kind == K_TAIL:
                         ei += 1
                         continue
-                    break  # fence / pcommit / clflush / barrier: delegate
+                    # fence / pcommit / clflush / barrier: step it first,
+                    # the kernel is offered after it
+                    rekernel = False
+                    break
 
                 # ---------- spill locals back to the machine ----------
                 self._last_fetch = last_fetch
@@ -1129,10 +750,6 @@ class PipelineModel:
                 self._chain_issue = chain_issue
                 self._chain_block = chain_block
                 self._inflight_pcommits = inflight
-                # the bandwidth groups are the deque tails (merged windows),
-                # rebuilt only before the next exact op (stretches mostly
-                # stop and resume in the fast phase)
-                self._groups_stale = True
                 stats.instructions += instr_d
                 walker_n += instr_d
                 stats.loads += loads_d
@@ -1144,104 +761,80 @@ class PipelineModel:
                 l1.hits += hits_d
                 caches.accesses += acc_d
                 skip = 0
-                if ei >= n_entries:
-                    self._sync_groups()
-                    return (kernel_n, walker_n, step_n, spec_n), (ei, 0)
                 if stop_at >= 0:
                     return (kernel_n, walker_n, step_n, spec_n), (ei, stop_at)
-                if not prefix_done:
+                if ei >= n_entries:
+                    return (kernel_n, walker_n, step_n, spec_n), (ei, 0)
+                if rekernel:
                     continue  # speculation ended: offer the kernel entries[ei]
 
-            # ---------- slow phase: exact per-op stepping ----------
-            # An entry that broke out of the fast loop has had its compute
-            # prefix consumed already (prefix_done); entries processed here
-            # on a cold machine step their prefixes one op at a time.
-            # Each stepped op is tested against the stop clock first.
-            if self._groups_stale:
-                self._sync_groups()
-            slow_from = stats.instructions
-            slow_spec = 0
-            while ei < n_entries:
-                entry = entries[ei]
-                run_len = entry[0]
-                if not prefix_done:
-                    for k in range(skip, run_len):
-                        if self._last_retire >= stop_clock or (
-                            stop_on_publish and published
-                        ):
-                            stop_at = k
-                            break
-                        if epochs.speculating:
-                            slow_spec += 1
-                        step(_ALU, 0, None)
-                    skip = 0
-                    if stop_at >= 0:
-                        break
-                prefix_done = False
-                kind = entry[1]
-                idx = entry[4]
-                if kind == K_TAIL:
-                    ei += 1
-                    break
-                if self._last_retire >= stop_clock or (
-                    stop_on_publish and published
-                ):
-                    stop_at = run_len
-                    break
-                spec = epochs.speculating
-                before = stats.instructions
-                if kind == K_BARRIER:
-                    self._instr_index = idx
-                    if coalesce:
-                        self._barrier()
-                    else:
-                        # three units: the stop may fall between them
-                        for offset, op in enumerate((_SFENCE, _PCOMMIT, _SFENCE)):
-                            if offset and (
-                                self._last_retire >= stop_clock
-                                or (stop_on_publish and published)
-                            ):
-                                stop_at = run_len + offset
-                                break
-                            self._instr_index = idx + offset
-                            step(op, 0, None)
+            # ---------- slow phase: the delegated event ----------
+            # entries[ei]'s compute prefix is retired; its event is tested
+            # against the stop clock, stepped exactly, and the fast phase
+            # (or the kernel) resumes at the next entry
+            run_len, kind, _, _, idx = entries[ei]
+            if self._last_retire >= stop_clock or (stop_on_publish and published):
+                return (kernel_n, walker_n, step_n, spec_n), (ei, run_len)
+            spec = epochs.speculating
+            before = stats.instructions
+            if kind == K_BARRIER:
+                self._instr_index = idx
+                if coalesce:
+                    self._barrier()
                 else:
-                    self._instr_index = idx
-                    step(kind, addrs[idx], metas[meta_idx[idx]])
-                if spec:
-                    slow_spec += stats.instructions - before
-                if stop_at >= 0:
-                    break
-                ei += 1
-                if len(self._fetchq) >= width and len(self._rob) >= width:
-                    break  # re-enter the fast phase at entries[ei]
-            spec_n += slow_spec
-            step_n += stats.instructions - slow_from - slow_spec
+                    # three units: the stop may fall between them
+                    for offset, op in enumerate((_SFENCE, _PCOMMIT, _SFENCE)):
+                        if offset and (
+                            self._last_retire >= stop_clock
+                            or (stop_on_publish and published)
+                        ):
+                            stop_at = run_len + offset
+                            break
+                        self._instr_index = idx + offset
+                        step(op, 0, None)
+            else:
+                self._instr_index = idx
+                step(kind, addrs[idx], metas[meta_idx[idx]])
+            if spec:
+                spec_n += stats.instructions - before
+            else:
+                step_n += stats.instructions - before
             if stop_at >= 0:
                 return (kernel_n, walker_n, step_n, spec_n), (ei, stop_at)
+            ei += 1
         return (kernel_n, walker_n, step_n, spec_n), (ei, 0)
-
-    def _sync_groups(self) -> None:
-        """Rebuild the dispatch/retire bandwidth groups, which the exact
-        per-op machinery reads, from the fetch-queue and ROB tails after
-        the walker's fast phase (it maintains only those deques)."""
-        if self._groups_stale:
-            width = self.config.width
-            tail = range(-width, 0)
-            self._dispatch_group = deque(map(self._fetchq.__getitem__, tail), width)
-            self._retire_group = deque(map(self._rob.__getitem__, tail), width)
-            self._groups_stale = False
 
     # ==================================================================
     # per-instruction processing
     # ==================================================================
+    def _fill_windows(self, t: int) -> None:
+        """Fill the fetch group, fetch queue and ROB with *t* (0 at
+        construction, the restart cycle after a rollback).
+
+        The windows are thus always full, so the dispatch and retire
+        bandwidth groups are the youngest ``width`` entries of the fetch
+        queue and ROB.  A sentinel never binds, like the reference
+        model's "not full, no constraint": every later fetch is at least
+        ``t + 1`` and every dispatch later still.
+        """
+        config = self.config
+        width = config.width
+        self._fetch_group: Deque[int] = deque([t] * width, maxlen=width)
+        self._fetchq: Deque[int] = deque(
+            [t] * config.fetchq_entries, maxlen=config.fetchq_entries
+        )
+        self._rob: Deque[int] = deque(
+            [t] * config.rob_entries, maxlen=config.rob_entries
+        )
+
     def _front_end(self) -> int:
         """Advance fetch/dispatch for one instruction; returns its dispatch
         time, accounting fetch-queue stalls (Figure 10)."""
         config = self.config
+        fetchq = self._fetchq
         # fetch: bandwidth + fetch-queue-full constraint
         bw_ready = self._fetch_group[0] + 1
-        fq_ready = self._fetchq[0] if len(self._fetchq) == config.fetchq_entries else 0
+        fq_ready = fetchq[0]
         fetch_t = max(bw_ready, fq_ready)
         if fq_ready > bw_ready and fq_ready > self._last_fetch:
             # the front end sat idle because the fetch queue was full
@@ -1251,15 +844,14 @@ class PipelineModel:
                 self._tracer.span("fetch_stall", floor, fq_ready, cat="stall")
         self._last_fetch = max(self._last_fetch, fetch_t)
         self._fetch_group.append(fetch_t)
-        # dispatch: front-end depth + bandwidth + ROB-full constraint
-        rob_ready = self._rob[0] if len(self._rob) == config.rob_entries else 0
+        # dispatch: front-end depth + bandwidth (the fetch queue's youngest
+        # `width` entries) + ROB-full constraint
         dispatch_t = max(
             fetch_t + config.fetch_to_dispatch,
-            self._dispatch_group[0] + 1,
-            rob_ready,
+            fetchq[-config.width] + 1,
+            self._rob[0],
         )
-        self._dispatch_group.append(dispatch_t)
-        self._fetchq.append(dispatch_t)
+        fetchq.append(dispatch_t)
         return dispatch_t
 
     def _compute_batch(self, count: int) -> None:
@@ -1270,44 +862,34 @@ class PipelineModel:
         per op, with the sliding-window deques and running maxima bound to
         locals; only valid outside speculation (callers guarantee it),
         since it never polls the epoch commit schedule.  Used by the exact
-        dispatch loop (:meth:`_run_exact`) and the multi-core driver; the
-        segment walker inlines the same arithmetic, adding the poll while
-        speculating.
+        dispatch loop (:meth:`_run_exact`) and the multi-core driver's
+        per-unit path; the segment walker inlines the same arithmetic,
+        adding the poll while speculating.
         """
         config = self.config
-        fetchq_entries = config.fetchq_entries
-        rob_entries = config.rob_entries
+        neg_w = -config.width
         depth = config.fetch_to_dispatch
         fetch_group = self._fetch_group
-        dispatch_group = self._dispatch_group
-        retire_group = self._retire_group
         fetchq = self._fetchq
         rob = self._rob
         fetch_append = fetch_group.append
-        dispatch_append = dispatch_group.append
-        retire_append = retire_group.append
         fetchq_append = fetchq.append
         rob_append = rob.append
         last_fetch = self._last_fetch
         last_retire = self._last_retire
         tracer = self._tracer
         fetch_stalls = 0
-        fq_full = len(fetchq) == fetchq_entries
-        rob_full = len(rob) == rob_entries
         for _ in range(count):
             # fetch: bandwidth + fetch-queue-full constraint
             bw_ready = fetch_group[0] + 1
-            if fq_full:
-                fq_ready = fetchq[0]
-                if fq_ready > bw_ready:
-                    fetch_t = fq_ready
-                    if fq_ready > last_fetch:
-                        floor = bw_ready if bw_ready > last_fetch else last_fetch
-                        fetch_stalls += fq_ready - floor
-                        if tracer is not None:
-                            tracer.span("fetch_stall", floor, fq_ready, cat="stall")
-                else:
-                    fetch_t = bw_ready
+            fq_ready = fetchq[0]
+            if fq_ready > bw_ready:
+                fetch_t = fq_ready
+                if fq_ready > last_fetch:
+                    floor = bw_ready if bw_ready > last_fetch else last_fetch
+                    fetch_stalls += fq_ready - floor
+                    if tracer is not None:
+                        tracer.span("fetch_stall", floor, fq_ready, cat="stall")
             else:
                 fetch_t = bw_ready
             if fetch_t > last_fetch:
@@ -1315,28 +897,21 @@ class PipelineModel:
             fetch_append(fetch_t)
             # dispatch: front-end depth + bandwidth + ROB-full constraint
             dispatch_t = fetch_t + depth
-            bound = dispatch_group[0] + 1
+            bound = fetchq[neg_w] + 1
             if bound > dispatch_t:
                 dispatch_t = bound
-            if rob_full:
-                bound = rob[0]
-                if bound > dispatch_t:
-                    dispatch_t = bound
-            dispatch_append(dispatch_t)
+            bound = rob[0]
+            if bound > dispatch_t:
+                dispatch_t = bound
             fetchq_append(dispatch_t)
-            if not fq_full:
-                fq_full = len(fetchq) == fetchq_entries
             # in-order, width-limited retirement one cycle after dispatch
             retire_t = dispatch_t + 1
             if last_retire > retire_t:
                 retire_t = last_retire
-            bound = retire_group[0] + 1
+            bound = rob[neg_w] + 1
             if bound > retire_t:
                 retire_t = bound
-            retire_append(retire_t)
             rob_append(retire_t)
-            if not rob_full:
-                rob_full = len(rob) == rob_entries
             last_retire = retire_t
         self._last_fetch = last_fetch
         self._last_retire = last_retire
@@ -1345,18 +920,16 @@ class PipelineModel:
 
     def _retire(self, complete_t: int) -> int:
         """In-order, width-limited retirement; returns the retire time."""
-        retire_t = max(complete_t, self._last_retire, self._retire_group[0] + 1)
-        self._retire_group.append(retire_t)
-        self._rob.append(retire_t)
+        rob = self._rob
+        retire_t = max(complete_t, self._last_retire, rob[-self.config.width] + 1)
+        rob.append(retire_t)
         self._last_retire = retire_t
         self.stats.instructions += 1
         return retire_t
 
     def _lsq_dispatch(self, dispatch_t: int) -> int:
         """Apply the LSQ-full constraint to a memory op's dispatch."""
-        if len(self._lsq) == self.config.lsq_entries:
-            return max(dispatch_t, self._lsq[0])
-        return dispatch_t
+        return max(dispatch_t, self._lsq[0])
 
     def _retire_mem(self, complete_t: int) -> int:
         """Retire a memory op and release its LSQ entry at retirement."""
@@ -1858,13 +1431,7 @@ class PipelineModel:
             for epoch in discarded:
                 self._trace_epoch_end(epoch, "rollback", end=now)
         restart = self._last_retire + self.config.rollback_penalty
-        width = self.config.width
-        self._fetch_group = deque([restart] * width, maxlen=width)
-        self._dispatch_group = deque([restart] * width, maxlen=width)
-        self._retire_group = deque([restart] * width, maxlen=width)
-        self._groups_stale = False
-        self._fetchq.clear()
-        self._rob.clear()
+        self._fill_windows(restart)
         self._last_retire = restart
         self._last_fetch = restart
         self._chain_ready = restart
@@ -1949,9 +1516,9 @@ class PipelineModel:
 #: run loops return them: instructions retired by the NumPy batch kernel
 #: (always outside speculation), by the segment walker's fast phase
 #: (speculative or not), and one at a time by the exact per-op machinery
-#: (``_step``/``_barrier``) outside and under speculation.  Under
-#: speculation the walker steps only barriers, fences, ``clflush``,
-#: strongly ordered RMWs and stores that find the SSB full.
+#: (``_step``/``_barrier``) outside and under speculation.  The walker
+#: steps only barriers, fences, pcommits and ``clflush``, and under
+#: speculation strongly ordered RMWs and stores that find the SSB full.
 PATHS = (
     "pipeline.path.kernel",
     "pipeline.path.walker",

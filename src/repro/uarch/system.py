@@ -24,15 +24,15 @@ in **stretches**: consecutive units of the chosen core, on the segment
 walker (:meth:`PipelineModel._run_segments`).  The chosen core keeps
 running while its key ``(retire clock, core id)`` stays below every
 other runnable core's — the conservative (Chandy–Misra–Bryant) rule
-with zero lookahead.  The walker stops before the first unit that
-starts at or above that bound; stopping early is always exact, since
-the next pick re-applies the rule.  Outside speculation it tests before
-every event rather than at the start of each compute run: a core that
-does not speculate ignores deliveries and a compute op broadcasts
-nothing, so a whole run cannot tell the difference (a run cut short by
-``stop_after_aborts`` can: a core outside speculation may stand a
-compute run ahead of, or inside one behind, where the per-unit path
-would).  A core that has retired its whole
+with zero lookahead.  The walker stops before the first op that starts
+at or above that bound; stopping early is always exact, since the next
+pick re-applies the rule.  It tests before every op, speculating or
+not, so outside speculation it may stop inside a compute run that the
+per-unit path runs as one unit: a core that does not speculate ignores
+deliveries and a compute op broadcasts nothing, so a whole run cannot
+tell the difference (a run cut short by ``stop_after_aborts`` can: a
+core outside speculation may stand inside a compute run whose end the
+per-unit path has reached).  A core that has retired its whole
 trace and has no probe pending is *asleep*.  A broadcast wakes it, and
 only a core that still speculates can act on what it is delivered; if
 such a core's key is below the chosen core's, it runs as soon as the
@@ -281,7 +281,6 @@ class SystemModel:
         _telemetry.counter_inc("system.stretches", turns)
         for state in states:
             state.core._published = None
-            state.core._sync_groups()
             if finish:
                 state.core._finish()
             else:
@@ -432,7 +431,6 @@ class SystemModel:
             return  # probe-only visit on a finished core
 
         # ---- one exact-loop iteration --------------------------------
-        core._sync_groups()
         op = ops[i]
         spec = core.epochs.speculating
         before = core.stats.instructions

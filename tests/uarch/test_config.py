@@ -1,5 +1,7 @@
 """Machine configuration values (repro.uarch.config) — paper Tables 2-3."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.uarch.config import CacheConfig, MachineConfig, SSB_LATENCY_TABLE, ssb_latency
@@ -66,3 +68,30 @@ class TestHelpers:
 
     def test_cache_set_count(self):
         assert CacheConfig(32 * 1024, 8, 2).n_sets == 64
+
+
+class TestWindowSizes:
+    """The pipeline's windows are born full and their youngest ``width``
+    entries are the bandwidth groups, so narrower windows (or an empty
+    LSQ, which failed on the first memory op) are rejected up front."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("lsq_entries", 0), ("lsq_entries", -1), ("fetchq_entries", 3),
+         ("rob_entries", 3), ("rob_entries", 0), ("width", 0)],
+    )
+    def test_rejected_with_the_field_named(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            replace(MachineConfig(), **{name: value})
+
+    def test_windows_are_checked_against_the_width(self):
+        with pytest.raises(ValueError, match="rob_entries"):
+            MachineConfig(width=200, fetchq_entries=200)
+        with pytest.raises(ValueError, match="fetchq_entries"):
+            MachineConfig().with_sp(256, width=64)
+
+    def test_windows_as_narrow_as_the_width_accepted(self):
+        config = MachineConfig(
+            width=8, fetchq_entries=8, rob_entries=8, lsq_entries=1
+        )
+        assert config.fetchq_entries == config.rob_entries == config.width

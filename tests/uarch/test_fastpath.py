@@ -1,11 +1,13 @@
 """Segment-walker fast path vs the reference model at its seams.
 
-The walker switches regimes at fetch-queue/ROB occupancy boundaries,
-between its warm-up/saturated/closed-form compute loops, at the epoch
-commits it polls for while speculating, and at the ops it hands to
-exact stepping (fences, barriers, strongly ordered RMWs, a full SSB).
-These tests aim synthetic traces squarely at those seams and require
-cycle-for-cycle agreement with the reference model
+The walker's fetch queue, ROB and LSQ are born full of sentinels, which
+real entries push out at the capacity seams; the reference model
+instead grows its queues and applies no bound until they are full.  The
+walker also polls for epoch commits while speculating, and hands some
+ops to exact stepping (fences, barriers, strongly ordered RMWs, a full
+SSB).  These tests aim synthetic traces squarely at those seams,
+including machines whose windows are no wider than the pipeline, and
+require cycle-for-cycle agreement with the reference model
 (repro.uarch.pipeline_ref).
 """
 
@@ -46,6 +48,15 @@ def assert_equivalent(trace, config=None):
     return fast
 
 
+def narrowest(width):
+    """Fetch queue and ROB as narrow as the width, and a 1-entry LSQ: the
+    born-full sentinels make up the whole bandwidth groups, and every
+    window bound is the op `width` (one memory op) back."""
+    return MachineConfig(
+        width=width, fetchq_entries=width, rob_entries=width, lsq_entries=1
+    )
+
+
 def enter_speculation():
     """A logged store, its clwb and a barrier: the barrier's pcommit is
     still in flight, so an SP machine retires it speculatively."""
@@ -75,18 +86,43 @@ class TestOccupancyBoundaries:
 
     @pytest.mark.parametrize("run", [136, 137, 138, 139, 200, 600])
     def test_steady_state_threshold(self, run):
-        # runs straddling the closed-form advance's minimum length, after
-        # a saturating preamble so the jump precondition can arm
+        # after a saturating preamble, compute runs long enough to settle
+        # into the width-periodic steady state (each new time is the one
+        # `width` ops back plus one), cut by a store and a load
         instrs = chase_loads(2) + alu(300)
         instrs += [Instr(Op.STORE, 0x9000)] + alu(run)
         instrs += [Instr(Op.LOAD, 0xA0000)] + alu(run)
         assert_equivalent(Trace(instrs))
 
-    def test_long_pure_compute_uses_closed_form(self):
-        # the jump must engage (streak >= max(fetchq, rob)) and still be
-        # cycle-exact against the per-op reference
+    def test_long_pure_compute_from_born_full_windows(self):
+        # a fresh machine's first 4,000 ops are compute: real entries push
+        # the sentinels out of both windows, then the run stays saturated
         instrs = alu(4000) + [Instr(Op.STORE, 0x9000)] + barrier() + alu(500)
         assert_equivalent(Trace(instrs))
+
+    @pytest.mark.parametrize("sp", [False, True], ids=["stall", "sp32"])
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_windows_as_narrow_as_the_width(self, width, sp):
+        # every walker event around compute runs of 0 to 2*width+1 ops,
+        # then a 1,200-op event-free span (long enough for the kernel)
+        config = narrowest(width).with_sp(32) if sp else narrowest(width)
+        instrs = chase_loads(2) + alu(1)
+        for i in range(12):
+            block = 0x6000 + 64 * i
+            instrs += alu(i % (2 * width + 2)) + [
+                Instr(Op.STORE, block, meta="log"),
+                Instr(Op.CLWB, block),
+                Instr(Op.LOAD, block + 8),
+                Instr(Op.LOAD, 0x90000 + 4096 * i, meta="log"),
+            ] + barrier()
+        instrs += alu(600) + chase_loads(4) + [Instr(Op.STORE, 0x9000)]
+        instrs += alu(600) + [
+            Instr(Op.CLFLUSHOPT, 0x6000),
+            Instr(Op.XCHG, 0x6040),
+            Instr(Op.SFENCE),
+            Instr(Op.CLFLUSH, 0x6080),
+        ] + alu(width)
+        assert_equivalent(Trace(instrs), config)
 
     def test_event_dense_no_compute(self):
         # zero-length runs between events: the walker's per-entry overhead
@@ -158,6 +194,29 @@ class TestSpeculationSeams:
         ref_stats = ref.run(trace).as_dict()
         assert fast_stats["rollbacks"] == 1
         assert fast_stats == ref_stats
+
+    @pytest.mark.parametrize("width", [2, 4, 8])
+    def test_rollback_refills_the_narrowest_windows(self, width):
+        # the rollback restarts every window full of the restart cycle;
+        # on windows as narrow as the width those sentinels bound the
+        # re-executed ops at once
+        config = narrowest(width).with_sp(256)
+        instrs = (
+            enter_speculation()
+            + alu(3)
+            + [Instr(Op.STORE, 0x3000), Instr(Op.LOAD, 0x3000)]
+            + alu(40)
+            + barrier()
+            + alu(width)
+        )
+        trace = Trace(instrs)
+        fast = PipelineModel(config)
+        fast.schedule_probe(20, 0x3000)
+        ref = ReferencePipelineModel(config)
+        ref.schedule_probe(20, 0x3000)
+        fast_stats = fast.run(trace).as_dict()
+        assert fast_stats["rollbacks"] == 1
+        assert fast_stats == ref.run(trace).as_dict()
 
     def test_resumed_run_mid_speculation(self):
         # run(finish=False) leaves an epoch open; the follow-up run()

@@ -31,6 +31,11 @@ MACHINES = {
     "sp256_nocoalesce": BASE.with_sp(256, coalesce_barrier_checkpoints=False),
     "sp256_nobloom": BASE.with_sp(256, bloom_enabled=False),
 }
+#: windows no wider than the pipeline: after a rollback the sentinels
+#: the windows restart with make up every bound of the re-executed ops
+SMALLEST = MachineConfig(
+    width=2, fetchq_entries=2, rob_entries=2, lsq_entries=1
+).with_sp(32)
 OPS = dict(init_ops=40, sim_ops=8)
 
 cells = st.tuples(
@@ -71,11 +76,11 @@ def _machine_state(system, result):
     }
 
 
-def _run(label, traces, per_unit, **kwargs):
+def _run(config, traces, per_unit, **kwargs):
     """``(machine state, system.path.* counts)`` of one co-simulation."""
     cores = len(traces)
     system = SystemModel(
-        MACHINES[label], n_cores=cores,
+        config, n_cores=cores,
         system_tracer=SystemTracer(cores) if per_unit else None,
     )
     before = [telemetry.get(name) for name in PATHS]
@@ -91,8 +96,8 @@ class TestFastScheduleEqualsPerUnit:
     def test_whole_runs(self, cell):
         abbrev, cores, contention, seed, label = cell
         traces = _traces(abbrev, cores, contention, seed)
-        fast, paths = _run(label, traces, per_unit=False)
-        oracle, oracle_paths = _run(label, traces, per_unit=True)
+        fast, paths = _run(MACHINES[label], traces, per_unit=False)
+        oracle, oracle_paths = _run(MACHINES[label], traces, per_unit=True)
         assert fast == oracle
         instructions = sum(stats["instructions"] for stats in fast["stats"])
         assert sum(paths) == sum(oracle_paths) == instructions
@@ -106,14 +111,14 @@ class TestFastScheduleEqualsPerUnit:
         counters and every core's open epochs, SSB occupancy and
         checkpoints in use agree; a core speculating at the cut agrees in
         everything.  A core outside speculation may differ by compute ops:
-        the walker tests the stop before every event there, not at the
-        start of each compute run (a unit of its own on the per-unit
-        path), which whole runs cannot tell apart."""
+        the walker tests the stop before every op, so it can stop inside
+        a compute run that the per-unit path runs as one unit, which
+        whole runs cannot tell apart."""
         abbrev, cores, contention, seed, label = cell
         traces = _traces(abbrev, cores, contention, seed)
         cut = dict(finish=False, stop_after_aborts=aborts)
-        fast, _ = _run(label, traces, per_unit=False, **cut)
-        oracle, _ = _run(label, traces, per_unit=True, **cut)
+        fast, _ = _run(MACHINES[label], traces, per_unit=False, **cut)
+        oracle, _ = _run(MACHINES[label], traces, per_unit=True, **cut)
         assert fast["counters"] == oracle["counters"]
         for index, (mine, theirs) in enumerate(
             zip(fast["speculation"], oracle["speculation"])
@@ -128,13 +133,22 @@ class TestFastScheduleEqualsPerUnit:
         """A fixed, heavily contended cell on every machine: the fast
         schedule leaves the stepping to barriers and rare fallbacks."""
         traces = _traces("HM", 4, 1.0, 3)
-        fast, paths = _run(label, traces, per_unit=False)
-        oracle, _ = _run(label, traces, per_unit=True)
+        fast, paths = _run(MACHINES[label], traces, per_unit=False)
+        oracle, _ = _run(MACHINES[label], traces, per_unit=True)
         assert fast == oracle
         kernel, walker, step, step_spec = paths
         assert walker > 3 * (step + step_spec)
         if label != "base":
             assert fast["counters"][0] > 0  # the cell aborts
+
+    def test_contended_cell_on_the_smallest_machine(self):
+        """A fixed contended 2-core cell on :data:`SMALLEST`: it aborts,
+        so the walker restarts from refilled windows."""
+        traces = _traces("HM", 2, 1.0, 3)
+        fast, _ = _run(SMALLEST, traces, per_unit=False)
+        oracle, _ = _run(SMALLEST, traces, per_unit=True)
+        assert fast == oracle
+        assert fast["counters"][0] > 0  # the cell aborts
 
 
 def _wrapped(func):
@@ -154,9 +168,9 @@ def test_patching_a_guarded_name_takes_the_per_unit_path(monkeypatch, cls, name,
     runs too: the driver then steps every unit through the patched
     machinery, and the results do not change for a faithful wrapper."""
     traces = _traces("BT", 2, 0.7, 1)
-    pristine, pristine_paths = _run("sp256", traces, per_unit=False)
+    pristine, pristine_paths = _run(MACHINES["sp256"], traces, per_unit=False)
     assert pristine_paths[1] > 0  # the walker runs when nothing is patched
     monkeypatch.setattr(cls, name, _wrapped(func))
-    patched, paths = _run("sp256", traces, per_unit=False)
+    patched, paths = _run(MACHINES["sp256"], traces, per_unit=False)
     assert paths[:2] == [0, 0]
     assert patched == pristine
