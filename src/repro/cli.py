@@ -92,8 +92,8 @@ from repro.harness.bench import (
     run_bench,
 )
 from repro.harness.figures import GEOMEAN, render_scalar_series
-from repro.harness.parallel import prefetch_variants
-from repro.harness.runner import run_system, run_variant
+from repro.harness.parallel import VariantJob, run_variants
+from repro.harness.runner import run_system
 from repro.pmem.crash import CrashTester
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
@@ -173,22 +173,25 @@ def _headline_text() -> str:
 def _run_text(abbrev: str, scale: str = "scaled") -> str:
     machine = MachineConfig()
     spec = PAPER_SPECS[abbrev]
+    init_ops: Optional[int] = None
+    sim_ops: Optional[int] = None
+    jobs: Optional[int] = None
     if scale == "paper":
         # Table-1 operation counts: traces run to tens of millions of
-        # micro-ops, so skip the multi-process prefetch (each worker
-        # would regenerate the same huge trace) and simulate in-process
-        # on the batch kernel.
-        init_ops: Optional[int] = spec.paper_init_ops
-        sim_ops: Optional[int] = spec.paper_sim_ops
-    else:
-        init_ops = sim_ops = None
-        prefetch_variants(
-            [(abbrev, mode, machine) for mode in PersistMode]
-            + [(abbrev, PersistMode.LOG_P_SF, machine.with_sp(256))]
-        )
-    base = run_variant(
-        abbrev, PersistMode.BASE, machine, init_ops=init_ops, sim_ops=sim_ops
+        # micro-ops, so stay in process (each pool worker would
+        # regenerate the same huge trace); the four modes still share
+        # one populate, and the simulations run on the batch kernel.
+        init_ops, sim_ops, jobs = spec.paper_init_ops, spec.paper_sim_ops, 1
+    cells = [(mode, machine) for mode in PersistMode]
+    cells.append((PersistMode.LOG_P_SF, machine.with_sp(256)))
+    *modes, sp = run_variants(
+        [
+            VariantJob(abbrev, mode, config, init_ops=init_ops, sim_ops=sim_ops)
+            for mode, config in cells
+        ],
+        jobs=jobs,
     )
+    base = modes[0]
     title = f"{spec.name} ({abbrev})"
     if scale == "paper":
         title += (
@@ -197,18 +200,11 @@ def _run_text(abbrev: str, scale: str = "scaled") -> str:
         )
     lines = [title]
     lines.append(f"{'variant':<12}{'cycles':>14}{'overhead':>10}{'IPC':>7}")
-    for mode in PersistMode:
-        stats = run_variant(
-            abbrev, mode, machine, init_ops=init_ops, sim_ops=sim_ops
-        )
+    for mode, stats in zip(PersistMode, modes):
         lines.append(
             f"{mode.label:<12}{stats.cycles:>14,}"
             f"{stats.overhead_vs(base):>10.1%}{stats.ipc:>7.2f}"
         )
-    sp = run_variant(
-        abbrev, PersistMode.LOG_P_SF, machine.with_sp(256),
-        init_ops=init_ops, sim_ops=sim_ops,
-    )
     lines.append(
         f"{'SP256':<12}{sp.cycles:>14,}{sp.overhead_vs(base):>10.1%}{sp.ipc:>7.2f}"
     )

@@ -349,6 +349,19 @@ def load_cached_trace(key, root: Optional[PathLike] = None) -> Optional[Trace]:
     return trace
 
 
+def has_trace(key) -> bool:
+    """Whether the store holds an entry for *key*, without loading it.
+
+    An absent entry counts as a trace miss, as a failed load would (the
+    caller generates the trace); a present one counts nothing, since the
+    load that follows counts the hit or the corrupt drop."""
+    path = trace_path(key)
+    if path is not None and path.exists():
+        return True
+    _bump("trace_misses")
+    return False
+
+
 def store_trace(key, trace: Trace, root: Optional[PathLike] = None) -> Optional[Path]:
     """Persist *trace* under *key*; returns the path (``None`` if disabled)."""
     path = trace_path(key, root)

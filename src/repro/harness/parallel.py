@@ -10,7 +10,9 @@ simulation fan-out, watchdog timeouts, retry with backoff, pool-death
 recovery, resumable journals).  Results are ordered by job position,
 never by completion order, and simulation is a pure function of
 ``(trace, config)``, so ``--jobs N`` output is byte-identical to serial
-output.
+output.  Either way a benchmark's missing traces are generated as one
+family, with one populate for all of its modes
+(:func:`repro.harness.runner.generate_traces`).
 
 Pool workers exchange traces through the shared on-disk store in the
 columnar RPTR2 format: a worker's load is four ``array.frombytes``
@@ -69,23 +71,37 @@ def run_variants(
     """Run every job and return results in job order (deterministic merge).
 
     With ``jobs <= 1`` (or a single job) everything runs serially in
-    process through :func:`repro.harness.runner.run_variant`; otherwise
-    the supervised process pool runs them.  Results are identical either
-    way because simulation is a pure function of ``(trace, config)``.
+    process; otherwise the supervised process pool runs them.  Results
+    are identical either way because simulation is a pure function of
+    ``(trace, config)``.
     """
     jobs_list = list(jobs_list)
     n_workers = default_jobs() if jobs is None else max(1, jobs)
     if n_workers <= 1 or len(jobs_list) <= 1:
-        return [
-            runner.run_variant(
-                job.abbrev, job.mode, job.config, job.seed, job.init_ops, job.sim_ops
-            )
-            for job in jobs_list
-        ]
+        return _run_serial(jobs_list)
 
     from repro.harness import supervisor
 
     return supervisor.run_supervised(jobs_list, n_workers)
+
+
+def _run_serial(jobs_list: List[VariantJob]) -> List[RunStats]:
+    """:func:`repro.harness.runner.run_variant` for every job, in two
+    passes: look every cell up first (memo, then disk, each read at most
+    once), generate the missing traces one benchmark family at a time
+    (:func:`repro.harness.runner.prepare_traces`), then simulate the
+    misses in job order."""
+    cells = [(job.trace_key, job.config) for job in jobs_list]
+    results = [runner.lookup_variant(key, config) for key, config in cells]
+    misses = list(dict.fromkeys(
+        cell for cell, stats in zip(cells, results) if stats is None
+    ))
+    runner.prepare_traces(key for key, _ in misses)
+    simulated = {cell: runner.simulate_variant(*cell) for cell in misses}
+    return [
+        simulated[cell] if stats is None else stats
+        for cell, stats in zip(cells, results)
+    ]
 
 
 def prefetch_variants(

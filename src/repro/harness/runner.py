@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.harness import cache as disk_cache
 from repro.obs import metrics as obs_metrics
@@ -30,7 +30,7 @@ from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import simulate
-from repro.workloads.base import Workbench
+from repro.workloads.base import PersistentWorkload, Workbench
 from repro.workloads.registry import PAPER_SPECS, WORKLOADS
 
 
@@ -72,26 +72,67 @@ def clear_trace_cache() -> None:
     _SYSTEM_TRACES.clear()
 
 
-def generate_trace(key: TraceKey) -> Trace:
-    """Run the functional workload for *key* and return its trace (uncached)."""
-    if key.cores != 1:
+def trace_families(keys: Iterable[TraceKey]) -> List[List[TraceKey]]:
+    """*keys* grouped by every :class:`TraceKey` field but the mode, in
+    order of first appearance: the keys of one family share a populated
+    workload (:func:`generate_traces`)."""
+    families: Dict[TraceKey, List[TraceKey]] = {}
+    for key in keys:
+        families.setdefault(replace(key, mode=PersistMode.BASE), []).append(key)
+    return list(families.values())
+
+
+def generate_traces(keys: Sequence[TraceKey]) -> List[Trace]:
+    """The traces of *keys*, which differ only in their mode, in key
+    order (uncached).
+
+    The paper fast-forwards a benchmark's #InitOps once and times only
+    its #SimOps.  Populate runs gated as ``BASE``, so the populated state
+    is the same in every mode: the workload is built and populated once,
+    every key but the last runs its timed phase on its own
+    :meth:`~repro.workloads.base.PersistentWorkload.fork` of that image,
+    switched to the key's mode, and the last key runs on the image
+    itself.  At most one fork lives beside the image, and neither
+    outlives the call.  Each trace is byte-identical to a separate
+    construct, populate and run in its mode.
+    """
+    keys = list(keys)
+    if len(trace_families(keys)) != 1:
+        raise ValueError("generate_traces needs keys that differ only in mode")
+    first = keys[0]
+    if first.cores != 1:
         raise ValueError("multi-core cells have one trace per core; use run_system")
-    spec = PAPER_SPECS[key.abbrev]
-    init_ops = spec.scaled_init_ops if key.init_ops is None else key.init_ops
-    sim_ops = spec.scaled_sim_ops if key.sim_ops is None else key.sim_ops
+    spec = PAPER_SPECS[first.abbrev]
+    init_ops = spec.scaled_init_ops if first.init_ops is None else first.init_ops
+    sim_ops = spec.scaled_sim_ops if first.sim_ops is None else first.sim_ops
     kwargs = {}
     if (init_ops, sim_ops) == (spec.paper_init_ops, spec.paper_sim_ops):
         # the paper tier outgrows the default heap (nodes are never
         # eagerly reclaimed); the size is fixed per workload in the
         # registry, so the trace stays a pure function of the key
         kwargs["heap_size"] = spec.paper_heap_bytes
-    bench = Workbench(mode=key.mode, record=True, seed=key.seed, **kwargs)
+    bench = Workbench(mode=first.mode, record=True, seed=first.seed, **kwargs)
     # the constructor's stores are dropped by populate's finish_init
     with bench.untimed():
         workload = spec.build(bench)
     workload.populate(init_ops)
+    traces = [_timed_trace(workload.fork(), key.mode, sim_ops) for key in keys[:-1]]
+    traces.append(_timed_trace(workload, keys[-1].mode, sim_ops))
+    return traces
+
+
+def _timed_trace(
+    workload: PersistentWorkload, mode: PersistMode, sim_ops: int
+) -> Trace:
+    """Run the timed phase of a populated *workload* in *mode*."""
+    workload.bench.set_mode(mode)
     workload.run(sim_ops)
-    return bench.trace
+    return workload.bench.trace
+
+
+def generate_trace(key: TraceKey) -> Trace:
+    """Run the functional workload for *key* and return its trace (uncached)."""
+    return generate_traces([key])[0]
 
 
 def trace_for_key(key: TraceKey) -> Trace:
@@ -102,21 +143,48 @@ def trace_for_key(key: TraceKey) -> Trace:
     cached = _TRACE_CACHE.get(key)
     if cached is not None:
         return cached
-    label = f"{key.abbrev}/{key.mode.value}"
     started = time.perf_counter()
     trace = disk_cache.load_cached_trace(key)
     if trace is None:
-        trace = generate_trace(key)
-        disk_cache.store_trace(key, trace)
-        obs_metrics.record_variant(
-            "trace", label, "generated", time.perf_counter() - started
-        )
-    else:
-        obs_metrics.record_variant(
-            "trace", label, "disk", time.perf_counter() - started
-        )
+        _generate([key])
+        return _TRACE_CACHE[key]
+    obs_metrics.record_variant(
+        "trace", _label(key), "disk", time.perf_counter() - started
+    )
     _TRACE_CACHE[key] = trace
     return trace
+
+
+def prepare_traces(keys: Iterable[TraceKey]) -> None:
+    """Generate the traces of *keys* that neither the in-process memo
+    nor the disk store holds, one :func:`generate_traces` family at a
+    time, into both.
+
+    A stored trace is left on disk until :func:`trace_for_key` first
+    needs it.  Each generated trace is recorded as one ``generated``
+    trace variant; a family's wall time is shared evenly by its
+    traces."""
+    _generate([
+        key for key in dict.fromkeys(keys)
+        if key not in _TRACE_CACHE and not disk_cache.has_trace(key)
+    ])
+
+
+def _generate(keys: List[TraceKey]) -> None:
+    """Generate *keys* family by family into the memo and the disk store."""
+    for family in trace_families(keys):
+        started = time.perf_counter()
+        traces = generate_traces(family)
+        for key, trace in zip(family, traces):
+            disk_cache.store_trace(key, trace)
+            _TRACE_CACHE[key] = trace
+        share = (time.perf_counter() - started) / len(family)
+        for key in family:
+            obs_metrics.record_variant("trace", _label(key), "generated", share)
+
+
+def _label(key: TraceKey) -> str:
+    return f"{key.abbrev}/{key.mode.value}"
 
 
 def build_trace(
@@ -168,25 +236,37 @@ def run_variant(
     """Simulate one benchmark variant on *config* (cached at both layers)."""
     config = config or MachineConfig()
     key = TraceKey(abbrev, mode, seed, init_ops, sim_ops)
+    stats = lookup_variant(key, config)
+    return stats if stats is not None else simulate_variant(key, config)
+
+
+def lookup_variant(key: TraceKey, config: MachineConfig) -> Optional[RunStats]:
+    """The first half of :func:`run_variant`: the in-process memo, then
+    the disk store (a hit is recorded as a ``disk`` variant and promoted
+    into the memo).  ``None`` on a miss."""
     cached = _STATS_CACHE.get((key, config))
     if cached is not None:
         return cached
-    label = f"{key.abbrev}/{key.mode.value}"
     started = time.perf_counter()
-    stats = disk_cache.load_cached_stats(key, config)
+    stats = peek_cached_stats(key, config)
     if stats is not None:
-        _STATS_CACHE[(key, config)] = stats
         obs_metrics.record_variant(
-            "sim", label, "disk", time.perf_counter() - started
+            "sim", _label(key), "disk", time.perf_counter() - started
         )
-        return stats
+    return stats
+
+
+def simulate_variant(key: TraceKey, config: MachineConfig) -> RunStats:
+    """The second half of :func:`run_variant`: simulate *key*'s trace
+    (:func:`trace_for_key`) on *config* and store the stats in both
+    layers."""
     trace = trace_for_key(key)
     started = time.perf_counter()
     stats = simulate(trace, config)
     _STATS_CACHE[(key, config)] = stats
     disk_cache.store_stats(key, config, stats)
     obs_metrics.record_variant(
-        "sim", label, "simulated", time.perf_counter() - started
+        "sim", _label(key), "simulated", time.perf_counter() - started
     )
     return stats
 

@@ -245,6 +245,13 @@ def job_digest(job) -> str:
     return disk_cache.stats_digest(job.trace_key, job.config)
 
 
+def family_digest(keys: Sequence) -> str:
+    """Stable identity of one trace task: order-independent over the
+    trace digests of its family's keys."""
+    blob = "|".join(sorted(disk_cache.trace_digest(key) for key in keys))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def campaign_id(jobs_list: Sequence) -> str:
     """Content identity of a campaign: order-independent over its cells."""
     blob = "|".join(sorted(job_digest(job) for job in jobs_list))
@@ -432,20 +439,25 @@ def write_failure_report(path) -> Path:
 # the worker (top-level so it pickles)
 # ----------------------------------------------------------------------
 def _do_work(kind: str, key, config, root: str):
-    """Execute one unit of campaign work; returns ``(result, stored_path)``.
+    """Execute one unit of campaign work; returns ``(result, stored_paths)``.
 
-    ``kind == "trace"``: ensure the trace for *key* exists in the shared
-    store; result is the generated length (0 when it already existed).
+    ``kind == "trace"``: *key* is one family of trace keys (they differ
+    only in mode); generate the ones missing from the shared store with
+    one populate (:func:`repro.harness.runner.generate_traces`) and store
+    them.  The result lists the keys generated.
     ``kind == "sim"``: simulate *key* on *config*, persisting the stats.
     Runs identically in pool workers and in the serial fallback.
     """
     if kind == "trace":
-        path = disk_cache.trace_path(key, root=root)
-        if path is not None and path.exists():
-            return 0, None
-        trace = runner.generate_trace(key)
-        stored = disk_cache.store_trace(key, trace, root=root)
-        return len(trace), stored
+        todo = [k for k in key if not _trace_stored(k, root)]
+        if not todo:
+            return [], []
+        traces = runner.generate_traces(todo)
+        stored = [
+            disk_cache.store_trace(k, trace, root=root)
+            for k, trace in zip(todo, traces)
+        ]
+        return todo, [path for path in stored if path is not None]
     trace = disk_cache.load_cached_trace(key, root=root)
     if trace is None:
         # the trace phase should have produced it (or chaos ate it);
@@ -454,7 +466,12 @@ def _do_work(kind: str, key, config, root: str):
         disk_cache.store_trace(key, trace, root=root)
     stats = simulate(trace, config)
     stored = disk_cache.store_stats(key, config, stats, root=root)
-    return stats, stored
+    return stats, [stored] if stored is not None else []
+
+
+def _trace_stored(key, root: str) -> bool:
+    path = disk_cache.trace_path(key, root=root)
+    return path is not None and path.exists()
 
 
 def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
@@ -464,8 +481,9 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
     Chaos draws are deterministic in (seed, job digest, attempt): kill
     and hang fire *before* the work (they must not affect results),
     corruption fires *after* the result has been computed and returned
-    bytes are already safe — it damages only the on-disk cache entry,
-    which the integrity layer detects and drops on the next load.
+    bytes are already safe — it damages only one on-disk cache entry the
+    work wrote, which the integrity layer detects and drops on the next
+    load.
     """
     kind, key, config, root, digest, attempt, spec = payload
     rng = None
@@ -479,8 +497,8 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
     result, stored = _do_work(kind, key, config, root)
     wall = time.perf_counter() - started
     corrupted = False
-    if rng is not None and stored is not None and rng.random() < spec.corrupt:
-        _corrupt_file(Path(stored), rng)
+    if rng is not None and stored and rng.random() < spec.corrupt:
+        _corrupt_file(Path(rng.choice(stored)), rng)
         corrupted = True
     return result, wall, os.getpid(), corrupted
 
@@ -489,7 +507,8 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
 # phase runner
 # ----------------------------------------------------------------------
 class _Task:
-    """One schedulable unit (a trace generation or a simulation)."""
+    """One schedulable unit: a trace family's generation (``key`` is the
+    tuple of its trace keys) or a simulation."""
 
     __slots__ = (
         "kind", "key", "config", "index", "label", "digest",
@@ -751,13 +770,14 @@ def run_supervised(
     ``jobs > 1``.
 
     Work is split into two phases so that every trace is generated
-    exactly once per campaign: first the unique trace keys of all
-    cache-missing jobs are generated into the shared on-disk store, then
-    the simulations fan out, each worker loading its trace from the
-    store.  When the persistent cache is disabled a temporary directory
-    serves as the campaign's shared store.  Both cache layers are
-    honoured, results merge by job position, and the supervision
-    described in the module docstring applies to both phases.
+    exactly once per campaign: first the trace keys of all cache-missing
+    jobs are generated into the shared on-disk store, one task per
+    benchmark family (one populate for all of its modes), then the
+    simulations fan out, each worker loading its trace from the store.
+    When the persistent cache is disabled a temporary directory serves
+    as the campaign's shared store.  Both cache layers are honoured,
+    results merge by job position, and the supervision described in
+    the module docstring applies to both phases.
     """
     import tempfile
 
@@ -866,13 +886,11 @@ def run_supervised(
             report.event("resume_quarantine", task.label)
             return True
 
-        # ---- phase 1: unique traces ----------------------------------
-        seen: Set = set()
-        trace_tasks: List[_Task] = []
-        for _, _, key in missing:
-            if key in seen:
-                continue
-            seen.add(key)
+        # ---- phase 1: trace families ---------------------------------
+        # one task per benchmark family, so a benchmark is populated
+        # once however many of its modes are missing
+        needed: List = []
+        for key in dict.fromkeys(key for _, _, key in missing):
             memo = runner._TRACE_CACHE.get(key)
             path = disk_cache.trace_path(key, root=root_str)
             if memo is not None:
@@ -880,18 +898,24 @@ def run_supervised(
                     disk_cache.store_trace(key, memo, root=root_str)
                 continue
             if path is None or not path.exists():
-                task = _Task(
-                    "trace", key, None, None,
-                    f"{key.abbrev}/{key.mode.value}",
-                    disk_cache.trace_digest(key),
-                )
-                inherit_quarantine(task)
-                trace_tasks.append(task)
+                needed.append(key)
+        trace_tasks: List[_Task] = []
+        for family in runner.trace_families(needed):
+            modes = "+".join(key.mode.value for key in family)
+            task = _Task(
+                "trace", tuple(family), None, None,
+                f"{family[0].abbrev}/{modes}", family_digest(family),
+            )
+            inherit_quarantine(task)
+            trace_tasks.append(task)
 
         def trace_done(task: _Task, result, wall: float, worker: str) -> None:
-            if result:
+            # one record per generated trace; the family's wall time is
+            # shared evenly, as on the serial path
+            for key in result:
                 obs_metrics.record_variant(
-                    "trace", task.label, "generated", wall, worker=worker
+                    "trace", f"{key.abbrev}/{key.mode.value}", "generated",
+                    wall / len(result), worker=worker,
                 )
 
         runner_ = _PhaseRunner(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import copy
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -97,6 +98,11 @@ class Workbench:
     def trace(self) -> Optional[Trace]:
         return self.recorder.trace if self.recorder else None
 
+    def set_mode(self, mode: PersistMode) -> None:
+        """Switch the persistence variant, e.g. of a populated image
+        before its timed phase."""
+        self.mode = self.persist.mode = mode
+
     def untimed(self) -> ContextManager[None]:
         """Suppress trace recording (the paper's fast-forward mode)."""
         return fast_forward(self.heap, self.recorder)
@@ -165,6 +171,23 @@ class PersistentWorkload(abc.ABC):
             for _ in range(n_ops):
                 self.random_operation()
         self.bench.finish_init()
+
+    def fork(self) -> "PersistentWorkload":
+        """An independent copy of this workload and its workbench.
+
+        The allocator hands out no address at or above its high-water
+        mark, so the heap copy takes only the bytes below it
+        (:meth:`~repro.mem.heap.NVMHeap.copy`).  Everything else — the
+        allocator, RNG, recorder, transaction manager and model — is
+        deep-copied, and the copy's heap reports to the copy's own
+        observers.
+        """
+        heap = self.heap
+        twin_heap = heap.copy(self.alloc.high_water_mark)
+        memo = {id(heap): twin_heap}
+        twin = copy.deepcopy(self, memo)
+        twin_heap._observers = copy.deepcopy(heap._observers, memo)
+        return twin
 
     def random_operation(self) -> OpResult:
         """One paper-style operation on a random key."""

@@ -9,6 +9,7 @@ import pytest
 
 from repro.harness import cache
 from repro.harness import runner
+from repro.harness.parallel import VariantJob, run_variants
 from repro.harness.runner import TraceKey, build_trace, clear_trace_cache, run_variant
 from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
@@ -29,10 +30,12 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 def _no_generation(monkeypatch):
-    def boom(key):
-        raise AssertionError(f"unexpected trace generation for {key}")
+    """Fail on any trace generation: every path, ``generate_trace``
+    included, generates through ``generate_traces``."""
+    def boom(keys):
+        raise AssertionError(f"unexpected trace generation for {keys}")
 
-    monkeypatch.setattr(runner, "generate_trace", boom)
+    monkeypatch.setattr(runner, "generate_traces", boom)
 
 
 class TestColdWarmEquivalence:
@@ -52,6 +55,33 @@ class TestColdWarmEquivalence:
         run_variant(
             "LL", PersistMode.LOG_P_SF, MachineConfig().with_sp(256), **SMALL
         )
+
+    def test_guard_catches_every_generation_path(self, monkeypatch):
+        _no_generation(monkeypatch)
+        with pytest.raises(AssertionError, match="unexpected trace generation"):
+            build_trace("LL", PersistMode.BASE, **SMALL)
+        jobs = [
+            VariantJob("LL", mode, MachineConfig(), **SMALL) for mode in PersistMode
+        ]
+        with pytest.raises(AssertionError, match="unexpected trace generation"):
+            run_variants(jobs, jobs=1)
+
+    def test_warm_serial_campaign_touches_no_trace(self, monkeypatch):
+        jobs = [
+            VariantJob("LL", mode, MachineConfig(), **SMALL) for mode in PersistMode
+        ]
+        jobs.append(VariantJob("LL", PersistMode.LOG, MachineConfig(), **SMALL))
+        cold = run_variants(jobs, jobs=1)
+        clear_trace_cache()
+        _no_generation(monkeypatch)
+        before = cache.cache_counters()
+        assert run_variants(jobs, jobs=1) == cold
+        after = cache.cache_counters()
+        assert (after.trace_hits, after.trace_misses) == (
+            before.trace_hits, before.trace_misses
+        )
+        # the repeated cell is read from disk once, then from the memo
+        assert after.stats_hits - before.stats_hits == len(PersistMode)
 
     def test_trace_loaded_from_disk(self, monkeypatch):
         cold = build_trace("LL", PersistMode.BASE, **SMALL)

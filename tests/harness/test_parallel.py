@@ -1,11 +1,12 @@
 """Variant scheduler (repro.harness.parallel): serial-vs-pool determinism,
-cache sharing, Ctrl-C handling of the supervised pool, and job-count
-resolution."""
+cache sharing, one populate per benchmark family, Ctrl-C handling of the
+supervised pool, and job-count resolution."""
 
 import os
 
 import pytest
 
+from repro.cli import main
 from repro.harness import cache
 from repro.harness import supervisor
 from repro.harness.parallel import (
@@ -16,8 +17,10 @@ from repro.harness.parallel import (
     set_default_jobs,
 )
 from repro.harness.runner import clear_trace_cache, run_variant
+from repro.obs import metrics as obs_metrics
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
+from repro.workloads.base import PersistentWorkload
 from repro.workloads.registry import WORKLOADS
 
 SMALL = dict(init_ops=40, sim_ops=4)
@@ -104,6 +107,64 @@ class TestCacheSharing:
         assert len(results) == 1
         again = run_variant("LL", PersistMode.BASE, base_cfg)
         assert again is results[0]
+
+
+FIG8 = ["figure", "8", "--benchmarks", "LL", "GH"]
+
+
+class TestTraceFamilies:
+    """A cold campaign populates each benchmark once for all its modes,
+    on both schedulers, and prints the same bytes."""
+
+    def test_serial_campaign_populates_once_per_benchmark(self, monkeypatch, capsys):
+        populated = []
+        populate = PersistentWorkload.populate
+
+        def counting(self, n_ops):
+            populated.append(self.abbrev)
+            return populate(self, n_ops)
+
+        monkeypatch.setattr(PersistentWorkload, "populate", counting)
+        obs_metrics.reset_metrics()
+        assert main(FIG8 + ["--jobs", "1"]) == 0
+        assert sorted(populated) == ["GH", "LL"]
+        counters = cache.cache_counters()
+        assert (counters.trace_misses, counters.trace_stores) == (8, 8)
+        # ten cells (four modes and SP256 per benchmark), each read once
+        assert (counters.stats_misses, counters.stats_hits) == (10, 0)
+        traces = [r for r in obs_metrics.variant_records() if r.kind == "trace"]
+        assert sorted(r.label for r in traces) == sorted(
+            f"{ab}/{mode.value}" for ab in ("LL", "GH") for mode in PersistMode
+        )
+        assert {r.source for r in traces} == {"generated"}
+
+    def test_pool_runs_one_trace_task_per_benchmark(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        assert main(FIG8 + ["--jobs", "1"]) == 0
+        serial = capsys.readouterr().out
+        monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / "pool-cache"))
+        clear_trace_cache()
+        phases = []
+        run = supervisor._PhaseRunner.run
+
+        def recording(self, tasks):
+            phases.append([(task.kind, task.key) for task in tasks])
+            return run(self, tasks)
+
+        monkeypatch.setattr(supervisor._PhaseRunner, "run", recording)
+        assert main(FIG8 + ["--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        trace_phase, sim_phase = phases
+        assert {kind for kind, _ in trace_phase} == {"trace"}
+        assert sorted(
+            (keys[0].abbrev, sorted(key.mode.value for key in keys))
+            for _, keys in trace_phase
+        ) == [
+            (ab, sorted(mode.value for mode in PersistMode)) for ab in ("GH", "LL")
+        ]
+        assert all(len({key.abbrev for key in keys}) == 1 for _, keys in trace_phase)
+        assert len(sim_phase) == 10
 
 
 class TestInterrupt:

@@ -57,7 +57,7 @@ import pytest
 
 from repro.harness import cache
 from repro.core.ssb import SSBOp
-from repro.harness.runner import TraceKey, generate_trace
+from repro.harness.runner import TraceKey, generate_trace, generate_traces
 from repro.isa.analysis import K_BARRIER
 from repro.isa.serialize import dump_trace
 from repro.obs import telemetry
@@ -131,6 +131,26 @@ def test_trace_bytes_pinned(abbrev, mode):
     assert hashlib.sha256(buffer.getvalue()).hexdigest() == (
         PINNED_TRACE_DIGESTS[abbrev][mode]
     ), f"{abbrev}/{mode.name}: trace bytes drifted"
+
+
+def _trace_digest(trace):
+    buffer = io.BytesIO()
+    dump_trace(trace, buffer)
+    return hashlib.sha256(buffer.getvalue()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "modes", [list(PersistMode), list(PersistMode)[::-1]], ids=["forward", "reverse"]
+)
+@pytest.mark.parametrize("abbrev", WORKLOADS)
+def test_family_trace_bytes_pinned(abbrev, modes):
+    """One populate for all four modes (:func:`generate_traces`: the
+    image is built in the first mode, every mode but the last runs on a
+    fork of it) gives every trace its pinned bytes."""
+    keys = [TraceKey(abbrev, mode, 0, init_ops=60, sim_ops=4) for mode in modes]
+    traces = generate_traces(keys)
+    digests = {key.mode: _trace_digest(trace) for key, trace in zip(keys, traces)}
+    assert digests == PINNED_TRACE_DIGESTS[abbrev]
 
 
 PINNED_STATS_DIGESTS = {
@@ -624,6 +644,16 @@ def test_ss40_cells_pinned(label):
     assert cache_digest == pinned_cache, (
         f"SS40/{label}: cache hierarchy end state drifted"
     )
+
+
+def test_ss40_family_pinned():
+    keys = [
+        TraceKey("SS", TRACE_MODES[label][0], 0, init_ops=60, sim_ops=40)
+        for label in PINNED_SS40_DIGESTS
+    ]
+    assert [_trace_digest(trace) for trace in generate_traces(keys)] == [
+        pinned_trace for pinned_trace, _, _ in PINNED_SS40_DIGESTS.values()
+    ]
 
 
 @pytest.mark.skipif(not numpy_available(), reason="needs the numpy kernel")
