@@ -12,6 +12,8 @@ the bloom filter has not been reset yet", independent of filter size.
 
 from __future__ import annotations
 
+from typing import Dict, Tuple
+
 
 class BloomFilter:
     """Fixed-size, set-only bloom filter over cache-block addresses."""
@@ -22,6 +24,11 @@ class BloomFilter:
         self.n_bits = size_bytes * 8
         self.n_hashes = n_hashes
         self._bits = bytearray(size_bytes)
+        #: block -> its ``((byte, mask), ...)`` bits, from :meth:`_positions`.
+        #: Most speculative loads and stores repeat a block the filter has
+        #: seen since its last reset; :meth:`reset` empties the memo, so it
+        #: never outgrows one speculation window.
+        self._masks: Dict[int, Tuple[Tuple[int, int], ...]] = {}
         # statistics
         self.inserts = 0
         self.queries = 0
@@ -39,16 +46,30 @@ class BloomFilter:
         for i in range(self.n_hashes):
             yield ((h1 + i * h2) >> 8) % self.n_bits
 
+    def _memoise(self, block: int) -> Tuple[Tuple[int, int], ...]:
+        """Compute and remember *block*'s ``(byte, mask)`` pairs."""
+        masks = tuple((pos >> 3, 1 << (pos & 7)) for pos in self._positions(block))
+        self._masks[block] = masks
+        return masks
+
     def insert(self, block: int) -> None:
         self.inserts += 1
-        for pos in self._positions(block):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        masks = self._masks.get(block)
+        if masks is None:
+            masks = self._memoise(block)
+        bits = self._bits
+        for byte, mask in masks:
+            bits[byte] |= mask
 
     def maybe_contains(self, block: int) -> bool:
         """Probe the filter (no false negatives, possible false positives)."""
         self.queries += 1
-        for pos in self._positions(block):
-            if not self._bits[pos >> 3] & (1 << (pos & 7)):
+        masks = self._masks.get(block)
+        if masks is None:
+            masks = self._memoise(block)
+        bits = self._bits
+        for byte, mask in masks:
+            if not bits[byte] & mask:
                 return False
         self.hits += 1
         return True
@@ -60,8 +81,8 @@ class BloomFilter:
     def reset(self) -> None:
         """Full reset at speculation exit (paper: periodic resets keep the
         false-positive rate low)."""
-        for i in range(len(self._bits)):
-            self._bits[i] = 0
+        self._bits[:] = bytes(len(self._bits))
+        self._masks.clear()
         self.resets += 1
 
     # ------------------------------------------------------------------

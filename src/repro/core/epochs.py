@@ -27,6 +27,12 @@ from typing import Deque, List, Optional
 from repro.core.checkpoints import CheckpointBuffer
 from repro.core.ssb import SpeculativeStoreBuffer, SSBOp
 
+# per-op paths read enum members as module constants (see repro.core.ssb)
+_STORE = SSBOp.STORE
+_CLWB = SSBOp.CLWB
+_CLFLUSHOPT = SSBOp.CLFLUSHOPT
+_BARRIER = SSBOp.BARRIER
+
 
 @dataclass
 class SpeculativeEpoch:
@@ -103,23 +109,27 @@ class EpochManager:
     # ------------------------------------------------------------------
     # buffered state accounting (SSB appends happen in the pipeline)
     # ------------------------------------------------------------------
-    def buffer_store(self, block: int) -> None:
-        epoch = self.current
+    def buffer_store(self, block: int) -> int:
+        """Buffer a speculative store in the current epoch; returns the
+        SSB occupancy after it."""
+        epoch = self.active[-1]
         epoch.n_stores += 1
-        self.ssb.append(SSBOp.STORE, block, epoch.epoch_id)
+        return self.ssb.append(_STORE, block, epoch.epoch_id)
 
-    def buffer_flush(self, block: int, invalidate: bool = False) -> None:
-        epoch = self.current
+    def buffer_flush(self, block: int, invalidate: bool = False) -> int:
+        """The same for a delayed clwb (clflushopt when *invalidate*)."""
+        epoch = self.active[-1]
         epoch.n_flushes += 1
-        op = SSBOp.CLFLUSHOPT if invalidate else SSBOp.CLWB
-        self.ssb.append(op, block, epoch.epoch_id)
+        return self.ssb.append(
+            _CLFLUSHOPT if invalidate else _CLWB, block, epoch.epoch_id
+        )
 
     def buffer_barrier(self) -> None:
         """Record the special sfence-pcommit-sfence opcode for the epoch
         that is ending (its replay gates the next epoch's commit)."""
-        epoch = self.current
+        epoch = self.active[-1]
         epoch.n_pcommits += 1
-        self.ssb.append(SSBOp.BARRIER, 0, epoch.epoch_id)
+        self.ssb.append(_BARRIER, 0, epoch.epoch_id)
 
     # ------------------------------------------------------------------
     # commit scheduling
@@ -166,11 +176,7 @@ class EpochManager:
         now, are appended to *published* (in program order) when given."""
         epoch = self.active.popleft()
         self.checkpoints.release(epoch.checkpoint)
-        drained = self.ssb.pop_epoch(epoch.epoch_id)
-        if published is not None:
-            published.extend(
-                entry.block for entry in drained if entry.op is SSBOp.STORE
-            )
+        self.ssb.release_epoch(epoch.epoch_id, published)
         return epoch
 
     # ------------------------------------------------------------------

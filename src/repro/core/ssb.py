@@ -12,7 +12,8 @@ program order:
 
 Each entry carries the epoch it belongs to, so the drain logic can release
 exactly one epoch's entries at commit.  The CAM access latency depends on
-the entry count (Table 3, :func:`repro.uarch.config.ssb_latency`).
+the entry count (Table 3, :func:`ssb_latency`; :mod:`repro.uarch.config`
+re-exports both names).
 """
 
 from __future__ import annotations
@@ -20,9 +21,22 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.uarch.config import ssb_latency
+
+#: Table 3 — SSB size (entries) to access latency (cycles).
+SSB_LATENCY_TABLE: Dict[int, int] = {32: 2, 64: 3, 128: 4, 256: 5, 512: 7, 1024: 10}
+
+
+def ssb_latency(entries: int) -> int:
+    """Access latency of an SSB with *entries* entries (paper Table 3)."""
+    try:
+        return SSB_LATENCY_TABLE[entries]
+    except KeyError:
+        raise ValueError(
+            f"no Table-3 latency for SSB size {entries}; "
+            f"valid sizes: {sorted(SSB_LATENCY_TABLE)}"
+        ) from None
 
 
 class SSBFullError(RuntimeError):
@@ -40,8 +54,16 @@ class SSBOp(enum.Enum):
     BARRIER = "barrier"
 
 
+# reading a member through its enum class (``SSBOp.STORE``) is a slow
+# attribute lookup; the per-store paths read module constants
+_STORE = SSBOp.STORE
+
+
 @dataclass
 class SSBEntry:
+    """Public view of one entry (:meth:`SpeculativeStoreBuffer.entries`,
+    :meth:`SpeculativeStoreBuffer.pop_epoch`)."""
+
     op: SSBOp
     block: int
     epoch_id: int
@@ -53,9 +75,13 @@ class SpeculativeStoreBuffer:
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self.latency = ssb_latency(capacity)
-        self._entries: Deque[SSBEntry] = deque()
+        #: ``(op, block, epoch_id)`` in program order
+        self._entries: Deque[Tuple[SSBOp, int, int]] = deque()
         #: membership index for store-to-load forwarding: block -> count
         self._store_blocks: Dict[int, int] = {}
+        #: whether every entry arrived in epoch order (then the FIFO head
+        #: holds its oldest epoch)
+        self._in_order = True
         # statistics
         self.appends = 0
         self.lookups = 0
@@ -70,55 +96,83 @@ class SpeculativeStoreBuffer:
     def free_slots(self) -> int:
         return self.capacity - len(self._entries)
 
-    def append(self, op: SSBOp, block: int, epoch_id: int) -> SSBEntry:
-        if len(self._entries) >= self.capacity:
+    def append(self, op: SSBOp, block: int, epoch_id: int) -> int:
+        """Buffer one entry; returns the occupancy after it."""
+        entries = self._entries
+        occupancy = len(entries) + 1
+        if occupancy > self.capacity:
             raise SSBFullError(f"SSB overflow at {self.capacity} entries")
-        entry = SSBEntry(op, block, epoch_id)
-        self._entries.append(entry)
-        if op is SSBOp.STORE:
-            self._store_blocks[block] = self._store_blocks.get(block, 0) + 1
+        if entries and epoch_id < entries[-1][2]:
+            self._in_order = False
+        entries.append((op, block, epoch_id))
+        if op is _STORE:
+            store_blocks = self._store_blocks
+            store_blocks[block] = store_blocks.get(block, 0) + 1
         self.appends += 1
-        if len(self._entries) > self.max_occupancy:
-            self.max_occupancy = len(self._entries)
-        return entry
+        if occupancy > self.max_occupancy:
+            self.max_occupancy = occupancy
+        return occupancy
 
     # ------------------------------------------------------------------
     def holds_store(self, block: int) -> bool:
         """CAM search used by speculative loads (after the bloom filter)."""
         self.lookups += 1
-        present = self._store_blocks.get(block, 0) > 0
+        present = block in self._store_blocks
         if present:
             self.forwards += 1
         return present
 
     # ------------------------------------------------------------------
-    def pop_epoch(self, epoch_id: int) -> List[SSBEntry]:
-        """Remove and return the oldest epoch's entries (in order).
+    def release_epoch(
+        self, epoch_id: int, published: Optional[List[int]] = None
+    ) -> None:
+        """Remove the oldest epoch's entries, appending the blocks of its
+        stores to *published* (in program order) when given.
 
         Epochs commit oldest-first, so the entries of *epoch_id* must be a
-        prefix of the FIFO; anything else is a sequencing bug.
+        prefix of the FIFO: an entry of this or an older epoch left behind
+        is a sequencing bug.  While entries arrive in epoch order the head
+        is the only place one could be.
         """
-        drained: List[SSBEntry] = []
-        while self._entries and self._entries[0].epoch_id == epoch_id:
-            entry = self._entries.popleft()
-            if entry.op is SSBOp.STORE:
-                count = self._store_blocks[entry.block] - 1
+        entries = self._entries
+        popleft = entries.popleft
+        store_blocks = self._store_blocks
+        while entries and entries[0][2] == epoch_id:
+            op, block, _ = popleft()
+            if op is _STORE:
+                count = store_blocks[block] - 1
                 if count:
-                    self._store_blocks[entry.block] = count
+                    store_blocks[block] = count
                 else:
-                    del self._store_blocks[entry.block]
-            drained.append(entry)
-        if any(e.epoch_id == epoch_id for e in self._entries):
+                    del store_blocks[block]
+                if published is not None:
+                    published.append(block)
+        if not entries:
+            self._in_order = True
+        elif entries[0][2] <= epoch_id or not self._in_order and any(
+            entry[2] <= epoch_id for entry in entries
+        ):
             raise RuntimeError(
                 f"epoch {epoch_id} entries not contiguous at the SSB head"
             )
+
+    def pop_epoch(self, epoch_id: int) -> List[SSBEntry]:
+        """Remove and return the oldest epoch's entries (in order); see
+        :meth:`release_epoch`."""
+        drained: List[SSBEntry] = []
+        for op, block, entry_epoch in self._entries:
+            if entry_epoch != epoch_id:
+                break
+            drained.append(SSBEntry(op, block, entry_epoch))
+        self.release_epoch(epoch_id)
         return drained
 
     def flush(self) -> None:
         """Discard everything (rollback)."""
         self._entries.clear()
         self._store_blocks.clear()
+        self._in_order = True
 
     def entries(self) -> List[SSBEntry]:
         """Snapshot of the FIFO contents (tests / debugging)."""
-        return list(self._entries)
+        return [SSBEntry(*entry) for entry in self._entries]

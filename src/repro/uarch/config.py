@@ -7,22 +7,10 @@ latencies (50 ns read / 150 ns write) convert to 105 / 315 cycles.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
 
-
-#: Table 3 — SSB size (entries) to access latency (cycles).
-SSB_LATENCY_TABLE: Dict[int, int] = {32: 2, 64: 3, 128: 4, 256: 5, 512: 7, 1024: 10}
-
-
-def ssb_latency(entries: int) -> int:
-    """Access latency of an SSB with *entries* entries (paper Table 3)."""
-    try:
-        return SSB_LATENCY_TABLE[entries]
-    except KeyError:
-        raise ValueError(
-            f"no Table-3 latency for SSB size {entries}; "
-            f"valid sizes: {sorted(SSB_LATENCY_TABLE)}"
-        ) from None
+# Table 3 lives beside the SSB it describes; re-exported here with the
+# rest of the machine's parameters
+from repro.core.ssb import SSB_LATENCY_TABLE, ssb_latency
 
 
 @dataclass(frozen=True)

@@ -672,9 +672,14 @@ class PipelineModel:
                                 r_slot = 1
                             rob_app(retire_t)
                             instr_d += 1
-                            # (== _note_store_during_pcommit)
-                            if inflight:
-                                inflight = [t for t in inflight if t > retire_t]
+                            # (== _note_store_during_pcommit) only whether a
+                            # pcommit is still in flight matters here: the
+                            # list is dropped once none is, and the expired
+                            # entries it keeps otherwise are pruned by the
+                            # next _issue_pcommit, stepped note or kernel
+                            # batch (the kernel reads only the max)
+                            if inflight and max(inflight) <= retire_t:
+                                inflight = []
                             if inflight or (spec and horizon > retire_t):
                                 sdp_d += 1
                             if spec:
@@ -702,8 +707,8 @@ class PipelineModel:
                             rob_app(retire_t)
                             instr_d += 1
                             lsq_app(retire_t)
-                            if inflight:
-                                inflight = [t for t in inflight if t > retire_t]
+                            if inflight and max(inflight) <= retire_t:
+                                inflight = []
                             if inflight or (spec and horizon > retire_t):
                                 sdp_d += 1
                             if spec:
@@ -1105,11 +1110,11 @@ class PipelineModel:
         """Speculative store: goes to the SSB (caller ensured space)."""
         self.blt.record(block)
         self.bloom.insert(block)
-        self.epochs.buffer_store(block)
-        if len(self.ssb) > self.stats.ssb_max_occupancy:
-            self.stats.ssb_max_occupancy = len(self.ssb)
+        occupancy = self.epochs.buffer_store(block)
+        if occupancy > self.stats.ssb_max_occupancy:
+            self.stats.ssb_max_occupancy = occupancy
         if self._tracer is not None:
-            self._tracer.counter("ssb_occupancy", retire_t, len(self.ssb))
+            self._tracer.counter("ssb_occupancy", retire_t, occupancy)
         return retire_t
 
     def _visible_flush(self, block: int, retire_t: int, invalidate: bool) -> int:
@@ -1126,11 +1131,11 @@ class PipelineModel:
         return ack
 
     def _buffered_flush(self, block: int, retire_t: int, invalidate: bool) -> None:
-        self.epochs.buffer_flush(block, invalidate)
-        if len(self.ssb) > self.stats.ssb_max_occupancy:
-            self.stats.ssb_max_occupancy = len(self.ssb)
+        occupancy = self.epochs.buffer_flush(block, invalidate)
+        if occupancy > self.stats.ssb_max_occupancy:
+            self.stats.ssb_max_occupancy = occupancy
         if self._tracer is not None:
-            self._tracer.counter("ssb_occupancy", retire_t, len(self.ssb))
+            self._tracer.counter("ssb_occupancy", retire_t, occupancy)
 
     # ------------------------------------------------------------------
     # pcommit / sfence (non-speculative paths)

@@ -16,6 +16,8 @@ import pytest
 from repro.isa.instr import Instr
 from repro.isa.ops import Op
 from repro.isa.trace import Trace
+from repro.obs import telemetry
+from repro.uarch import kernel
 from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import (
     _PRISTINE,
@@ -339,6 +341,92 @@ class TestSpeculationSeams:
         assert stats["ssb_forwards"] == 2
         assert stats["l1_hits"] > 0 and stats["l1_misses"] > 0
         assert stats["bloom_false_positives"] == (1 if bloom else 0)
+
+
+def inflight_trace(gap, pcommit_first=True):
+    """Three lone pcommits (Log+P style): P1 soon done, P2 behind 20
+    writebacks, P3 after a *gap*-op compute run, a store and a clwb.  A
+    clflush (which leaves the in-flight list alone) and a 1,224-op batch
+    of spaced stores, long enough for the NumPy kernel, come after P3, or
+    with *pcommit_first* false before it: the batch then reads the list
+    the walker left at that store."""
+    instrs = [Instr(Op.STORE, 0x2000, meta="log"), Instr(Op.CLWB, 0x2000),
+              Instr(Op.PCOMMIT)]
+    for i in range(20):
+        instrs += [Instr(Op.STORE, 0x10000 + i * 64), Instr(Op.CLWB, 0x10000 + i * 64)]
+    instrs += [Instr(Op.PCOMMIT)] + alu(gap)
+    instrs += [Instr(Op.STORE, 0x3000), Instr(Op.CLWB, 0x3000)]
+    batch = [Instr(Op.CLFLUSH, 0x4000)]
+    for i in range(24):
+        batch += alu(50) + [Instr(Op.STORE, 0x5000 + i * 64)]
+    if pcommit_first:
+        instrs += [Instr(Op.PCOMMIT)] + batch
+    else:
+        instrs += batch + [Instr(Op.PCOMMIT), Instr(Op.STORE, 0x6000)]
+    return Trace(instrs)
+
+
+class NotingReference(ReferencePipelineModel):
+    """The reference model, recording each stores-during-pcommit note as
+    ``(op, in-flight completions before the prune, retire time)``."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.notes = []
+        self._op = None
+
+    def _step(self, instr):
+        self._op = instr.op
+        super()._step(instr)
+
+    def _note_store_during_pcommit(self, retire_t):
+        self.notes.append((self._op, tuple(self._inflight_pcommits), retire_t))
+        super()._note_store_during_pcommit(retire_t)
+
+
+class TestInflightPcommits:
+    """Stores and clwbs while pcommits are in flight.  The walker only
+    tests whether any completion is still ahead of the op and drops the
+    list when none is; the entries it leaves behind must not change a
+    count (``_issue_pcommit`` prunes by its issue time, the kernel reads
+    the max and prunes)."""
+
+    #: gap -> the note of the store after it (index 42): 250 lands between
+    #: P1's and P2's completion, 1800 after both
+    GAPS = (0, 250, 1000, 1800)
+
+    def test_directed_traces_cover_the_cases(self):
+        notes = {}
+        for gap in self.GAPS:
+            model = NotingReference(MachineConfig())
+            model.run(inflight_trace(gap))
+            notes[gap] = model.notes
+        op, inflight, retire_t = notes[250][42]
+        assert op is Op.STORE
+        assert min(inflight) <= retire_t < max(inflight)  # P1 done, P2 not
+        op, inflight, retire_t = notes[250][43]
+        assert op is Op.CLWB and max(inflight) > retire_t
+        op, inflight, retire_t = notes[1800][42]
+        assert op is Op.STORE and inflight and max(inflight) <= retire_t
+        # with P1 still in flight, P3 makes three
+        assert simulate_reference(inflight_trace(0)).max_inflight_pcommits == 3
+
+    @pytest.mark.parametrize("pcommit_first", [True, False])
+    @pytest.mark.parametrize("backend", ["python", "numpy"])
+    @pytest.mark.parametrize("gap", GAPS)
+    def test_walker_and_kernel_match_the_reference(self, gap, backend, pcommit_first):
+        if backend == "numpy" and not kernel.numpy_available():
+            pytest.skip(f"numpy backend unavailable: {kernel.unavailable_reason()}")
+        trace = inflight_trace(gap, pcommit_first)
+        before = telemetry.get("pipeline.path.kernel")
+        fast = simulate(trace, MachineConfig(), kernel=backend)
+        kernel_n = telemetry.get("pipeline.path.kernel") - before
+        ref = simulate_reference(trace, MachineConfig())
+        assert fast.stores_during_pcommit == ref.stores_during_pcommit
+        assert fast.max_inflight_pcommits == ref.max_inflight_pcommits
+        assert fast.as_dict() == ref.as_dict()
+        # the closing batch, and at 1800 the gap's, run on the kernel
+        assert (kernel_n > 0) == (backend == "numpy")
 
 
 class TestDeoptimisationGuard:
