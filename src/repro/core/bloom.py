@@ -12,7 +12,7 @@ the bloom filter has not been reset yet", independent of filter size.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 
 class BloomFilter:
@@ -37,19 +37,28 @@ class BloomFilter:
         self.resets = 0
 
     # ------------------------------------------------------------------
-    def _positions(self, block: int):
+    def _positions(self, block: int) -> List[int]:
         # Two independent mixes of the block address; k hashes derived by
-        # double hashing (h1 + i*h2), the standard construction.
-        h1 = (block * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        # double hashing (h1 + i*h2, which h steps through), the standard
+        # construction.  (Plain loops here and in _memoise: a comprehension
+        # is a function call on Python 3.11, dearer than the few
+        # iterations it runs.)
+        h = (block * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         h2 = ((block ^ (block >> 13)) * 0xC2B2AE3D27D4EB4F) & 0xFFFFFFFFFFFFFFFF
         h2 |= 1
-        for i in range(self.n_hashes):
-            yield ((h1 + i * h2) >> 8) % self.n_bits
+        n_bits = self.n_bits
+        positions = []
+        for _ in range(self.n_hashes):
+            positions.append((h >> 8) % n_bits)
+            h += h2
+        return positions
 
     def _memoise(self, block: int) -> Tuple[Tuple[int, int], ...]:
         """Compute and remember *block*'s ``(byte, mask)`` pairs."""
-        masks = tuple((pos >> 3, 1 << (pos & 7)) for pos in self._positions(block))
-        self._masks[block] = masks
+        pairs = []
+        for pos in self._positions(block):
+            pairs.append((pos >> 3, 1 << (pos & 7)))
+        masks = self._masks[block] = tuple(pairs)
         return masks
 
     def insert(self, block: int) -> None:

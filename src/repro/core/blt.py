@@ -40,6 +40,10 @@ class BlockLookupTable:
             return True
         return False
 
+    def holds_any(self, blocks) -> bool:
+        """Whether any of *blocks* is recorded (counts no probe)."""
+        return not self._blocks.isdisjoint(blocks)
+
     def clear(self) -> None:
         """Reset at speculation exit or after a rollback."""
         self._blocks.clear()

@@ -47,6 +47,10 @@ class TxError(RuntimeError):
 class TxManager:
     """Drives the WAL protocol for one single-threaded workload."""
 
+    def __getstate__(self):
+        # restored attribute by attribute (see PersistentWorkload.fork)
+        return None, self.__dict__
+
     def __init__(
         self,
         heap: NVMHeap,

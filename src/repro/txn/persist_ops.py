@@ -36,6 +36,10 @@ class PersistOps:
     alternatives.
     """
 
+    def __getstate__(self):
+        # restored attribute by attribute (see PersistentWorkload.fork)
+        return None, self.__dict__
+
     def __init__(
         self,
         mode: PersistMode,

@@ -41,6 +41,10 @@ def _round8(n: int) -> int:
 class UndoLog:
     """A fixed-capacity undo log living in the simulated NVMM."""
 
+    def __getstate__(self):
+        # restored attribute by attribute (see PersistentWorkload.fork)
+        return None, self.__dict__
+
     def __init__(self, heap: NVMHeap, allocator: Allocator, capacity: int = 1 << 16):
         if capacity <= _HEADER:
             raise ValueError("log capacity too small for its header")

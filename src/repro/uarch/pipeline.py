@@ -288,6 +288,7 @@ class PipelineModel:
         segments,
         start: Tuple[int, int] = (0, 0),
         stop_clock: int = _NEVER,
+        publish_stop: int = _NEVER,
         stop_on_publish: bool = False,
     ) -> Tuple[Tuple[int, int, int, int], Tuple[int, int]]:
         """Walk the pre-computed segment list (see
@@ -341,16 +342,21 @@ class PipelineModel:
           event is next), never inside a barrier triple;
         * the walker stops before the first op whose retire clock is at
           or above *stop_clock*, testing before every op.  The test
-          shares the poll's compare: ``limit = min(horizon,
-          stop_clock)``, and the stop is tested *before* the poll, so a
-          commit due at the stop happens at the start of the next
-          stretch;
+          shares the poll's compare: ``limit = min(horizon, stop)``,
+          and the stop is tested *before* the poll, so a commit due at
+          the stop happens at the start of the next stretch;
+        * no unit that could publish starts at or above *publish_stop*:
+          outside speculation the stop is ``min(stop_clock,
+          publish_stop)``, and under speculation, where only a commit
+          publishes, the walker also stops before a poll or a stepped
+          event at or above it;
         * every block that becomes globally visible is appended to
           ``self._published`` when that is a list: a non-speculative
           store as it drains (here, or in :meth:`_visible_store`), an
-          epoch's stores when it commits (:meth:`_commit_oldest`);
-        * with *stop_on_publish* the walker also stops after the first
-          unit that publishes (the driver has a sleeping core that the
+          epoch's stores when it commits (:meth:`_commit_oldest`).
+          Once anything is published, *stop_clock* drops to
+          *publish_stop* — with *stop_on_publish*, to -1, so the walker
+          stops after that unit (the driver has a sleeping core that the
           broadcast would wake ahead of this one).
 
         The kernel is offered only from the start of an entry, with no
@@ -387,6 +393,8 @@ class PipelineModel:
         buffered_store = self._buffered_store
         buffered_flush = self._buffered_flush
         ssb = self.ssb
+        # the SSB's occupancy is the length of its entry deque (== len(ssb))
+        ssb_entries = ssb._entries
         ssb_capacity = ssb.capacity
         ssb_latency = ssb.latency
         ssb_holds = ssb.holds_store
@@ -398,6 +406,8 @@ class PipelineModel:
         meta_idx = columns.meta_idx
         metas = columns.metas
         published = self._published
+        # the stop clock once anything is published
+        after_publish = -1 if stop_on_publish else publish_stop
         kernel_advance = self._kernel_advance
         kernel_on = (
             kernel_advance is not None
@@ -457,12 +467,17 @@ class PipelineModel:
                 # after the oldest epoch's barrier completion (the horizon)
                 spec = epochs.speculating
                 horizon = epochs.oldest.barrier_done if spec else _NEVER
-                if stop_on_publish and published:
-                    stop_clock = -1  # the slow phase published: stop next
+                if published and after_publish < stop_clock:
+                    stop_clock = after_publish  # the slow phase published
+                # the stop: outside speculation every store publishes;
+                # under speculation only a poll (at the horizon) commits
+                stop = horizon if spec and horizon > publish_stop else publish_stop
+                if stop_clock < stop:
+                    stop = stop_clock
                 # the body tests the stop and the poll with one compare;
                 # -1 makes the first `skip` ops fall into the test, which
                 # steps over them
-                limit = horizon if horizon < stop_clock else stop_clock
+                limit = horizon if horizon < stop else stop
                 if skip:
                     limit = -1
                 # set once a poll ends speculation: the walker then leaves
@@ -486,7 +501,7 @@ class PipelineModel:
                             if k < skip:
                                 continue  # retired before this call
                             skip = 0
-                            if last_retire >= stop_clock:
+                            if last_retire >= stop:
                                 stop_at = k
                                 instr_d -= run_len - k
                                 break
@@ -501,9 +516,15 @@ class PipelineModel:
                                     epochs.oldest.barrier_done if spec else _NEVER
                                 )
                                 rekernel = kernel_on and not spec
-                                if stop_on_publish and published:
-                                    stop_clock = -1  # after this unit
-                            limit = horizon if horizon < stop_clock else stop_clock
+                                if published and after_publish < stop_clock:
+                                    stop_clock = after_publish  # after this unit
+                                stop = (
+                                    horizon if spec and horizon > publish_stop
+                                    else publish_stop
+                                )
+                                if stop_clock < stop:
+                                    stop = stop_clock
+                            limit = horizon if horizon < stop else stop
                         fetch_t = fg[0] + 1
                         fq_ready = fetchq[0]
                         if fq_ready > fetch_t:
@@ -540,7 +561,7 @@ class PipelineModel:
 
                     if 2 <= kind <= 5 or kind == _XCHG or kind == _LOCK_RMW:
                         if last_retire >= limit:
-                            if last_retire >= stop_clock:
+                            if last_retire >= stop:
                                 stop_at = run_len
                                 break
                             skip = 0
@@ -553,13 +574,19 @@ class PipelineModel:
                                     epochs.oldest.barrier_done if spec else _NEVER
                                 )
                                 rekernel = kernel_on and not spec
-                                if stop_on_publish and published:
-                                    stop_clock = -1  # after this unit
-                            limit = horizon if horizon < stop_clock else stop_clock
+                                if published and after_publish < stop_clock:
+                                    stop_clock = after_publish  # after this unit
+                                stop = (
+                                    horizon if spec and horizon > publish_stop
+                                    else publish_stop
+                                )
+                                if stop_clock < stop:
+                                    stop = stop_clock
+                            limit = horizon if horizon < stop else stop
                         if spec and (
                             kind == _XCHG
                             or kind == _LOCK_RMW
-                            or (kind != _LOAD and len(ssb) >= ssb_capacity)
+                            or (kind != _LOAD and len(ssb_entries) >= ssb_capacity)
                         ):
                             # a strongly ordered RMW ends speculation, and
                             # a full SSB stalls the op: _step handles both
@@ -733,7 +760,7 @@ class PipelineModel:
                                 if published is not None:
                                     published.append(block)
                                     if stop_on_publish:
-                                        stop_clock = limit = -1
+                                        stop_clock = stop = limit = -1
                         ei += 1
                         if rekernel:
                             break
@@ -775,10 +802,14 @@ class PipelineModel:
 
             # ---------- slow phase: the delegated event ----------
             # entries[ei]'s compute prefix is retired; its event is tested
-            # against the stop clock, stepped exactly, and the fast phase
-            # (or the kernel) resumes at the next entry
+            # against the stop clock and, since a stepped event may commit
+            # under speculation too, the publish stop; it is stepped
+            # exactly, and the fast phase (or the kernel) resumes at the
+            # next entry
             run_len, kind, _, _, idx = entries[ei]
-            if self._last_retire >= stop_clock or (stop_on_publish and published):
+            if published and after_publish < stop_clock:
+                stop_clock = after_publish
+            if self._last_retire >= min(stop_clock, publish_stop):
                 return (kernel_n, walker_n, step_n, spec_n), (ei, run_len)
             spec = epochs.speculating
             before = stats.instructions
@@ -789,12 +820,12 @@ class PipelineModel:
                 else:
                     # three units: the stop may fall between them
                     for offset, op in enumerate((_SFENCE, _PCOMMIT, _SFENCE)):
-                        if offset and (
-                            self._last_retire >= stop_clock
-                            or (stop_on_publish and published)
-                        ):
-                            stop_at = run_len + offset
-                            break
+                        if offset:
+                            if published and after_publish < stop_clock:
+                                stop_clock = after_publish
+                            if self._last_retire >= min(stop_clock, publish_stop):
+                                stop_at = run_len + offset
+                                break
                         self._instr_index = idx + offset
                         step(op, 0, None)
             else:
@@ -1555,10 +1586,11 @@ _INLINED_METHODS = (
     "_buffered_flush",
 )
 #: The same for the collaborators' methods: the cache model's access
-#: paths.
+#: paths, and the SSB's occupancy (the walker reads its entry deque).
 _INLINED_COLLABORATORS = (
     (CacheHierarchy, ("access", "flush")),
     (CacheLevel, ("lookup",)),
+    (SpeculativeStoreBuffer, ("__len__",)),
 )
 _PRISTINE = [
     (cls, name, cls.__dict__[name])

@@ -19,13 +19,36 @@ probe retires every instruction at exactly the cycle a standalone run
 would.  That is the conformance anchor: an N-core zero-contention run
 *is* N independent single-core runs, cycle-for-cycle.
 
-The driver keeps that interleaving exactly, ties included, but runs it
-in **stretches**: consecutive units of the chosen core, on the segment
-walker (:meth:`PipelineModel._run_segments`).  The chosen core keeps
-running while its key ``(retire clock, core id)`` stays below every
-other runnable core's — the conservative (Chandy–Misra–Bryant) rule
-with zero lookahead.  The walker stops before the first op that starts
-at or above that bound; stopping early is always exact, since the next
+The driver keeps what that interleaving computes, ties included, but
+runs it in **stretches**: consecutive units of the chosen core (the
+lowest key ``(retire clock, core id)`` among the runnable cores), on the
+segment walker (:meth:`PipelineModel._run_segments`).  Cores interact
+only through what they publish, so the chosen core may run past another
+core's key as long as nothing that core could still publish would reach
+it — conservative parallel discrete-event simulation with lookahead
+(Chandy and Misra 1979; Bryant 1977).  Two bounds, as keys:
+
+* the *stop*: the smallest *earliest possible publication* among the
+  other cores (:meth:`SystemModel._epp`).  A core that does not
+  speculate may publish at its next unit, so it is its key.  A
+  speculating core publishes only when an epoch commits, and no epoch
+  commits before the oldest epoch's ``barrier_done`` (the walker's
+  *horizon*), unless an event forces it: a fence that finds every
+  checkpoint taken, a strongly ordered op, an op that finds the SSB
+  full.  A delivery whose block is in a speculating core's BLT rolls
+  it back at its next unit, after which it may publish at once; a
+  finished core publishes only then.
+* the *publish stop*: the smallest key among the other cores that could
+  act on a delivery.  The chosen core starts no unit that could publish
+  at or above it (outside speculation, none at all), and once it has
+  published, its stop drops to it.  So every block is published below
+  the key of every core that receives it, and a core applies all it has
+  pending at its next unit, as on the per-unit path.
+
+A run cut by ``stop_after_aborts`` keeps both bounds at the smallest
+key (zero lookahead): the cut must find every core where the per-unit
+path leaves it.  The walker stops before the first op that starts at
+or above the bound; stopping early is always exact, since the next
 pick re-applies the rule.  It tests before every op, speculating or
 not, so outside speculation it may stop inside a compute run that the
 per-unit path runs as one unit: a core that does not speculate ignores
@@ -33,13 +56,14 @@ deliveries and a compute op broadcasts nothing, so a whole run cannot
 tell the difference (a run cut short by ``stop_after_aborts`` can: a
 core outside speculation may stand inside a compute run whose end the
 per-unit path has reached).  A core that has retired its whole
-trace and has no probe pending is *asleep*.  A broadcast wakes it, and
-only a core that still speculates can act on what it is delivered; if
-such a core's key is below the chosen core's, it runs as soon as the
-chosen core publishes a block, so the stretch also ends after its
-first unit that publishes.  A rollback can resume inside an expanded
-barrier triple, where the walker cannot start; those units, and probe
-deliveries to a finished core, go through :meth:`SystemModel._unit`.
+trace and has no probe pending is *asleep*: it publishes nothing until
+a delivery rolls it back.  A broadcast wakes it, and only a core that
+still speculates can act on what it is delivered; if such a core's key
+is below the chosen core's, it runs as soon as the chosen core
+publishes a block, so the stretch also ends after its first unit that
+publishes.  A rollback can resume inside an expanded barrier triple,
+where the walker cannot start; those units, and probe deliveries to a
+finished core, go through :meth:`SystemModel._unit`.
 
 Without SP no core ever speculates, so no delivered probe can act: each
 core runs its whole trace alone, on the walker and the NumPy kernel.
@@ -90,19 +114,29 @@ scheduling turns (``system.stretches``).
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
+from repro.isa.analysis import K_BARRIER
 from repro.isa.trace import Trace
 from repro.obs import telemetry as _telemetry
 from repro.stats.run import RunStats
 from repro.uarch.config import MachineConfig, PipelineConfig
 from repro.uarch.pipeline import (
     _BRANCH,
+    _CLFLUSH,
+    _CLFLUSHOPT,
+    _CLWB,
+    _LOCK_RMW,
+    _MFENCE,
     _NEVER,
     _PCOMMIT,
     _SFENCE,
+    _STORE,
+    _XCHG,
     PipelineModel,
     _deoptimized,
 )
@@ -119,13 +153,25 @@ PATHS = (
     "system.path.step_spec",
 )
 
+#: Checkpoints each event takes under speculation (a fence opens a child
+#: epoch; a barrier triple is one fence when coalesced, else two).  A
+#: strongly ordered op commits every epoch, so it counts as more than any
+#: machine has.
+_FENCES = {
+    K_BARRIER: 1, _SFENCE: 1, _MFENCE: 1,
+    _XCHG: 1 << 32, _LOCK_RMW: 1 << 32, _CLFLUSH: 1 << 32,
+}
+#: SSB slots each event takes under speculation (a barrier triple's
+#: pcommit takes one for the special barrier opcode)
+_BUFFERED = {K_BARRIER: 1, _PCOMMIT: 1, _STORE: 1, _CLWB: 1, _CLFLUSHOPT: 1}
+
 
 class _CoreState:
     """Driver-side bookkeeping for one core."""
 
     __slots__ = (
         "index", "core", "trace", "columns", "n", "cursor", "pending",
-        "segments", "entries", "starts", "entry",
+        "segments", "entries", "starts", "entry", "fences", "buffered", "epp",
     )
 
     def __init__(self, index: int, core: PipelineModel, trace: Trace):
@@ -146,6 +192,12 @@ class _CoreState:
         self.entries: Sequence[Tuple[int, int, int, int, int]] = ()
         self.starts = array("q")
         self.entry = 0
+        # lookahead: per entry, how many checkpoints and SSB slots the
+        # events before it take under speculation (prefix sums), and the
+        # earliest key at which this core could publish (see _epp)
+        self.fences = array("q")
+        self.buffered = array("q")
+        self.epp = 0
 
     @property
     def runnable(self) -> bool:
@@ -241,6 +293,12 @@ class SystemModel:
         self.replayed_instructions = 0
         #: instructions retired per :data:`PATHS` entry in this run
         self._paths = [0, 0, 0, 0]
+        #: how far past a fence's own key the checkpoint it takes may lie:
+        #: its dispatch is at most ``fetch_to_dispatch`` past the retire
+        #: clock, and the checkpoint is ready one cycle later plus
+        #: ``checkpoint_cycles`` (an epoch whose barrier completes by then
+        #: commits in that fence's unit)
+        self._slack = config.fetch_to_dispatch + config.checkpoint_cycles + 2
 
     # ------------------------------------------------------------------
     def run(
@@ -331,7 +389,16 @@ class SystemModel:
     def _run_stretches(
         self, states: List[_CoreState], stop_after_aborts: Optional[int]
     ) -> int:
-        """Conservative run-ahead: one stretch (or unit) per turn."""
+        """Conservative run-ahead with lookahead: one stretch (or unit) per
+        turn."""
+        n_cores = self.n_cores
+        never = _NEVER * n_cores  # above every key
+        # a run cut after k aborts must stop where the per-unit path does,
+        # with no core ahead of the cut: it keeps zero lookahead
+        lookahead = stop_after_aborts is None
+        fences = _FENCES
+        if not self.config.coalesce_barrier_checkpoints:
+            fences = {**_FENCES, K_BARRIER: 2}
         for state in states:
             state.core._published = []
             state.segments = state.trace.segments()
@@ -343,7 +410,15 @@ class SystemModel:
                 "q", (idx - run for run, _, _, _, idx in entries)
             )
             state.starts.append(state.n)
-        n_cores = self.n_cores
+            if lookahead:
+                kinds = list(map(itemgetter(1), entries))
+                state.fences = array("q", accumulate(
+                    map(fences.get, kinds, repeat(0)), initial=0
+                ))
+                state.buffered = array("q", accumulate(
+                    map(_BUFFERED.get, kinds, repeat(0)), initial=0
+                ))
+                state.epp = self._epp(state)
         counts = self._paths
         aborts = _NEVER if stop_after_aborts is None else stop_after_aborts
         turns = 0
@@ -360,9 +435,11 @@ class SystemModel:
                 break
             turns += 1
             index = chosen.index
-            # the bound: the smallest key among the other cores whose next
-            # unit could act on what the chosen core publishes
-            bound, bound_index = _NEVER, n_cores
+            # keys are ``clock * n_cores + index``.  The stop: the smallest
+            # key at which another core could next publish.  The publish
+            # stop: the smallest key among the other cores that could act
+            # on what the chosen core publishes
+            stop = publish = never
             wake = False
             for state in states:
                 if state is chosen:
@@ -371,35 +448,100 @@ class SystemModel:
                 if state.cursor >= state.n:
                     if not state.core.epochs.active:
                         continue  # finished for good: no delivery acts on it
-                    if not state.pending and (
-                        other < clock or (other == clock and state.index < index)
-                    ):
-                        wake = True  # asleep: a broadcast would run it next
+                    if not state.pending:
+                        if other < clock or (other == clock and state.index < index):
+                            wake = True  # asleep: a broadcast would run it next
+                        else:
+                            # asleep ahead: it publishes only once woken
+                            other = other * n_cores + state.index
+                            if other < publish:
+                                publish = other
                         continue
-                if other < bound:
-                    bound, bound_index = other, state.index
+                other = other * n_cores + state.index
+                if other < publish:
+                    publish = other
+                if state.epp < stop:
+                    stop = state.epp
+            if not lookahead:
+                stop = publish
             position = self._position(chosen)
             if position is None:
                 self._unit(states, chosen)
-                continue
-            if chosen.pending and self._deliver(chosen):
-                continue
-            core = chosen.core
-            paths, (entry, done) = core._run_segments(
-                chosen.columns, chosen.segments, position,
-                bound + (index < bound_index), wake,
-            )
-            counts[0] += paths[0]
-            counts[1] += paths[1]
-            counts[2] += paths[2]
-            counts[3] += paths[3]
-            chosen.entry = entry
-            chosen.cursor = chosen.starts[entry] + done
-            published = core._published
-            if published:
-                self._broadcast(states, index, published, core._last_retire)
-                published.clear()
+            elif not (chosen.pending and self._deliver(chosen)):
+                core = chosen.core
+                # the chosen core's key stays below a key K while its clock
+                # stays below ceil((K - index) / n_cores)
+                paths, (entry, done) = core._run_segments(
+                    chosen.columns, chosen.segments, position,
+                    (stop - index + n_cores - 1) // n_cores,
+                    (publish - index + n_cores - 1) // n_cores,
+                    wake,
+                )
+                counts[0] += paths[0]
+                counts[1] += paths[1]
+                counts[2] += paths[2]
+                counts[3] += paths[3]
+                chosen.entry = entry
+                chosen.cursor = chosen.starts[entry] + done
+                published = core._published
+                if published:
+                    self._broadcast(states, index, published, core._last_retire)
+                    published.clear()
+            if lookahead:
+                chosen.epp = self._epp(chosen)
         return turns
+
+    def _epp(self, state: _CoreState) -> int:
+        """The earliest key at which *state*'s core could next publish a
+        block, as its state stands (the driver's lookahead).
+
+        A core that does not speculate publishes at its next store, or
+        once it speculates from its next fence on.  A speculating core
+        publishes only when an epoch commits: at a poll, once its clock
+        reaches the oldest epoch's ``barrier_done`` (less :attr:`_slack`,
+        for a fence whose checkpoint is taken past its own key), or
+        earlier at an event that forces a commit — a fence that finds
+        every checkpoint taken, a strongly ordered op, an op that finds
+        the SSB full.  No more than ``width`` ops retire per cycle on
+        the way to such an event, though the first ``width`` may retire
+        at the clock itself.  A finished core publishes only after a
+        delivery rolls it back (:meth:`_broadcast` lowers the key then).
+        """
+        core = state.core
+        clock = core._last_retire
+        epochs = core.epochs
+        if state.cursor >= state.n:
+            return _NEVER * self.n_cores
+        position = self._position(state)
+        if position is not None:
+            entry = position[0]
+            fences = state.fences
+            buffered = state.buffered
+            if epochs.active:
+                earliest = epochs.active[0].barrier_done - self._slack
+                # the fence that finds no free checkpoint, the op that
+                # finds the SSB full
+                fence = fences[entry] + len(core.checkpoints._free) + 1
+                slot = buffered[entry] + core.ssb.free_slots + 1
+            else:
+                earliest = _NEVER
+                fence = fences[entry] + 1
+                slot = buffered[entry] + 1
+            if earliest > clock:
+                forced = min(
+                    bisect_left(fences, fence, entry + 1),
+                    bisect_left(buffered, slot, entry + 1),
+                )
+                if forced < len(fences):
+                    ops = state.entries[forced - 1][4] - state.cursor
+                    if ops > self.config.width:
+                        forced = clock + (ops - 1) // self.config.width
+                        if forced < earliest:
+                            earliest = forced
+                    else:
+                        earliest = clock
+                clock = earliest
+        return clock * self.n_cores + state.index
 
     def _position(self, state: _CoreState) -> Optional[Tuple[int, int]]:
         """``(segment entry, ops of it retired)`` of the cursor, or
@@ -501,12 +643,20 @@ class SystemModel:
     ) -> None:
         self.store_broadcasts += len(blocks)
         tagged = [(block, source, ts) for block in blocks]
+        penalty = self.config.rollback_penalty
         for state in states:
             # a finished core that does not speculate acts on nothing
             if state.index != source and (
                 state.cursor < state.n or state.core.epochs.active
             ):
                 state.pending.extend(tagged)
+                core = state.core
+                if core.epochs.active and core.blt.holds_any(blocks):
+                    # its next unit rolls it back: it can publish from the
+                    # clock that rollback restarts at
+                    epp = (core._last_retire + penalty) * self.n_cores + state.index
+                    if epp < state.epp:
+                        state.epp = epp
 
 
 def simulate_system(

@@ -67,6 +67,10 @@ class Workbench:
         semantics can be tested.
     """
 
+    def __getstate__(self):
+        # restored attribute by attribute (see PersistentWorkload.fork)
+        return None, self.__dict__
+
     def __init__(
         self,
         mode: PersistMode = PersistMode.LOG_P_SF,
@@ -142,6 +146,10 @@ class PersistentWorkload(abc.ABC):
     name: str = ""
     abbrev: str = ""
 
+    def __getstate__(self):
+        # restored attribute by attribute (see PersistentWorkload.fork)
+        return None, self.__dict__
+
     def __init__(self, bench: Workbench):
         self.bench = bench
         self.heap = bench.heap
@@ -181,6 +189,12 @@ class PersistentWorkload(abc.ABC):
         allocator, RNG, recorder, transaction manager and model — is
         deep-copied, and the copy's heap reports to the copy's own
         observers.
+
+        The copied classes of the workbench give ``__getstate__`` a
+        ``(None, attributes)`` state, which ``copy`` (and ``pickle``)
+        restore with ``setattr``: that keeps CPython's inline attribute
+        values, where the default ``__dict__.update`` drops them and
+        slows every attribute access in the fork's timed phase.
         """
         heap = self.heap
         twin_heap = heap.copy(self.alloc.high_water_mark)

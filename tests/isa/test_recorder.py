@@ -1,5 +1,10 @@
 """TraceRecorder behaviour (repro.isa.recorder)."""
 
+import copy
+import pickle
+
+import pytest
+
 from repro.isa.ops import Op
 from repro.isa.recorder import TraceRecorder
 
@@ -87,3 +92,29 @@ class TestFastForward:
         with rec.fast_forward():
             assert rec.fast_forwarding
         assert not rec.fast_forwarding
+
+
+class TestCopies:
+    """A recorder restores its attributes one by one when copied or
+    unpickled (its ``(None, attributes)`` state), and either way the copy
+    records on from where the original stood."""
+
+    def _recorded(self):
+        rec = TraceRecorder(alu_per_load=2)
+        rec.load(0x40)
+        rec.store(0x80, meta="log")
+        rec.sfence()
+        return rec
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_round_trip(self, how):
+        rec = self._recorded()
+        if how == "deepcopy":
+            twin = copy.deepcopy(rec)
+        else:
+            twin = pickle.loads(pickle.dumps(rec))
+        assert list(twin.trace) == list(rec.trace)
+        assert twin.alu_per_load == 2 and not twin.fast_forwarding
+        for each in (rec, twin):
+            each.load(0xC0)
+        assert list(twin.trace) == list(rec.trace)

@@ -13,6 +13,7 @@ require cycle-for-cycle agreement with the reference model
 
 import pytest
 
+from repro.core.ssb import SpeculativeStoreBuffer
 from repro.isa.instr import Instr
 from repro.isa.ops import Op
 from repro.isa.trace import Trace
@@ -505,3 +506,5 @@ class TestDeoptimisationGuard:
         for name in ("_buffered_store", "_buffered_flush", "_wait_for_ssb_space",
                      "_poll_speculation", "_load_latency"):
             assert (PipelineModel, name) in guarded
+        # the SSB-full test reads the entry deque's length
+        assert (SpeculativeStoreBuffer, "__len__") in guarded

@@ -1,11 +1,12 @@
 """The multi-core driver's fast schedule against its per-unit oracle.
 
 :meth:`SystemModel.run` runs each core in stretches on the segment
-walker (conservative run-ahead), or, without SP, each core's whole trace
-alone.  A :class:`~repro.obs.tracer.SystemTracer` — or any monkey-patched
-pipeline internal — sends it down the per-unit path instead, one
-``_unit`` per scheduling turn, which interleaves the cores exactly as the
-schedule is defined.  Both must produce the same machines.
+walker (conservative run-ahead with lookahead: a core runs on until
+another core could next publish), or, without SP, each core's whole
+trace alone.  A :class:`~repro.obs.tracer.SystemTracer` — or any
+monkey-patched pipeline internal — sends it down the per-unit path
+instead, one ``_unit`` per scheduling turn, which interleaves the cores
+exactly as the schedule is defined.  Both must produce the same machines.
 """
 
 import functools
@@ -18,7 +19,7 @@ from repro.obs import telemetry
 from repro.obs.tracer import SystemTracer
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import _PRISTINE
+from repro.uarch.pipeline import _NEVER, _PRISTINE, PipelineModel
 from repro.uarch.system import PATHS, SystemModel
 from repro.workloads.concurrent import generate_concurrent
 
@@ -30,6 +31,8 @@ MACHINES = {
     "sp256_ck1": BASE.with_sp(256, checkpoint_entries=1),
     "sp256_nocoalesce": BASE.with_sp(256, coalesce_barrier_checkpoints=False),
     "sp256_nobloom": BASE.with_sp(256, bloom_enabled=False),
+    # the battery's 1200 ns NVMM writes: every horizon lies far ahead
+    "sp256_w1200": BASE.with_sp(256, nvmm_write_cycles=2520),
 }
 #: windows no wider than the pipeline: after a rollback the sentinels
 #: the windows restart with make up every bound of the re-executed ops
@@ -149,6 +152,124 @@ class TestFastScheduleEqualsPerUnit:
         oracle, _ = _run(SMALLEST, traces, per_unit=True)
         assert fast == oracle
         assert fast["counters"][0] > 0  # the cell aborts
+
+
+@pytest.fixture
+def walker_calls(monkeypatch):
+    """Every walker call of the fast schedule, as ``(start clock, end
+    clock, stop clock, publish stop, stop on publish, speculating at the
+    start, blocks published)``."""
+    calls = []
+    walk = PipelineModel._run_segments
+
+    def recorded(self, columns, segments, start=(0, 0), stop_clock=_NEVER,
+                 publish_stop=_NEVER, stop_on_publish=False):
+        clock, speculating = self._last_retire, self.epochs.speculating
+        result = walk(self, columns, segments, start, stop_clock,
+                      publish_stop, stop_on_publish)
+        calls.append((clock, self._last_retire, stop_clock, publish_stop,
+                      stop_on_publish, speculating, len(self._published)))
+        return result
+
+    monkeypatch.setattr(PipelineModel, "_run_segments", recorded)
+    return calls
+
+
+@pytest.fixture
+def finished_aborts(monkeypatch):
+    """Counts the conflict aborts of cores that had finished their trace."""
+    count = [0]
+    deliver = SystemModel._deliver
+
+    def counted(self, state):
+        finished = state.cursor >= state.n
+        aborted = deliver(self, state)
+        count[0] += aborted and finished
+        return aborted
+
+    monkeypatch.setattr(SystemModel, "_deliver", counted)
+    return count
+
+
+#: 3- and 4-core cells on :data:`MACHINES`' ``sp256_w1200`` where cores
+#: run far past each other's keys, sleepers are woken by cores under
+#: lookahead, and finished cores abort
+DIRECTED = [("BT", 3, 0.7, 0), ("HM", 4, 0.7, 2)]
+
+
+@pytest.mark.parametrize("cell", DIRECTED, ids=[f"{c[0]}x{c[1]}" for c in DIRECTED])
+class TestLookahead:
+    """Directed cells for the lookahead: the chosen core stops where
+    another core could next publish, not at the smallest key."""
+
+    def test_publication_ahead_of_a_speculating_receiver(self, cell, walker_calls):
+        """A speculating core runs past the key of another core that could
+        act on what it publishes; it stops before its next unit that could
+        publish, and what it publishes after reaches that core exactly
+        where the per-unit path delivers it."""
+        traces = _traces(*cell)
+        fast, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=False)
+        assert any(
+            speculating and end >= publish_stop and not published
+            for _, end, _, publish_stop, _, speculating, published in walker_calls
+        )
+        walker_calls.clear()
+        oracle, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=True)
+        assert not walker_calls  # the oracle steps every unit
+        assert fast == oracle
+        assert fast["counters"][0] > 0  # the cell aborts
+
+    def test_sleeper_woken_by_a_core_running_ahead(
+        self, cell, walker_calls, finished_aborts
+    ):
+        """A core whose stop lies beyond the publish stop wakes a sleeper
+        (a finished core, still speculating, with a smaller key): its
+        stretch ends after that unit, the sleeper aborts and re-executes,
+        all as on the per-unit path."""
+        traces = _traces(*cell)
+        fast, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=False)
+        assert any(
+            wake and published and stop > publish_stop
+            for _, _, stop, publish_stop, wake, _, published in walker_calls
+        )
+        assert finished_aborts[0] > 0
+        oracle, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=True)
+        assert fast == oracle
+
+    @pytest.mark.parametrize("aborts", [1, 3, 6])
+    def test_run_cut_after_k_aborts(self, cell, aborts):
+        """A run cut after k aborts keeps zero lookahead, so no core stands
+        past the cut: every core agrees in open epochs, SSB occupancy and
+        checkpoints, and a core speculating at the cut in everything."""
+        traces = _traces(*cell)
+        cut = dict(finish=False, stop_after_aborts=aborts)
+        fast, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=False, **cut)
+        oracle, _ = _run(MACHINES["sp256_w1200"], traces, per_unit=True, **cut)
+        assert fast["counters"] == oracle["counters"]
+        assert fast["counters"][0] == aborts
+        for index, (mine, theirs) in enumerate(
+            zip(fast["speculation"], oracle["speculation"])
+        ):
+            assert mine[:3] == theirs[:3], index
+            if mine[0]:
+                assert mine == theirs, index
+                assert fast["stats"][index] == oracle["stats"][index], index
+
+
+def test_scaled_figure15_cell_takes_half_the_turns():
+    """Figure 15's BT 2-core p=0.9 SP256 cell at seed 7 (scaled) took
+    3,179 turns under the zero-lookahead rule, for 539 publishing units;
+    the lookahead at least halves them, with the per-unit answers."""
+    traces = tuple(generate_concurrent(
+        "BT", PersistMode.LOG_P_SF, n_cores=2, contention=0.9, seed=7,
+    ).traces)
+    before = telemetry.get("system.stretches")
+    fast, _ = _run(MACHINES["sp256"], traces, per_unit=False)
+    turns = telemetry.get("system.stretches") - before
+    assert turns <= 3179 // 2
+    assert fast["counters"][0] == 43
+    oracle, _ = _run(MACHINES["sp256"], traces, per_unit=True)
+    assert fast == oracle
 
 
 def _wrapped(func):
