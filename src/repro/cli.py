@@ -404,6 +404,26 @@ def _print_metrics(args) -> None:
         print(line, file=sys.stderr)
 
 
+def _checked(cast, ok, rule: str):
+    """An argparse ``type=`` that casts, then rejects a value unless
+    ``ok(value)``; *rule* says what a valid value is."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda value: value >= 1, "at least 1")
+_NONNEGATIVE_INT = _checked(int, lambda value: value >= 0, "at least 0")
+_FRACTION = _checked(float, lambda value: 0.0 <= value <= 1.0, "in [0, 1]")
+_SECONDS = _checked(float, lambda value: value > 0.0, "positive")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -413,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_jobs(sub_parser):
         sub_parser.add_argument(
-            "--jobs", type=int, default=None, metavar="N",
+            "--jobs", type=_POSITIVE_INT, default=None, metavar="N",
             help="worker processes for variant simulation "
                  "(default: all cores; 1 = serial)",
         )
@@ -433,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
                  "missing ones are re-simulated",
         )
         sub_parser.add_argument(
-            "--job-timeout", type=float, default=None, metavar="SECONDS",
+            "--job-timeout", type=_SECONDS, default=None, metavar="SECONDS",
             dest="job_timeout",
             help="wall-clock deadline per pool job before the watchdog "
                  "kills and requeues it (default: 300)",
@@ -469,12 +489,12 @@ def build_parser() -> argparse.ArgumentParser:
              "to finish in minutes)",
     )
     run.add_argument(
-        "--cores", type=int, default=1,
+        "--cores", type=_POSITIVE_INT, default=1,
         help="simulate N cores over a shared heap (repro.uarch.system); "
              "1 = the paper's single-core run",
     )
     run.add_argument(
-        "--contention", type=float, default=0.0,
+        "--contention", type=_FRACTION, default=0.0,
         help="per-transaction probability of touching the shared "
              "partition (multi-core runs only)",
     )
@@ -502,28 +522,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument(
-        "--init-ops", type=int, default=None, dest="init_ops",
+        "--init-ops", type=_NONNEGATIVE_INT, default=None, dest="init_ops",
         help="override the workload's populate op count",
     )
     trace.add_argument(
-        "--sim-ops", type=int, default=None, dest="sim_ops",
+        "--sim-ops", type=_POSITIVE_INT, default=None, dest="sim_ops",
         help="override the workload's measured op count",
     )
     trace.add_argument(
-        "--cores", type=int, default=1,
+        "--cores", type=_POSITIVE_INT, default=1,
         help="co-simulate this many cores sharing one persistence "
              "domain: one Perfetto track group per core plus the "
              "shared-domain tracks and conflict flow arrows (default: 1)",
     )
     trace.add_argument(
-        "--contention", type=float, default=0.0,
+        "--contention", type=_FRACTION, default=0.0,
         help="per-transaction probability of touching the shared "
              "partition (multi-core traces only, default: 0.0)",
     )
 
     crash = sub.add_parser("crashtest", help="sweep crash injection")
     crash.add_argument("abbrev", choices=WORKLOADS)
-    crash.add_argument("--points", type=int, default=32)
+    crash.add_argument("--points", type=_POSITIVE_INT, default=32)
     crash.add_argument("--seed", type=int, default=0)
 
     report = sub.add_parser("report", help="full markdown report")

@@ -34,7 +34,6 @@ from repro.harness.runner import (
     run_system,
     run_variant,
     system_result,
-    variant_stats,
 )
 from repro.harness.bench import run_bench
 from repro.harness.figures import (
@@ -69,7 +68,6 @@ __all__ = [
     "system_result",
     "run_variants",
     "set_default_jobs",
-    "variant_stats",
     "fig8_overheads",
     "fig9_instruction_counts",
     "fig10_fetch_stalls",

@@ -356,37 +356,6 @@ def run_system(
     return stats
 
 
-def variant_stats(
-    abbrev: str,
-    sp: bool = False,
-    ssb_entries: int = 256,
-    seed: int = 7,
-) -> Dict[PersistMode, RunStats]:
-    """All four Figure-8 variants for one benchmark.
-
-    With ``sp=True`` the LOG_P_SF trace additionally runs on the
-    speculative-persistence machine and is stored under the key
-    ``"SP"`` in the returned mapping (alongside the enum keys).
-    Variants are scheduled through the parallel executor when a
-    multi-job default is configured.
-    """
-    from repro.harness.parallel import prefetch_variants
-
-    base_cfg = MachineConfig()
-    pairs = [(abbrev, mode, base_cfg) for mode in PersistMode]
-    sp_cfg = base_cfg.with_sp(ssb_entries)
-    if sp:
-        pairs.append((abbrev, PersistMode.LOG_P_SF, sp_cfg))
-    prefetch_variants(pairs, seed=seed)
-
-    results: Dict = {}
-    for mode in PersistMode:
-        results[mode] = run_variant(abbrev, mode, base_cfg, seed)
-    if sp:
-        results["SP"] = run_variant(abbrev, PersistMode.LOG_P_SF, sp_cfg, seed)
-    return results
-
-
 def geomean_overhead(ratios: Iterable[float]) -> float:
     """The paper's summary statistic: geometric mean of slowdown ratios,
     minus one."""

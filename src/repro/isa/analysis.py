@@ -28,7 +28,7 @@ from repro.isa.columns import TraceColumns
 from repro.isa.ops import Op, FENCE_OPS, PMEM_OPS
 from repro.isa.trace import Trace
 
-try:  # the batch metadata below vectorises with numpy when present
+try:  # segmentation vectorises, and the kernel's columns exist, with numpy
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
@@ -124,9 +124,9 @@ class TraceSegments:
 
     Both are pure functions of the opcode column, like the entries
     themselves, so they are computed once here and shared by every
-    machine configuration.  They are numpy arrays when numpy is
-    importable and plain lists otherwise (the pure-Python walker never
-    reads them).
+    machine configuration.  They are numpy arrays, and ``None`` when
+    numpy is missing: the kernel cannot run then, and the pure-Python
+    walker reads only ``entries``.
     """
 
     entries: List[Tuple[int, int, int, int, int]]
@@ -139,56 +139,11 @@ class TraceSegments:
     cum_instrs: Optional[Sequence[int]] = None
 
 
-class _LazyEntries:
-    """Row view of the segmentation columns, materialised on first touch.
-
-    The numpy segmentation path produces only the columnar arrays; the
-    per-entry tuple list exists for the Python walker's event stepper and
-    for tests.  Building it eagerly would cost one Python tuple per event
-    (hundreds of megabytes at paper scale) that the vectorized kernel
-    never reads, so the list is assembled lazily — once, on the first
-    indexed access or iteration — and cached.  ``len`` never materialises.
-    """
-
-    __slots__ = ("_cols", "_rows")
-
-    def __init__(self, runs, kinds, blocks, metas, idx):
-        self._cols = (runs, kinds, blocks, metas, idx)
-        self._rows: Optional[List[Tuple[int, int, int, int, int]]] = None
-
-    def rows(self) -> List[Tuple[int, int, int, int, int]]:
-        """The entries as a list (built once; the Python walker indexes
-        it directly).  Equal block addresses share one int object (a
-        trace touches few distinct blocks), and the columns are dropped
-        once the list exists."""
-        rows = self._rows
-        if rows is None:
-            runs, kinds, blocks, metas, idx = self._cols
-            blocks = blocks.tolist()
-            blocks = list(map(dict(zip(blocks, blocks)).__getitem__, blocks))
-            rows = self._rows = list(
-                zip(runs.tolist(), kinds.tolist(), blocks, metas.tolist(),
-                    idx.tolist())
-            )
-            self._cols = None
-        return rows
-
-    def __len__(self) -> int:
-        rows = self._rows
-        return len(rows) if rows is not None else len(self._cols[0])
-
-    def __getitem__(self, i):
-        return self.rows()[i]
-
-    def __iter__(self):
-        return iter(self.rows())
-
-
 def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     """Vectorized segmentation: same entries as the scalar loop below,
     computed with array operations (paper-scale traces segment in
-    milliseconds instead of minutes, and the per-entry tuples stay
-    unmaterialised unless the Python walker actually steps them)."""
+    milliseconds instead of minutes), plus the columns and batch
+    metadata the kernel reads."""
     n = len(columns.ops)
     ops = _np.frombuffer(columns.ops, dtype=_np.uint8)
     ev = _np.nonzero(ops > 1)[0]
@@ -246,9 +201,15 @@ def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     kinds_full = _np.concatenate([kinds_e, [K_TAIL]])
     blocks_full = _np.concatenate([blocks_e, [0]])
     metas_full = _np.concatenate([metas_e, [0]])
-    idx_full = _np.concatenate([pos, [n]])
     batch_end, cum = _batch_extents_np(runs_e, kinds_full)
-    entries = _LazyEntries(runs_e, kinds_full, blocks_full, metas_full, idx_full)
+    # equal block addresses share one int object: a trace touches few
+    # distinct blocks, and the walker holds every entry
+    blocks = blocks_full.tolist()
+    blocks = list(map(dict(zip(blocks, blocks)).__getitem__, blocks))
+    entries = list(zip(
+        runs_e.tolist(), kinds_full.tolist(), blocks, metas_full.tolist(),
+        pos.tolist() + [n],
+    ))
     return TraceSegments(
         entries, n, runs_e, kinds_full, blocks_full, metas_full, batch_end, cum
     )
@@ -282,8 +243,7 @@ def segment_trace(columns: TraceColumns) -> TraceSegments:
         run = 0
         i += 1
     append((run, K_TAIL, 0, 0, n))
-    runs, kinds, blocks, metas, batch_end, cum = _batch_metadata(entries, n)
-    return TraceSegments(entries, n, runs, kinds, blocks, metas, batch_end, cum)
+    return TraceSegments(entries, n)
 
 
 #: Event kinds the vectorized kernel must hand back to the scalar
@@ -311,35 +271,6 @@ def _batch_extents_np(runs, kinds):
     else:
         batch_end = _np.full(ne, ne, dtype=_np.int64)
     return batch_end, cum
-
-
-def _batch_metadata(entries, n):
-    """Columnar mirror + kernel batch extents for a segment list."""
-    runs = [e[0] for e in entries]
-    kinds = [e[1] for e in entries]
-    blocks = [e[2] for e in entries]
-    metas = [e[3] for e in entries]
-    ne = len(entries)
-    if _np is not None:
-        runs = _np.asarray(runs, dtype=_np.int64)
-        kinds = _np.asarray(kinds, dtype=_np.int64)
-        blocks = _np.asarray(blocks, dtype=_np.int64)
-        metas = _np.asarray(metas, dtype=_np.int64)
-        batch_end, cum = _batch_extents_np(runs, kinds)
-        return runs, kinds, blocks, metas, batch_end, cum
-    # pure-Python fallback: same shapes, list-backed (never on a hot path)
-    cum = [0] * (ne + 1)
-    total = 0
-    for k, (r, kind) in enumerate(zip(runs, kinds)):
-        total += r + (3 if kind == K_BARRIER else (1 if kind >= 2 else 0))
-        cum[k + 1] = total
-    batch_end = [ne] * ne
-    nxt = ne
-    for k in range(ne - 1, -1, -1):
-        if kinds[k] in _STOP_KINDS:
-            nxt = k
-        batch_end[k] = nxt
-    return runs, kinds, blocks, metas, batch_end, cum
 
 
 def barrier_distances(trace: Trace) -> List[int]:

@@ -19,26 +19,11 @@ drives workloads to arbitrary persist points, crashes, runs recovery, and
 checks invariants.
 """
 
-from repro.pmem.domain import PersistenceDomain, PmemOrderingError
+from repro.pmem.domain import PersistenceDomain
 from repro.pmem.crash import CrashTester, CrashOutcome
-from repro.pmem.models import (
-    ALL_MODELS,
-    BufferedEpochPersistency,
-    EpochPersistency,
-    PersistencyModel,
-    StrandPersistency,
-    StrictPersistency,
-)
 
 __all__ = [
     "PersistenceDomain",
-    "PmemOrderingError",
     "CrashTester",
     "CrashOutcome",
-    "PersistencyModel",
-    "StrictPersistency",
-    "EpochPersistency",
-    "BufferedEpochPersistency",
-    "StrandPersistency",
-    "ALL_MODELS",
 ]

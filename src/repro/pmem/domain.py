@@ -21,10 +21,6 @@ from typing import Dict, Optional, Set
 from repro.mem.heap import NVMHeap, CACHE_BLOCK
 
 
-class PmemOrderingError(RuntimeError):
-    """Raised when persistency instructions are used inconsistently."""
-
-
 class PersistenceDomain:
     """Tracks which cache blocks are dirty, pending in the WPQ, or durable.
 

@@ -148,11 +148,6 @@ class TxManager:
         self._in_tx = False
         self._sealed = False
 
-    def abort_volatile(self) -> None:
-        """Drop transaction state without touching memory (tests only)."""
-        self._in_tx = False
-        self._sealed = False
-
     # ------------------------------------------------------------------
     # recovery
     # ------------------------------------------------------------------

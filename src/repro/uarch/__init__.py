@@ -16,7 +16,7 @@ from repro.uarch.config import (
     ssb_latency,
 )
 from repro.uarch.caches import CacheLevel, CacheHierarchy
-from repro.uarch.memctrl import MemoryController, MemoryControllerArray
+from repro.uarch.memctrl import MemoryController
 from repro.uarch.pipeline import PipelineModel, simulate
 
 __all__ = [
@@ -27,7 +27,6 @@ __all__ = [
     "CacheLevel",
     "CacheHierarchy",
     "MemoryController",
-    "MemoryControllerArray",
     "PipelineModel",
     "simulate",
 ]

@@ -76,10 +76,6 @@ class MachineConfig:
     nvmm_banks: int = 16           # WPQ drain parallelism (MCs x banks)
     wpq_entries: int = 64
     mc_roundtrip: int = 20         # core <-> memory-controller ack latency
-    #: >1 instantiates a MemoryControllerArray: blocks interleave across
-    #: controllers and pcommit waits for acknowledgement from all of them
-    #: (the paper's plural "memory controllers" semantics).
-    n_memory_controllers: int = 1
 
     # speculative persistence
     sp_enabled: bool = False

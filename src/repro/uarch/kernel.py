@@ -343,10 +343,6 @@ class _WritebackCollector:
         self.records.append((self.op, block))
 
 
-#: Batches with fewer ops than this skip the set analysis entirely —
-#: the per-op loop beats the snapshot/mask overhead outright.
-_CLASSIFY_EXACT_MAX = 160
-
 #: Snapshot refresh granularity: membership is re-derived from the real
 #: L1 every this-many ops, so the closed-set analysis never works from
 #: stale residency.  Doubles (up to the cap) while sub-batches stay
@@ -453,7 +449,7 @@ def _classify(model, T, q0, q1):
 
     # -- inlined L1-miss service ---------------------------------------
     # ``caches.access`` is ~10 attribute lookups and method calls per op;
-    # on miss-heavy batches the exact path spends most of its time there.
+    # on miss-heavy batches the exact replay spends most of its time there.
     # These closures replay the identical state transitions (LRU refresh
     # order, victim cascade, stamp bumps) on the level dicts directly and
     # batch the statistics, flushed once in the ``finally`` below.  Only
@@ -555,49 +551,11 @@ def _classify(model, T, q0, q1):
     kindb = T.op_kind
     blockb = T.op_block
     tags_all = T.tags(shift1)
-    nq = q1 - q0
-
-    def span_exact(a, b):
-        """Exact per-op replay of ops [a, b) (global op ordinals)."""
-        nonlocal hits
-        li = int(T.load_cum[a]) - L0
-        si = int(T.store_cum[a]) - S0
-        fi = int(T.flush_cum[a]) - F0
-        kl = kindb[a:b].tolist()
-        bl = blockb[a:b].tolist()
-        k = a
-        for kind, blk in zip(kl, bl):
-            tag = blk >> shift1
-            ways = sets1[tag & mask1]
-            if kind == 2:  # LOAD
-                if tag in ways:
-                    ways[tag] = ways.pop(tag)
-                    hits += 1
-                else:
-                    collector.op = (k, 0, li)
-                    load_lat[li] = miss_fast(tag, blk, False)
-                li += 1
-            elif kind == 4 or kind == 5:  # CLWB / CLFLUSHOPT
-                collector.op = (k, 2, fi)
-                _lookup, dirty = cflush(blk, kind == 5, 0)
-                flush_wb[fi] = dirty
-                fi += 1
-            else:  # STORE / XCHG / LOCK_RMW
-                if tag in ways:
-                    ways.pop(tag)
-                    ways[tag] = True
-                    hits += 1
-                else:
-                    collector.op = (k, 1, si)
-                    store_lat[si] = miss_fast(tag, blk, True)
-                si += 1
-            k += 1
 
     def span_exact_idx(idx):
         """Exact per-op replay of the listed op ordinals (increasing —
-        i.e. in global order).  Same body as :func:`span_exact` except
-        that each op is a run head carrying its elided tails' dirty bit
-        (``eff_store``); kept in lockstep with it."""
+        i.e. in global order).  Each op is a run head carrying its elided
+        tails' dirty bit (``eff_store``)."""
         nonlocal hits
         kl = np.take(kindb, idx).tolist()
         bl = np.take(blockb, idx).tolist()
@@ -660,49 +618,41 @@ def _classify(model, T, q0, q1):
     saved_memctrl = caches.memctrl
     caches.memctrl = collector
     try:
-        if nq <= _CLASSIFY_EXACT_MAX:
-            kept = np.nonzero(keep)[0]
-            if len(kept) == nq:
-                span_exact(q0, q1)
+        sub = _CLASSIFY_SUB
+        a = q0
+        while a < q1:
+            b = min(a + sub, q1)
+            snap = _l1_snapshot(model, l1)
+            sub_tags = tags_all[a:b]
+            kp = keep[a - q0:b - q0]
+            if len(snap):
+                probe = np.take(
+                    snap, np.searchsorted(snap, sub_tags), mode="clip"
+                )
+                offending = probe != sub_tags
+                np.logical_or(offending, T.is_flush[a:b], out=offending)
+                # elided run tails are guaranteed hits — a stale
+                # non-member probe (tag filled earlier this sub-batch)
+                # must not condemn their set to the exact replay
+                np.logical_and(offending, kp, out=offending)
             else:
-                span_exact_idx(kept + q0)
-        else:
-            sub = _CLASSIFY_SUB
-            a = q0
-            while a < q1:
-                b = min(a + sub, q1)
-                snap = _l1_snapshot(model, l1)
-                sub_tags = tags_all[a:b]
-                kp = keep[a - q0:b - q0]
-                if len(snap):
-                    probe = np.take(
-                        snap, np.searchsorted(snap, sub_tags), mode="clip"
-                    )
-                    offending = probe != sub_tags
-                    np.logical_or(offending, T.is_flush[a:b], out=offending)
-                    # elided run tails are guaranteed hits — a stale
-                    # non-member probe (tag filled earlier this
-                    # sub-batch) must not condemn their set to the exact
-                    # path
-                    np.logical_and(offending, kp, out=offending)
-                else:
-                    offending = kp.copy()
-                if not offending.any():
-                    bulk_apply(sub_tags[kp], eff_store[a - q0:b - q0][kp])
-                    sub = min(sub * 2, _CLASSIFY_SUB_MAX)
-                else:
-                    op_sets = sub_tags & mask1
-                    bad = np.zeros(mask1 + 1, dtype=bool)
-                    bad[op_sets[offending]] = True
-                    set_bad = bad[op_sets]
-                    span_exact_idx(np.nonzero(set_bad & kp)[0] + a)
-                    closed = ~set_bad
-                    np.logical_and(closed, kp, out=closed)
-                    if closed.any():
-                        bulk_apply(sub_tags[closed],
-                                   eff_store[a - q0:b - q0][closed])
-                    sub = _CLASSIFY_SUB
-                a = b
+                offending = kp.copy()
+            if not offending.any():
+                bulk_apply(sub_tags[kp], eff_store[a - q0:b - q0][kp])
+                sub = min(sub * 2, _CLASSIFY_SUB_MAX)
+            else:
+                op_sets = sub_tags & mask1
+                bad = np.zeros(mask1 + 1, dtype=bool)
+                bad[op_sets[offending]] = True
+                set_bad = bad[op_sets]
+                span_exact_idx(np.nonzero(set_bad & kp)[0] + a)
+                closed = ~set_bad
+                np.logical_and(closed, kp, out=closed)
+                if closed.any():
+                    bulk_apply(sub_tags[closed],
+                               eff_store[a - q0:b - q0][closed])
+                sub = _CLASSIFY_SUB
+            a = b
         hits += int(np.count_nonzero(dup_run))
     finally:
         caches.memctrl = saved_memctrl
@@ -828,7 +778,7 @@ def advance(model, columns, segments, ei):
     retire bandwidth groups.
     """
     batch_end = segments.batch_end
-    if batch_end is None:  # hand-built TraceSegments without metadata
+    if batch_end is None:  # segmented without numpy: no kernel columns
         return None
     ej = int(batch_end[ei])
     n_entries = len(segments.entries)

@@ -44,7 +44,6 @@ class MemoryController:
         """A dirty block arrives at time *now*; returns its NVMM-write
         completion time (when it stops being volatile)."""
         self.writes += 1
-        start = max(now, self.drain_free - 0)
         # If the queue is idle, service begins immediately; otherwise the
         # write queues behind the in-flight ones.
         self.drain_free = max(self.drain_free, now) + self.service_cycles
@@ -53,7 +52,6 @@ class MemoryController:
         self._trim(now)
         if len(self._pending) > self.max_wpq_occupancy:
             self.max_wpq_occupancy = len(self._pending)
-        del start
         return done
 
     def _trim(self, now: int) -> None:
@@ -93,66 +91,3 @@ class MemoryController:
     def writeback_ack(self, enqueue_done: int) -> int:
         """Time the core hears a clwb's writeback acknowledgement."""
         return enqueue_done - self.service_cycles + self.config.mc_roundtrip
-
-
-class MemoryControllerArray:
-    """Multiple memory controllers, interleaved by block address.
-
-    The paper's pcommit semantics are multi-controller: "pcommit's
-    completion is detected when the write buffers in the memory controller
-    are flushed and the processor has received acknowledgement from *all*
-    memory controllers".  This array interleaves cache blocks across
-    ``n_controllers`` and implements exactly that completion rule; it is a
-    drop-in replacement for :class:`MemoryController` in the pipeline.
-
-    With ``n_controllers=1`` it degenerates to the single-controller model
-    (up to bank-count bookkeeping): each controller keeps the per-config
-    bank parallelism, so the array adds *channel* parallelism on top.
-    """
-
-    def __init__(self, config: MachineConfig, n_controllers: int = 2):
-        if n_controllers <= 0:
-            raise ValueError("need at least one memory controller")
-        self.config = config
-        self.controllers = [MemoryController(config) for _ in range(n_controllers)]
-        self.service_cycles = self.controllers[0].service_cycles
-
-    def _select(self, block: int) -> MemoryController:
-        index = (block >> 6) % len(self.controllers)
-        return self.controllers[index]
-
-    # MemoryController interface -----------------------------------------
-    def enqueue_writeback(self, block: int, now: int) -> int:
-        return self._select(block).enqueue_writeback(block, now)
-
-    def pcommit(self, issue_time: int) -> int:
-        """All controllers must drain and acknowledge."""
-        return max(mc.pcommit(issue_time) for mc in self.controllers)
-
-    def writeback_ack(self, enqueue_done: int) -> int:
-        return enqueue_done - self.service_cycles + self.config.mc_roundtrip
-
-    def wpq_occupancy(self, now: int) -> int:
-        return sum(mc.wpq_occupancy(now) for mc in self.controllers)
-
-    def wpq_sample(self, now: int) -> int:
-        """Read-only occupancy probe across all controllers."""
-        return sum(mc.wpq_sample(now) for mc in self.controllers)
-
-    # statistics ----------------------------------------------------------
-    @property
-    def writes(self) -> int:
-        return sum(mc.writes for mc in self.controllers)
-
-    @property
-    def pcommits(self) -> int:
-        # every controller sees each pcommit; report the logical count
-        return self.controllers[0].pcommits
-
-    @property
-    def max_wpq_occupancy(self) -> int:
-        return max(mc.max_wpq_occupancy for mc in self.controllers)
-
-    @property
-    def max_inflight_pcommits(self) -> int:
-        return max(mc.max_inflight_pcommits for mc in self.controllers)

@@ -73,7 +73,7 @@ from repro.stats.run import RunStats
 from repro.uarch import kernel as _kernel
 from repro.uarch.caches import CacheHierarchy, CacheLevel
 from repro.uarch.config import MachineConfig, PipelineConfig
-from repro.uarch.memctrl import MemoryController, MemoryControllerArray
+from repro.uarch.memctrl import MemoryController
 
 _BLOCK_MASK = ~63
 #: the walker's speculation horizon when no epoch is open: above any cycle
@@ -118,10 +118,7 @@ class PipelineModel:
         self._tracer = tracer
         #: epoch_id -> checkpoint time, for epoch span emission
         self._epoch_starts: Dict[int, int] = {}
-        if config.n_memory_controllers > 1:
-            self.memctrl = MemoryControllerArray(config, config.n_memory_controllers)
-        else:
-            self.memctrl = MemoryController(config)
+        self.memctrl = MemoryController(config)
         self.caches = CacheHierarchy(config, self.memctrl)
         self.stats = RunStats()
         # SP hardware (present but idle when sp_enabled is False)
@@ -369,8 +366,6 @@ class PipelineModel:
         expanded barrier triple the count exceeds the entry's prefix.
         """
         entries = segments.entries
-        if type(entries) is not list:
-            entries = entries.rows()
         n_entries = len(entries)
         config = self.config
         coalesce = config.coalesce_barrier_checkpoints
@@ -1484,24 +1479,6 @@ class PipelineModel:
         if not self.epochs.speculating:
             return None
         return self._do_rollback()
-
-    def external_probe(self, block: int) -> bool:
-        """An external coherence request for *block*.  Returns True if it
-        conflicted with speculative state and triggered a rollback."""
-        if not self.epochs.speculating:
-            return False
-        if not self.blt.probe(block & _BLOCK_MASK):
-            return False
-        discarded = self.epochs.rollback()
-        self.bloom.reset()
-        self.blt.clear()
-        self.stats.rollbacks += 1
-        if self._tracer is not None:
-            now = self._last_retire
-            self._tracer.instant("rollback", now, cat="speculation")
-            for epoch in discarded:
-                self._trace_epoch_end(epoch, "rollback", end=now)
-        return True
 
     # ------------------------------------------------------------------
     # bookkeeping

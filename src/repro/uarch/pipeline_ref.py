@@ -26,7 +26,7 @@ from repro.isa.trace import Trace
 from repro.stats.run import RunStats
 from repro.uarch.caches import CacheHierarchy
 from repro.uarch.config import MachineConfig
-from repro.uarch.memctrl import MemoryController, MemoryControllerArray
+from repro.uarch.memctrl import MemoryController
 
 _BLOCK_MASK = ~63
 
@@ -36,10 +36,7 @@ class ReferencePipelineModel:
 
     def __init__(self, config: MachineConfig = MachineConfig()):
         self.config = config
-        if config.n_memory_controllers > 1:
-            self.memctrl = MemoryControllerArray(config, config.n_memory_controllers)
-        else:
-            self.memctrl = MemoryController(config)
+        self.memctrl = MemoryController(config)
         self.caches = CacheHierarchy(config, self.memctrl)
         self.stats = RunStats()
         # SP hardware (present but idle when sp_enabled is False)

@@ -69,9 +69,8 @@ Without SP no core ever speculates, so no delivered probe can act: each
 core runs its whole trace alone, on the walker and the NumPy kernel.
 
 Timing composition: each core keeps its own memory-controller channel
-(block-interleaved banks of one logical NVMM domain, as with
-``n_memory_controllers > 1`` on a single core), so per-core timing is
-compositional and the zero-contention identity above holds exactly.
+into the one logical NVMM domain, so per-core timing is compositional
+and the zero-contention identity above holds exactly.
 Cross-core interaction happens through the coherence layer below.
 
 Conflict protocol (paper §4.2.2, exercised for the first time)
@@ -402,10 +401,7 @@ class SystemModel:
         for state in states:
             state.core._published = []
             state.segments = state.trace.segments()
-            entries = state.segments.entries
-            if type(entries) is not list:
-                entries = entries.rows()
-            state.entries = entries
+            state.entries = entries = state.segments.entries
             state.starts = array(
                 "q", (idx - run for run, _, _, _, idx in entries)
             )

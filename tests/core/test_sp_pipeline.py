@@ -166,31 +166,6 @@ class TestStrongOrderingOps:
         assert not model.epochs.speculating
 
 
-class TestRollback:
-    def test_external_probe_conflict_rolls_back(self):
-        model = PipelineModel(SP)
-        # drive the model into speculation manually
-        instrs = barrier(0x10000) + [Instr(Op.STORE, 0x20000)]
-        for i, instr in enumerate(Trace(instrs)):
-            pass
-        model.run(Trace(instrs[:5]))  # barrier only: enter speculation
-        if model.epochs.speculating:
-            model.blt.record(0x20000)
-            assert model.external_probe(0x20000)
-            assert not model.epochs.speculating
-            assert model.stats.rollbacks == 1
-
-    def test_probe_without_conflict_is_harmless(self):
-        model = PipelineModel(SP)
-        model.run(Trace(barrier(0x10000)))
-        assert not model.external_probe(0x999000)
-
-    def test_probe_outside_speculation_is_harmless(self):
-        model = PipelineModel(SP)
-        model.run(Trace([Instr(Op.ALU)] * 10))
-        assert not model.external_probe(0x10000)
-
-
 class TestBarrierCoalescing:
     def test_one_checkpoint_per_barrier_triple(self):
         """Paper §4.2.2: an sfence-pcommit-sfence consumes a single

@@ -83,3 +83,32 @@ class TestExitCodes:
         (line,) = capsys.readouterr().out.strip().splitlines()
         assert line == "--contention needs --cores >= 2"
         assert len(obs_metrics.variant_records()) == before  # nothing ran
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crashtest", "LL", "--points", "0"],
+            ["crashtest", "LL", "--points", "-3"],
+            ["run", "HM", "--cores", "2", "--contention", "1.5"],
+            ["run", "LL", "--cores", "0"],
+            ["trace", "LL", "--cores", "0"],
+            ["trace", "LL", "--cores", "2", "--contention", "1.5"],
+            ["trace", "LL", "--sim-ops", "-4"],
+            ["trace", "LL", "--init-ops", "-1"],
+            ["figure", "8", "--jobs", "0"],
+            ["figure", "8", "--jobs", "2", "--job-timeout", "-1",
+             "--benchmarks", "LL"],
+        ],
+        ids=[
+            "points-0", "points-negative", "run-contention", "run-cores",
+            "trace-cores", "trace-contention", "sim-ops", "init-ops", "jobs",
+            "job-timeout",
+        ],
+    )
+    def test_out_of_range_value_exits_2(self, argv, capsys):
+        before = len(obs_metrics.variant_records())
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "usage: repro" in capsys.readouterr().err
+        assert len(obs_metrics.variant_records()) == before  # nothing ran

@@ -7,10 +7,8 @@ from repro.harness.runner import (
     clear_trace_cache,
     geomean_overhead,
     run_variant,
-    variant_stats,
 )
 from repro.txn.modes import PersistMode
-from repro.uarch.config import MachineConfig
 
 
 @pytest.fixture(autouse=True)
@@ -49,17 +47,6 @@ class TestVariants:
         first = run_variant("LL", PersistMode.BASE)
         second = run_variant("LL", PersistMode.BASE)
         assert first is second
-
-    def test_variant_stats_all_modes(self):
-        results = variant_stats("LL", sp=True)
-        for mode in PersistMode:
-            assert results[mode].cycles > 0
-        assert results["SP"].cycles > 0
-
-    def test_sp_uses_sp_machine(self):
-        results = variant_stats("LL", sp=True)
-        assert results["SP"].sp_entries > 0
-        assert results[PersistMode.LOG_P_SF].sp_entries == 0
 
 
 class TestGeomean:

@@ -1,6 +1,7 @@
 """Trace characterisation helpers (repro.isa.analysis)."""
 
 import sys
+from itertools import accumulate
 
 import pytest
 
@@ -100,8 +101,9 @@ class TestCharacterise:
 class TestSegmentationVectorizedVsScalar:
     """segment_trace has two implementations — the numpy one and the
     pure-Python fallback used when numpy is absent.  They must produce
-    identical segmentations, entry for entry, including the batch
-    metadata the kernel consumes, on every barrier-recognition edge."""
+    identical segmentations, entry for entry, on every
+    barrier-recognition edge; the numpy one's kernel columns must mirror
+    those entries."""
 
     CASES = {
         "empty": [],
@@ -136,21 +138,24 @@ class TestSegmentationVectorizedVsScalar:
         vec = analysis.segment_trace(columns)
         monkeypatch.setattr(analysis, "_np", None)
         ref = analysis.segment_trace(columns)
-        assert [tuple(e) for e in vec.entries] == [tuple(e) for e in ref.entries]
+        assert vec.entries == ref.entries
         assert vec.n == ref.n
-        for field in ("runs", "kinds", "blocks", "metas", "batch_end"):
+        assert ref.batch_end is None  # no kernel columns without numpy
+        entries = ref.entries
+        for k, field in enumerate(("runs", "kinds", "blocks", "metas")):
             assert [int(v) for v in getattr(vec, field)] == [
-                int(v) for v in getattr(ref, field)
+                e[k] for e in entries
             ], field
-        assert [int(v) for v in vec.cum_instrs] == [int(v) for v in ref.cum_instrs]
-
-    def test_lazy_entries_len_without_materialisation(self):
-        if analysis._np is None:
-            pytest.skip("numpy unavailable")
-        columns = Trace(self.CASES["mixed"]).columns()
-        seg = analysis.segment_trace(columns)
-        assert seg.entries._rows is None
-        n_entries = len(seg.entries)
-        assert seg.entries._rows is None  # len must not materialise
-        assert len(list(seg.entries)) == n_entries
-        assert seg.entries[0] == list(seg.entries)[0]
+        # batch_end: the next entry the kernel cannot batch; cum_instrs:
+        # instructions before each entry (3 per barrier, 1 per other event)
+        kinds = [e[1] for e in entries]
+        stops = [k for k, kind in enumerate(kinds) if kind in analysis._STOP_KINDS]
+        assert [int(v) for v in vec.batch_end] == [
+            min([j for j in stops if j >= k], default=len(kinds))
+            for k in range(len(kinds))
+        ]
+        sizes = [
+            run + (3 if kind == analysis.K_BARRIER else kind >= 2)
+            for run, kind, *_ in entries
+        ]
+        assert [int(v) for v in vec.cum_instrs] == list(accumulate(sizes, initial=0))

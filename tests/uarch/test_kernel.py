@@ -45,25 +45,21 @@ _SET_STRIDE = _CFG.l1.n_sets * _BLOCK
 
 
 @contextmanager
-def kernel_knobs(min_batch, exact_max=None):
-    """Lower the kernel's batch threshold and, optionally, the
-    classification pass's exact-path cutoff (0 sends every batch through
-    the set analysis); both are read at call time."""
-    saved = kernel.KERNEL_MIN_BATCH, kernel._CLASSIFY_EXACT_MAX
+def kernel_knobs(min_batch):
+    """Lower the kernel's batch threshold (read at call time)."""
+    saved = kernel.KERNEL_MIN_BATCH
     kernel.KERNEL_MIN_BATCH = min_batch
-    if exact_max is not None:
-        kernel._CLASSIFY_EXACT_MAX = exact_max
     try:
         yield
     finally:
-        kernel.KERNEL_MIN_BATCH, kernel._CLASSIFY_EXACT_MAX = saved
+        kernel.KERNEL_MIN_BATCH = saved
 
 
-def run_backend(trace, config, backend, min_batch=1, exact_max=None):
+def run_backend(trace, config, backend, min_batch=1):
     """Run *trace* on an explicit backend; min_batch=1 forces the kernel
     onto spans the default threshold would leave to the walker."""
     model = PipelineModel(config, pipeline=PipelineConfig(kernel=backend))
-    with kernel_knobs(min_batch, exact_max):
+    with kernel_knobs(min_batch):
         stats = model.run(trace)
     return model, stats
 
@@ -79,13 +75,11 @@ def cache_state(model):
     return out
 
 
-def assert_backends_agree(trace, config=None, min_batch=1, exact_max=None):
+def assert_backends_agree(trace, config=None, min_batch=1):
     """Byte-identical stats *and* hierarchy state, walker vs kernel."""
     config = config or MachineConfig()
     py_model, py_stats = run_backend(trace, config, "python", min_batch)
-    np_model, np_stats = run_backend(
-        trace, config, "numpy", min_batch, exact_max
-    )
+    np_model, np_stats = run_backend(trace, config, "numpy", min_batch)
     assert np_model.kernel_backend == "numpy"
     assert np_stats.as_dict() == py_stats.as_dict()
     assert cache_state(np_model) == cache_state(py_model)
@@ -351,8 +345,7 @@ class TestPropertyEquivalence:
 
 
 # ----------------------------------------------------------------------
-# directed traces: the classification pass's set analysis, forced onto
-# every batch (exact-path cutoff 0)
+# directed traces: the classification pass's set analysis
 # ----------------------------------------------------------------------
 @requires_numpy
 class TestDirected:
@@ -363,7 +356,7 @@ class TestDirected:
         body = []
         for lap in range(24):
             body += loads(blocks) if lap % 3 else stores(blocks)
-        assert_backends_agree(Trace(body), exact_max=0)
+        assert_backends_agree(Trace(body))
 
     def test_dirty_victim_cascade_l1_l2_l3(self):
         # dirty a footprint far past every level's per-set capacity —
@@ -377,7 +370,7 @@ class TestDirected:
         for lap in range(6):
             body += stores([b + (lap % 2) * 8 for b in blocks])
             body += loads(list(reversed(blocks)))
-        py_model, _ = assert_backends_agree(Trace(body), exact_max=0)
+        py_model, _ = assert_backends_agree(Trace(body))
         assert py_model.caches.l3.writebacks > 0  # the cascade actually ran
 
     def test_eviction_free_fast_path(self):
@@ -387,7 +380,7 @@ class TestDirected:
         body = []
         for lap in range(30):
             body += loads(blocks) + stores(blocks[:2])
-        _, np_model = assert_backends_agree(Trace(body), exact_max=0)
+        _, np_model = assert_backends_agree(Trace(body))
         assert np_model.caches.l1.misses == len(blocks)  # first touches only
 
     def test_partial_eligibility_split(self):
@@ -398,7 +391,7 @@ class TestDirected:
         body = []
         for lap in range(20):
             body += loads(quiet) + stores(noisy[: lap % len(noisy) + 1])
-        assert_backends_agree(Trace(body), exact_max=0)
+        assert_backends_agree(Trace(body))
 
     def test_flush_segmented_batch(self):
         # flushes make their set offending; cleans and invalidations must
@@ -410,16 +403,14 @@ class TestDirected:
             body.append(Instr(Op.CLWB if lap % 2 else Op.CLFLUSHOPT,
                               blocks[lap % len(blocks)]))
             body += loads(blocks)
-        assert_backends_agree(Trace(body), exact_max=0)
+        assert_backends_agree(Trace(body))
 
     def test_speculative_machine_agrees(self):
         blocks = [i * _SET_STRIDE for i in range(_L1_WAYS + 3)]
         body = []
         for lap in range(8):
             body += stores(blocks) + barrier()
-        assert_backends_agree(
-            Trace(body), MachineConfig().with_sp(256), exact_max=0
-        )
+        assert_backends_agree(Trace(body), MachineConfig().with_sp(256))
 
     def test_quiet_and_noisy_pools(self):
         quiet = [i * _SET_STRIDE for i in range(3)]
@@ -428,14 +419,14 @@ class TestDirected:
             body = []
             for lap in range(30):
                 body += loads(pool) + stores(pool[:2])
-            assert_backends_agree(Trace(body), exact_max=0)
+            assert_backends_agree(Trace(body))
 
     def test_benchmark_traces_agree(self):
         clear_trace_cache()
         for abbrev in ("LL", "HM"):
             trace = build_trace(abbrev, PersistMode.LOG_P_SF,
                                 init_ops=800, sim_ops=60)
-            assert_backends_agree(trace, exact_max=0)
+            assert_backends_agree(trace)
         clear_trace_cache()
 
 
@@ -482,7 +473,7 @@ class TestConflictFuzz:
     )
     @given(trace=conflict_traces())
     def test_base_machine(self, trace):
-        assert_backends_agree(trace, exact_max=0)
+        assert_backends_agree(trace)
 
     @settings(
         max_examples=20,
@@ -491,7 +482,7 @@ class TestConflictFuzz:
     )
     @given(trace=conflict_traces())
     def test_speculative_machine(self, trace):
-        assert_backends_agree(trace, MachineConfig().with_sp(256), exact_max=0)
+        assert_backends_agree(trace, MachineConfig().with_sp(256))
 
 
 # ----------------------------------------------------------------------
