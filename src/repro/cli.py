@@ -46,11 +46,13 @@ same after their regular output.
 Multi-worker campaigns (``--jobs N`` with N > 1) run on the supervised
 local process pool (:mod:`repro.harness.supervisor`; see
 ``docs/RESILIENCE.md``); ``--jobs 1`` runs serially in process.  The
-commands above plus ``validate`` accept ``--resume`` (skip cells an
-interrupted campaign already journaled), ``--job-timeout SECONDS`` (the
-per-job watchdog deadline), and ``--failures-out PATH`` (structured
-report of timeouts/retries/quarantines/pool rebuilds).  A malformed
-``REPRO_CHAOS`` setting exits 2 before any work starts.
+commands above plus ``validate`` accept ``--job-timeout SECONDS`` (the
+per-job watchdog deadline) and ``--failures-out PATH`` (structured
+report of timeouts/retries/quarantines/pool rebuilds).  Every finished
+cell is stored in the cache, so an interrupted campaign, run again,
+simulates only the cells it had not finished.  A malformed
+``REPRO_CHAOS`` or ``REPRO_CHAOS_SEED`` setting exits 2 before any work
+starts.
 """
 
 from __future__ import annotations
@@ -447,12 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_supervise(sub_parser):
         sub_parser.add_argument(
-            "--resume", action="store_true",
-            help="resume an interrupted campaign: cells recorded in the "
-                 "campaign journal are loaded from cache, only the "
-                 "missing ones are re-simulated",
-        )
-        sub_parser.add_argument(
             "--job-timeout", type=_SECONDS, default=None, metavar="SECONDS",
             dest="job_timeout",
             help="wall-clock deadline per pool job before the watchdog "
@@ -622,17 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _configure_supervisor(args) -> Optional[str]:
-    """Check ``REPRO_CHAOS``, then apply the --resume/--job-timeout flags;
-    returns an error message, applying nothing, if the chaos setting is
+    """Check ``REPRO_CHAOS``, then apply the --job-timeout flag; returns
+    an error message, applying nothing, if the chaos setting is
     malformed."""
     from repro.harness import supervisor
 
     try:
         supervisor.ChaosSpec.from_env()
     except ValueError as exc:
-        return f"{supervisor.ENV_CHAOS}: {exc}"
-    if getattr(args, "resume", False):
-        supervisor.set_resume(True)
+        return str(exc)
     if getattr(args, "job_timeout", None) is not None:
         supervisor.set_job_timeout(args.job_timeout)
     return None

@@ -295,15 +295,6 @@ def stats_path(key, config: MachineConfig, root: Optional[PathLike] = None) -> O
     return resolved / "stats" / f"{stats_digest(key, config)}.json"
 
 
-def journal_dir(root: Optional[PathLike] = None) -> Optional[Path]:
-    """Where campaign journals live (``<cache>/journal/``), or ``None``
-    when caching is disabled.  See :mod:`repro.harness.supervisor`."""
-    resolved = _resolve_root(root)
-    if resolved is None:
-        return None
-    return resolved / "journal"
-
-
 # ----------------------------------------------------------------------
 # atomic file helpers
 # ----------------------------------------------------------------------
@@ -453,15 +444,15 @@ def store_stats(
 def _is_tmp_entry(path: Path) -> bool:
     """Whether *path* is an orphaned ``mkstemp`` leftover of
     :func:`_atomic_write` (``<name>.<random>`` — never a finished entry,
-    which always ends in ``.rptr``, ``.json``, or ``.jsonl``)."""
-    return path.is_file() and path.suffix not in (".rptr", ".json", ".jsonl")
+    which always ends in ``.rptr`` or ``.json``)."""
+    return path.is_file() and path.suffix not in (".rptr", ".json")
 
 
 def sweep_stale_tmp(
     root: Optional[PathLike] = None, min_age_s: float = 3600.0
 ) -> int:
-    """Remove ``*.tmp`` droppings a crashed writer left next to cache
-    entries; returns the number removed.
+    """Remove the staging files (``<entry>.<random>``) a crashed writer
+    left next to cache entries; returns the number removed.
 
     ``_atomic_write`` stages every entry through ``mkstemp`` in the
     target directory; a worker killed between ``mkstemp`` and
@@ -474,7 +465,7 @@ def sweep_stale_tmp(
         return 0
     cutoff = time.time() - max(0.0, min_age_s)
     removed = 0
-    for sub in ("traces", "stats", "journal"):
+    for sub in ("traces", "stats"):
         directory = resolved / sub
         if not directory.is_dir():
             continue
@@ -497,7 +488,7 @@ def clear_cache(root: Optional[PathLike] = None) -> int:
     if resolved is None or not resolved.exists():
         return 0
     removed = sweep_stale_tmp(root, min_age_s=0.0)
-    for sub in ("traces", "stats", "journal"):
+    for sub in ("traces", "stats"):
         directory = resolved / sub
         if not directory.is_dir():
             continue
@@ -527,11 +518,9 @@ def cache_info(root: Optional[PathLike] = None) -> dict:
         "schema_version": CACHE_SCHEMA_VERSION,
         "traces": 0,
         "stats": 0,
-        "journals": 0,
         "bytes": 0,
         "trace_bytes": 0,
         "stats_bytes": 0,
-        "journal_bytes": 0,
         "stale_tmp_removed": 0,
         "counters_session": cache_counters().as_dict(),
         "counters_lifetime": lifetime_cache_counters(root),
@@ -542,7 +531,6 @@ def cache_info(root: Optional[PathLike] = None) -> dict:
     for sub, bytes_key in (
         ("traces", "trace_bytes"),
         ("stats", "stats_bytes"),
-        ("journal", "journal_bytes"),
     ):
         directory = resolved / sub
         if not directory.is_dir():
@@ -550,7 +538,7 @@ def cache_info(root: Optional[PathLike] = None) -> dict:
         for path in directory.iterdir():
             if not path.is_file():
                 continue
-            info["journals" if sub == "journal" else sub] += 1
+            info[sub] += 1
             size = path.stat().st_size
             info[bytes_key] += size
             info["bytes"] += size

@@ -6,12 +6,12 @@ configurations — is embarrassingly parallel across variants.
 :func:`run_variants` runs a job list in process when ``jobs <= 1`` and
 otherwise hands it to the supervised process pool
 (:func:`repro.harness.supervisor.run_supervised` — two-phase trace then
-simulation fan-out, watchdog timeouts, retry with backoff, pool-death
-recovery, resumable journals).  Results are ordered by job position,
-never by completion order, and simulation is a pure function of
-``(trace, config)``, so ``--jobs N`` output is byte-identical to serial
-output.  Either way a benchmark's missing traces are generated as one
-family, with one populate for all of its modes
+simulation fan-out, watchdog timeouts, bounded retry, pool-death
+recovery).  Results are ordered by job position, never by completion
+order, and simulation is a pure function of ``(trace, config)``, so
+``--jobs N`` output is byte-identical to serial output.  Either way a
+benchmark's missing traces are generated as one family, with one
+populate for all of its modes
 (:func:`repro.harness.runner.generate_traces`).
 
 Pool workers exchange traces through the shared on-disk store in the

@@ -41,7 +41,7 @@ class TraceKey:
     ``cores``/``contention`` identify multi-core cells
     (:func:`run_system`); the defaults keep every single-core key — and
     its digest inputs — distinct from any multi-core cell, so a 2-core
-    run can never alias the single-core cache or journal entry.
+    run can never alias the single-core cache entry.
     """
 
     abbrev: str
@@ -201,25 +201,6 @@ def build_trace(
     return trace_for_key(TraceKey(abbrev, mode, seed, init_ops, sim_ops))
 
 
-def peek_cached_stats(
-    key: TraceKey, config: MachineConfig, root: Optional[str] = None
-) -> Optional[RunStats]:
-    """The cached :class:`RunStats` for *(key, config)*, without simulating.
-
-    Checks the in-process memo, then the disk store (promoting hits into
-    the memo).  With *root*, a store other than the default cache root —
-    the supervisor's campaign or scratch store — is consulted instead of
-    the default one.  Returns ``None`` on a miss.
-    """
-    cached = _STATS_CACHE.get((key, config))
-    if cached is not None:
-        return cached
-    stats = disk_cache.load_cached_stats(key, config, root=root)
-    if stats is not None:
-        _STATS_CACHE[(key, config)] = stats
-    return stats
-
-
 def seed_stats_cache(key: TraceKey, config: MachineConfig, stats: RunStats) -> None:
     """Install an externally computed result (parallel workers) in the memo."""
     _STATS_CACHE[(key, config)] = stats
@@ -241,15 +222,17 @@ def run_variant(
 
 
 def lookup_variant(key: TraceKey, config: MachineConfig) -> Optional[RunStats]:
-    """The first half of :func:`run_variant`: the in-process memo, then
-    the disk store (a hit is recorded as a ``disk`` variant and promoted
-    into the memo).  ``None`` on a miss."""
+    """The first half of :func:`run_variant`, and the prescan of both
+    schedulers: the in-process memo, then the disk store (a hit is
+    recorded as a ``disk`` variant and promoted into the memo).  ``None``
+    on a miss."""
     cached = _STATS_CACHE.get((key, config))
     if cached is not None:
         return cached
     started = time.perf_counter()
-    stats = peek_cached_stats(key, config)
+    stats = disk_cache.load_cached_stats(key, config)
     if stats is not None:
+        _STATS_CACHE[(key, config)] = stats
         obs_metrics.record_variant(
             "sim", _label(key), "disk", time.perf_counter() - started
         )

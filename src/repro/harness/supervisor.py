@@ -10,9 +10,9 @@ persistent-memory transaction runtimes to the harness itself:
 
 * **watchdog timeouts** — every pool job has a wall-clock deadline;
   stragglers are killed with the pool and requeued;
-* **bounded retry with deterministic backoff** — failed jobs are
-  re-submitted with exponential backoff and *seeded* jitter, so a rerun
-  of the same campaign schedules identically;
+* **bounded retry** — a failed job is re-submitted as soon as a
+  worker is free (after a worker death or a timeout, that is after the
+  pool rebuild);
 * **quarantine** — after ``max_attempts`` failures a job is pulled from
   the pool so one poison input cannot starve everything else; it is
   finished in-process by the chaos-free serial fallback;
@@ -20,10 +20,10 @@ persistent-memory transaction runtimes to the harness itself:
   OOM) rebuilds the pool and re-enqueues the in-flight jobs; after
   ``max_pool_rebuilds`` deaths the campaign degrades gracefully to
   serial execution;
-* **resumable journal** — completed jobs are appended (atomically, one
-  JSON line each) to ``<cache>/journal/<campaign-id>.jsonl``; an
-  interrupted campaign rerun with ``--resume`` re-simulates only the
-  journal-missing cells;
+* **rerun after an interrupt** — every finished cell is committed to
+  the content-keyed store by one atomic ``os.replace``, and the prescan
+  reads that store, so an interrupted campaign, run again, simulates
+  only the cells the store lacks;
 * **chaos mode** — ``REPRO_CHAOS=kill:p,hang:p,corrupt:p`` randomly
   SIGKILLs workers, injects hangs, and corrupts just-written cache
   entries, so tests and CI can prove every recovery path actually fires.
@@ -52,7 +52,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.harness import cache as disk_cache
 from repro.harness import runner
@@ -130,15 +130,23 @@ class ChaosSpec:
 
     @classmethod
     def from_env(cls, environ=os.environ) -> "ChaosSpec":
-        """The active chaos spec (inert when ``REPRO_CHAOS`` is unset)."""
+        """The active chaos spec (inert when ``REPRO_CHAOS`` is unset).
+
+        A malformed setting raises ``ValueError`` naming the variable."""
         text = environ.get(ENV_CHAOS, "")
         if not text:
             return cls()
+        seed_text = environ.get(ENV_CHAOS_SEED, "0")
         try:
-            seed = int(environ.get(ENV_CHAOS_SEED, "0"))
+            seed = int(seed_text)
         except ValueError:
-            seed = 0
-        return cls.parse(text, seed=seed)
+            raise ValueError(
+                f"{ENV_CHAOS_SEED}: expected an integer, got {seed_text!r}"
+            ) from None
+        try:
+            return cls.parse(text, seed=seed)
+        except ValueError as exc:
+            raise ValueError(f"{ENV_CHAOS}: {exc}") from None
 
 
 def _chaos_rng(spec: ChaosSpec, digest: str, attempt: int) -> random.Random:
@@ -185,31 +193,13 @@ class SupervisorConfig:
     max_attempts: int = 3
     #: pool deaths tolerated before degrading to serial execution.
     max_pool_rebuilds: int = 3
-    #: exponential-backoff base and cap, in seconds.
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
-    #: jitter fraction applied on top of the backoff (seeded — reruns of
-    #: the same campaign back off identically).
-    jitter: float = 0.5
-    seed: int = 0
 
 
 # ----------------------------------------------------------------------
 # module state (mirrors parallel.set_default_jobs's CLI plumbing)
 # ----------------------------------------------------------------------
-_RESUME = False
 _JOB_TIMEOUT_OVERRIDE: Optional[float] = None
 _CAMPAIGNS: List["CampaignReport"] = []
-
-
-def set_resume(flag: bool) -> None:
-    """Honour existing campaign journals instead of restarting them."""
-    global _RESUME
-    _RESUME = bool(flag)
-
-
-def resume_requested() -> bool:
-    return _RESUME
 
 
 def set_job_timeout(seconds: Optional[float]) -> None:
@@ -226,8 +216,7 @@ def current_config() -> SupervisorConfig:
 
 def reset() -> None:
     """Restore default supervisor state (tests)."""
-    global _RESUME, _JOB_TIMEOUT_OVERRIDE
-    _RESUME = False
+    global _JOB_TIMEOUT_OVERRIDE
     _JOB_TIMEOUT_OVERRIDE = None
     _CAMPAIGNS.clear()
 
@@ -238,7 +227,7 @@ def campaign_reports() -> List["CampaignReport"]:
 
 
 # ----------------------------------------------------------------------
-# campaign identity and journal
+# campaign identity
 # ----------------------------------------------------------------------
 def job_digest(job) -> str:
     """Stable identity of one (trace, config) cell — the stats digest."""
@@ -258,113 +247,6 @@ def campaign_id(jobs_list: Sequence) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-class CampaignJournal:
-    """Append-only completion log for one campaign.
-
-    One JSON object per line; each append is a single buffered write of
-    one ``\\n``-terminated line followed by a flush, so a crash can tear
-    at most the final line — which :meth:`load_done` skips.  Journals
-    live beside the cache entries they refer to, so ``--resume`` can
-    trust that a journaled job's result is (re-)loadable, and fall back
-    to re-simulation when the entry has vanished or got corrupted.
-    """
-
-    def __init__(self, directory: Optional[Path], campaign: str) -> None:
-        self.path = (
-            directory / f"{campaign}.jsonl" if directory is not None else None
-        )
-        self.campaign = campaign
-        self._handle = None
-        self.appended = 0
-
-    def _scan(self, source_filter) -> Set[str]:
-        if self.path is None or not self.path.exists():
-            return set()
-        matched: Set[str] = set()
-        try:
-            with open(self.path, "r") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError:
-                        continue  # torn final line
-                    digest = record.get("job")
-                    if isinstance(digest, str) and source_filter(
-                        record.get("source")
-                    ):
-                        matched.add(digest)
-        except OSError:
-            return set()
-        return matched
-
-    def load_done(self) -> Set[str]:
-        """Digests of jobs a previous (interrupted) run completed.
-
-        Quarantine records are *not* completions — a quarantined job has
-        no result and must not be treated as satisfied on resume.
-        """
-        return self._scan(lambda source: source != "quarantined")
-
-    def load_quarantined(self) -> Set[str]:
-        """Digests the interrupted run quarantined (exhausted retries).
-
-        ``--resume`` routes these straight to the chaos-free serial
-        fallback instead of burning the full retry ladder on a job the
-        previous run already proved poisonous.
-        """
-        return self._scan(lambda source: source == "quarantined")
-
-    def restart(self) -> None:
-        """Truncate the journal (a fresh, non-resumed campaign)."""
-        if self.path is None:
-            return
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")
-        except OSError:
-            self.path = None  # journaling off for this campaign
-
-    def append_quarantine(self, digest: str, label: str) -> None:
-        """Record a quarantine decision so ``--resume`` inherits it.
-
-        Written with the reserved source ``"quarantined"`` —
-        :meth:`load_done` skips it; a later completion of the same job
-        (the serial fallback succeeded) appends a normal record that
-        wins on resume.
-        """
-        self.append(digest, label, "quarantined")
-
-    def append(self, digest: str, label: str, source: str) -> None:
-        if self.path is None:
-            return
-        line = json.dumps(
-            {"job": digest, "label": label, "source": source},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        try:
-            if self._handle is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a")
-            self._handle.write(line + "\n")
-            self._handle.flush()
-            self.appended += 1
-        except OSError:
-            self.close()
-            self.path = None
-
-    def close(self) -> None:
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
-
-
 # ----------------------------------------------------------------------
 # campaign report (--failures-out)
 # ----------------------------------------------------------------------
@@ -376,9 +258,6 @@ class CampaignReport:
     jobs: int
     chaos: str = ""
     prescan: int = 0
-    resumed: int = 0
-    resumed_quarantined: int = 0
-    journal_stale: int = 0
     scheduled: int = 0
     completed: int = 0
     retries: int = 0
@@ -407,9 +286,6 @@ class CampaignReport:
             "quarantined": len(self.quarantined),
             "pool_rebuilds": self.pool_rebuilds,
             "serial_degradations": int(self.degraded_serial),
-            "resumed": self.resumed,
-            "resumed_quarantined": self.resumed_quarantined,
-            "journal_stale": self.journal_stale,
             "chaos_corrupts": self.chaos_corrupts,
         }
         for key in obs_metrics.SUPERVISOR_TOTALS:
@@ -420,7 +296,7 @@ def failure_report() -> Dict[str, object]:
     """Aggregate failure/recovery report of every campaign this session;
     the totals are read back from the registry."""
     return {
-        "schema": 3,
+        "schema": 4,
         "totals": obs_metrics.supervisor_totals(),
         "recovered": obs_metrics.supervisor_recovery() is not None,
         "campaigns": [report.as_dict() for report in _CAMPAIGNS],
@@ -512,8 +388,7 @@ class _Task:
 
     __slots__ = (
         "kind", "key", "config", "index", "label", "digest",
-        "attempts", "quarantined", "done", "ready_at", "future",
-        "started_at",
+        "attempts", "quarantined", "done", "future", "started_at",
     )
 
     def __init__(self, kind, key, config, index, label, digest):
@@ -526,7 +401,6 @@ class _Task:
         self.attempts = 0
         self.quarantined = False
         self.done = False
-        self.ready_at = 0.0
         self.future = None
         self.started_at = 0.0
 
@@ -570,7 +444,6 @@ class _PhaseRunner:
         chaos: ChaosSpec,
         report: CampaignReport,
         on_done: Callable[[_Task, object, float, str], None],
-        on_quarantine: Optional[Callable[[_Task], None]] = None,
     ) -> None:
         self.n_workers = n_workers
         self.root = root
@@ -578,7 +451,6 @@ class _PhaseRunner:
         self.chaos = chaos if chaos.active() else None
         self.report = report
         self.on_done = on_done
-        self.on_quarantine = on_quarantine
         self.pool: Optional[ProcessPoolExecutor] = None
         self.rebuilds_left = config.max_pool_rebuilds
         self.degraded = False
@@ -605,7 +477,7 @@ class _PhaseRunner:
 
     # -- task bookkeeping ----------------------------------------------
     def _charge(self, task: _Task, kind: str, detail: str = "") -> None:
-        """Count one failed attempt; schedule the retry or quarantine."""
+        """Count one failed attempt; requeue the task or quarantine it."""
         task.attempts += 1
         task.future = None
         self.report.event(kind, task.label, attempt=task.attempts, detail=detail)
@@ -615,18 +487,8 @@ class _PhaseRunner:
             task.quarantined = True
             self.report.quarantined.append(task.label)
             self.report.event("quarantine", task.label, attempts=task.attempts)
-            if self.on_quarantine is not None:
-                self.on_quarantine(task)
             return
         self.report.retries += 1
-        delay = min(
-            self.config.backoff_cap,
-            self.config.backoff_base * (2 ** (task.attempts - 1)),
-        )
-        rng = random.Random(f"{self.config.seed}|{task.digest}|{task.attempts}")
-        task.ready_at = time.monotonic() + delay * (
-            1.0 + self.config.jitter * rng.random()
-        )
 
     def _complete(self, task: _Task, payload) -> None:
         result, wall, pid, corrupted = payload
@@ -688,22 +550,14 @@ class _PhaseRunner:
             active = [t for t in tasks if not t.done and not t.quarantined]
             if not active:
                 return
-            now = time.monotonic()
-            ready = [
-                t for t in active if t.future is None and t.ready_at <= now
-            ]
             self._ensure_pool(len(active))
-            for task in ready:
+            for task in active:
                 if len(in_flight) >= self.n_workers:
                     break
-                if not self._submit(task, in_flight):
+                if task.future is None and not self._submit(task, in_flight):
                     break
             if not in_flight:
-                # everything is backing off — sleep to the soonest retry
-                waiting = [t.ready_at for t in active if t.future is None]
-                if waiting:
-                    time.sleep(min(0.5, max(0.0, min(waiting) - now)))
-                continue
+                continue  # a submit found the pool dead; it was rebuilt
             done, _pending = wait(
                 set(in_flight), timeout=tick, return_when=FIRST_COMPLETED
             )
@@ -769,15 +623,17 @@ def run_supervised(
     order.  :func:`repro.harness.parallel.run_variants` calls this for
     ``jobs > 1``.
 
-    Work is split into two phases so that every trace is generated
-    exactly once per campaign: first the trace keys of all cache-missing
-    jobs are generated into the shared on-disk store, one task per
-    benchmark family (one populate for all of its modes), then the
+    A prescan first looks every cell up as the serial path does
+    (:func:`repro.harness.runner.lookup_variant`: the memo, then the
+    store).  The misses then run in two phases so that every trace is
+    generated exactly once per campaign: first the trace keys of all
+    missing cells are generated into the shared on-disk store, one task
+    per benchmark family (one populate for all of its modes), then the
     simulations fan out, each worker loading its trace from the store.
     When the persistent cache is disabled a temporary directory serves
-    as the campaign's shared store.  Both cache layers are honoured,
-    results merge by job position, and the supervision described in
-    the module docstring applies to both phases.
+    as the campaign's shared store.  Results merge by job position, and
+    the supervision described in the module docstring applies to both
+    phases.
     """
     import tempfile
 
@@ -798,93 +654,25 @@ def run_supervised(
     if root is None:
         scratch = tempfile.TemporaryDirectory(prefix="repro-scratch-")
         root = Path(scratch.name)
-    journal = CampaignJournal(
-        disk_cache.journal_dir(root=root), report.campaign
-    )
-    # the journal is consulted *before* the prescan so a ``--resume``
-    # disk hit is attributed to the journal (``resumed``), not to an
-    # ordinary warm cache (``prescan``) — the counters are how a resume
-    # proves it re-simulated only the journal-missing cells
-    if resume_requested():
-        done_digests = journal.load_done()
-        # quarantined in the interrupted run and never completed since:
-        # don't burn the retry ladder on a known-poison job again
-        inherited_quarantine = journal.load_quarantined() - done_digests
-    else:
-        journal.restart()
-        done_digests = set()
-        inherited_quarantine = set()
 
     try:
         root_str = str(root)
 
-        # ---- prescan: memo, then disk (journal-attributed) -----------
+        # ---- prescan: the memo, then the store -----------------------
         missing: List[Tuple[int, object, object]] = []
         for index, job in enumerate(jobs_list):
-            key = job.trace_key
-            label = f"{key.abbrev}/{key.mode.value}"
-            memo = runner._STATS_CACHE.get((key, job.config))
-            if memo is not None:
-                results[index] = memo
-                report.prescan += 1
-                continue
-            started = time.perf_counter()
-            cached = runner.peek_cached_stats(key, job.config)
-            if cached is None and done_digests:
-                # a journaled cell invisible to the default-root peek
-                # (scratch store): try the campaign root directly
-                if disk_cache.stats_digest(key, job.config) in done_digests:
-                    cached = runner.peek_cached_stats(
-                        key, job.config, root=root_str
-                    )
-            wall = time.perf_counter() - started
+            cached = runner.lookup_variant(job.trace_key, job.config)
             if cached is None:
-                missing.append((index, job, key))
-                continue
-            results[index] = cached
-            if disk_cache.stats_digest(key, job.config) in done_digests:
-                report.resumed += 1
-                obs_metrics.record_variant("sim", label, "resumed", wall)
+                missing.append((index, job, job.trace_key))
             else:
-                report.prescan += 1
-                obs_metrics.record_variant("sim", label, "disk", wall)
-
-        # journal-done cells whose cached result vanished (or got
-        # corrupted): they must be re-simulated
-        for _index, job, key in missing:
-            if disk_cache.stats_digest(key, job.config) in done_digests:
-                report.journal_stale += 1
-                report.event(
-                    "journal_stale", f"{key.abbrev}/{key.mode.value}"
-                )
-
-        # journal every already-satisfied cell so an interruption right
-        # now still leaves a complete record
-        for index, job in enumerate(jobs_list):
-            if results[index] is None:
-                continue
-            digest = disk_cache.stats_digest(job.trace_key, job.config)
-            if digest not in done_digests:
-                label = f"{job.trace_key.abbrev}/{job.trace_key.mode.value}"
-                journal.append(digest, label, "cached")
-                done_digests.add(digest)
+                results[index] = cached
+        report.prescan = len(jobs_list) - len(missing)
 
         if not missing:
-            report.completed = report.prescan + report.resumed
+            report.completed = report.prescan
             return results  # type: ignore[return-value]
 
         report.scheduled = len(missing)
-
-        def journal_quarantine(task: _Task) -> None:
-            journal.append_quarantine(task.digest, task.label)
-
-        def inherit_quarantine(task: _Task) -> bool:
-            if task.digest not in inherited_quarantine:
-                return False
-            task.quarantined = True
-            report.resumed_quarantined += 1
-            report.event("resume_quarantine", task.label)
-            return True
 
         # ---- phase 1: trace families ---------------------------------
         # one task per benchmark family, so a benchmark is populated
@@ -902,12 +690,10 @@ def run_supervised(
         trace_tasks: List[_Task] = []
         for family in runner.trace_families(needed):
             modes = "+".join(key.mode.value for key in family)
-            task = _Task(
+            trace_tasks.append(_Task(
                 "trace", tuple(family), None, None,
                 f"{family[0].abbrev}/{modes}", family_digest(family),
-            )
-            inherit_quarantine(task)
-            trace_tasks.append(task)
+            ))
 
         def trace_done(task: _Task, result, wall: float, worker: str) -> None:
             # one record per generated trace; the family's wall time is
@@ -919,44 +705,36 @@ def run_supervised(
                 )
 
         runner_ = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, trace_done,
-            on_quarantine=journal_quarantine,
+            n_workers, root_str, config, chaos, report, trace_done
         )
         runner_.run(trace_tasks)
 
         # ---- phase 2: simulations ------------------------------------
-        sim_tasks: List[_Task] = []
-        job_by_index = {index: job for index, job, _ in missing}
-        for index, job, key in missing:
-            task = _Task(
+        sim_tasks = [
+            _Task(
                 "sim", key, job.config, index,
-                f"{key.abbrev}/{key.mode.value}",
-                disk_cache.stats_digest(key, job.config),
+                f"{key.abbrev}/{key.mode.value}", job_digest(job),
             )
-            inherit_quarantine(task)
-            sim_tasks.append(task)
+            for index, job, key in missing
+        ]
 
         def sim_done(task: _Task, result, wall: float, worker: str) -> None:
             results[task.index] = result
-            job = job_by_index[task.index]
-            runner.seed_stats_cache(task.key, job.config, result)
+            runner.seed_stats_cache(task.key, task.config, result)
             obs_metrics.record_variant(
                 "sim", task.label, "simulated", wall, worker=worker
             )
-            journal.append(task.digest, task.label, "simulated")
             report.completed += 1
 
         sim_runner = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, sim_done,
-            on_quarantine=journal_quarantine,
+            n_workers, root_str, config, chaos, report, sim_done
         )
         sim_runner.degraded = runner_.degraded  # don't re-learn the lesson
         sim_runner.run(sim_tasks)
 
-        report.completed += report.prescan + report.resumed
+        report.completed += report.prescan
         return results  # type: ignore[return-value]
     finally:
-        journal.close()
         if scratch is not None:
             scratch.cleanup()
         report.publish()

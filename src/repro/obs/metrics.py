@@ -60,17 +60,12 @@ _RECORDS: List[VariantRecord] = []
 #: jobs, ``quarantined`` jobs pulled from the pool after repeated
 #: failures (they finish in the serial fallback), ``pool_rebuilds``
 #: recoveries from a broken process pool, ``serial_degradations``
-#: campaigns that gave up on pools entirely, ``resumed`` jobs skipped on
-#: ``--resume`` because the campaign journal already recorded them,
-#: ``resumed_quarantined`` jobs routed straight to the serial fallback
-#: because the journal recorded their quarantine, ``journal_stale``
-#: journaled jobs whose cached result had vanished and had to be
-#: re-simulated, and ``chaos_corrupts`` cache corruptions injected by
-#: chaos mode.  Every key after ``jobs`` is a recovery path.
+#: campaigns that gave up on pools entirely, and ``chaos_corrupts``
+#: cache corruptions injected by chaos mode.  Every key after ``jobs``
+#: is a recovery path.
 SUPERVISOR_TOTALS = (
     "campaigns", "jobs", "retries", "timeouts", "quarantined",
-    "pool_rebuilds", "serial_degradations", "resumed",
-    "resumed_quarantined", "journal_stale", "chaos_corrupts",
+    "pool_rebuilds", "serial_degradations", "chaos_corrupts",
 )
 
 

@@ -601,19 +601,6 @@ class ReferencePipelineModel:
         self._chain_block = -1
         return resume_index
 
-    def external_probe(self, block: int) -> bool:
-        """An external coherence request for *block*.  Returns True if it
-        conflicted with speculative state and triggered a rollback."""
-        if not self.epochs.speculating:
-            return False
-        if not self.blt.probe(block & _BLOCK_MASK):
-            return False
-        self.epochs.rollback()
-        self.bloom.reset()
-        self.blt.clear()
-        self.stats.rollbacks += 1
-        return True
-
     # ------------------------------------------------------------------
     # bookkeeping
     # ------------------------------------------------------------------

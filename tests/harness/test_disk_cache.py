@@ -188,7 +188,7 @@ class TestStaleTmpSweep:
         run_variant("LL", PersistMode.BASE, **SMALL)
         root = tmp_path / "cache"
         self._stale(root, "traces", "feedface.rptr.q1w2e3")
-        self._stale(root, "journal", "abc123.jsonl.r4t5y6")
+        self._stale(root, "stats", "abc123.json.r4t5y6")
         info = cache.cache_info()
         assert info["stale_tmp_removed"] == 2
         assert info["traces"] == 1 and info["stats"] == 1

@@ -1,6 +1,7 @@
 """Fault-tolerant campaign supervisor (repro.harness.supervisor):
 chaos-vs-serial determinism, retry/quarantine/pool-rebuild recovery,
-resumable journals, failure reports, and the CLI surface."""
+the rerun of an interrupted campaign, failure reports, and the CLI
+surface."""
 
 import json
 import os
@@ -111,39 +112,6 @@ class TestCampaignIdentity:
         assert supervisor.campaign_id(jobs) != supervisor.campaign_id(jobs[:-1])
 
 
-class TestJournal:
-    def test_append_and_load(self, tmp_path):
-        journal = supervisor.CampaignJournal(tmp_path, "abc123")
-        journal.append("d1", "LL/base", "simulated")
-        journal.append("d2", "HM/base", "cached")
-        journal.close()
-        assert supervisor.CampaignJournal(tmp_path, "abc123").load_done() == {
-            "d1",
-            "d2",
-        }
-
-    def test_torn_final_line_is_skipped(self, tmp_path):
-        journal = supervisor.CampaignJournal(tmp_path, "torn")
-        journal.append("d1", "LL/base", "simulated")
-        journal.close()
-        with open(journal.path, "a") as handle:
-            handle.write('{"job": "d2"')  # crash mid-append
-        assert supervisor.CampaignJournal(tmp_path, "torn").load_done() == {"d1"}
-
-    def test_restart_truncates(self, tmp_path):
-        journal = supervisor.CampaignJournal(tmp_path, "fresh")
-        journal.append("d1", "LL/base", "simulated")
-        journal.close()
-        journal2 = supervisor.CampaignJournal(tmp_path, "fresh")
-        journal2.restart()
-        assert journal2.load_done() == set()
-
-    def test_missing_directory_is_inert(self):
-        journal = supervisor.CampaignJournal(None, "nocache")
-        journal.append("d1", "LL/base", "simulated")
-        assert journal.load_done() == set()
-
-
 class TestSupervisedDeterminism:
     def test_clean_supervised_run_matches_serial(self, monkeypatch):
         jobs = _jobs()
@@ -193,157 +161,34 @@ class TestSupervisedDeterminism:
         assert rerun == serial
 
 
-class TestResume:
-    def test_resume_skips_journaled_cells(self, tmp_path, monkeypatch):
+class TestRerun:
+    """Every finished cell is committed to the content-keyed store, so
+    running an interrupted campaign again simulates only the cells the
+    store lacks, with no flag and no second record of what finished."""
+
+    def test_pooled_rerun_simulates_only_missing_cells(self, tmp_path):
         jobs = _jobs()
         first = run_variants(jobs, jobs=2)
-        journal_files = list((tmp_path / "cache" / "journal").iterdir())
-        assert len(journal_files) == 1
-        assert len(journal_files[0].read_text().splitlines()) == len(jobs)
+        # one stored result is missing, as if the campaign had been
+        # interrupted before that cell finished
+        victim = jobs[0]
+        cache.stats_path(victim.trace_key, victim.config).unlink()
 
-        # a fresh process resuming the same campaign: memo gone
+        # a fresh process runs the same campaign again: memo gone
         clear_trace_cache()
         obs_metrics.reset_metrics()
         supervisor.reset()
-        supervisor.set_resume(True)
-        resumed = run_variants(jobs, jobs=2)
-        assert resumed == first
-        counters = obs_metrics.supervisor_totals()
-        assert counters["resumed"] == len(jobs)
-        sources = {r.source for r in obs_metrics.variant_records()}
-        assert "simulated" not in sources  # nothing was re-simulated
-
-    def test_resume_resimulates_only_missing_cells(self, tmp_path, monkeypatch):
-        jobs = _jobs()
-        first = run_variants(jobs, jobs=2)
-        # one journaled result vanishes (corruption, manual delete, ...)
-        victim = jobs[2]
-        cache.stats_path(victim.trace_key, victim.config).unlink()
-
-        clear_trace_cache()
-        obs_metrics.reset_metrics()
-        supervisor.reset()
-        supervisor.set_resume(True)
-        resumed = run_variants(jobs, jobs=2)
-        assert resumed == first
-        counters = obs_metrics.supervisor_totals()
-        assert counters["resumed"] == len(jobs) - 1
-        assert counters["journal_stale"] == 1
-        simulated = [
-            r for r in obs_metrics.variant_records() if r.source == "simulated"
-        ]
-        assert len(simulated) == 1  # exactly the vanished cell
-
-    def test_without_resume_the_journal_restarts(self, tmp_path):
-        jobs = _jobs(n_modes=1)
-        run_variants(jobs, jobs=2)
-        journal_dir = tmp_path / "cache" / "journal"
-        (journal_file,) = journal_dir.iterdir()
-        clear_trace_cache()
-        supervisor.reset()  # resume NOT requested
-        run_variants(jobs, jobs=2)
-        # journal was rewritten, not appended to
-        lines = journal_file.read_text().splitlines()
-        assert len(lines) == len(jobs)
-
-
-class TestQuarantineResume:
-    """Quarantine decisions persist in the journal, so ``--resume``
-    sends known-poisonous jobs straight to the serial fallback instead
-    of burning the retry ladder again."""
-
-    def test_journal_separates_quarantine_from_done(self, tmp_path):
-        journal = supervisor.CampaignJournal(tmp_path, "q1")
-        journal.append("d1", "LL/base", "simulated")
-        journal.append_quarantine("d2", "HM/base")
-        journal.close()
-        reopened = supervisor.CampaignJournal(tmp_path, "q1")
-        assert reopened.load_done() == {"d1"}
-        assert reopened.load_quarantined() == {"d2"}
-
-    def test_later_completion_wins_over_quarantine(self, tmp_path):
-        # the serial fallback completed the job after quarantining it
-        journal = supervisor.CampaignJournal(tmp_path, "q2")
-        journal.append_quarantine("d1", "LL/base")
-        journal.append("d1", "LL/base", "simulated")
-        journal.close()
-        reopened = supervisor.CampaignJournal(tmp_path, "q2")
-        assert reopened.load_done() == {"d1"}
-
-    def test_resume_inherits_journaled_quarantine(self, tmp_path, monkeypatch):
-        jobs = _jobs()
-        first = run_variants(jobs, jobs=2)
-
-        # reconstruct the journal as an interrupted run would have left
-        # it: the victim was quarantined, never completed, and its
-        # result never landed in the store
-        victim = jobs[2]
-        digest = cache.stats_digest(victim.trace_key, victim.config)
-        cache.stats_path(victim.trace_key, victim.config).unlink()
-        (journal_file,) = (tmp_path / "cache" / "journal").iterdir()
-        kept = [
-            line
-            for line in journal_file.read_text().splitlines()
-            if json.loads(line)["job"] != digest
-        ]
-        kept.append(
-            json.dumps(
-                {"job": digest, "label": "victim", "source": "quarantined"},
-                sort_keys=True, separators=(",", ":"),
-            )
+        rerun = run_variants(jobs, jobs=2)
+        assert rerun == first
+        sims = [r for r in obs_metrics.variant_records() if r.kind == "sim"]
+        simulated = [r.label for r in sims if r.source == "simulated"]
+        assert simulated == [f"{victim.abbrev}/{victim.mode.value}"]
+        assert sorted(r.source for r in sims) == (
+            ["disk"] * (len(jobs) - 1) + ["simulated"]
         )
-        journal_file.write_text("\n".join(kept) + "\n")
-
-        clear_trace_cache()
-        obs_metrics.reset_metrics()
-        supervisor.reset()
-        supervisor.set_resume(True)
-        resumed = run_variants(jobs, jobs=2)
-        assert resumed == first  # the fallback still produced the truth
-        counters = obs_metrics.supervisor_totals()
-        assert counters["resumed"] == len(jobs) - 1
-        assert counters["resumed_quarantined"] == 1
         report = supervisor.campaign_reports()[-1]
-        assert report.resumed_quarantined == 1
-        kinds = {event["event"] for event in report.events}
-        assert "resume_quarantine" in kinds
-
-    def test_kill_campaign_journals_quarantine_then_resumes(
-        self, tmp_path, monkeypatch
-    ):
-        jobs = _jobs(n_modes=1)
-        serial = _serial_baseline(jobs, monkeypatch)
-        monkeypatch.setenv(supervisor.ENV_CHAOS, "kill:1.0")
-        monkeypatch.setattr(
-            supervisor, "current_config",
-            lambda: supervisor.SupervisorConfig(max_attempts=1),
-        )
-        results = run_variants(jobs, jobs=2)
-        assert results == serial
-        campaign = supervisor.campaign_id(jobs)
-        journal = supervisor.CampaignJournal(
-            tmp_path / "cache" / "journal", campaign
-        )
-        quarantined = journal.load_quarantined()
-        done = journal.load_done()
-        assert quarantined  # every retry exhausted under kill:1.0
-        # ...and the serial fallback still completed every sim cell
-        sim_digests = {
-            cache.stats_digest(job.trace_key, job.config) for job in jobs
-        }
-        assert sim_digests <= done
-
-        # resume after the crash window: nothing re-simulates, the stale
-        # quarantine records don't mask the completions that followed
-        clear_trace_cache()
-        obs_metrics.reset_metrics()
-        supervisor.reset()
-        supervisor.set_resume(True)
-        resumed = run_variants(jobs, jobs=2)
-        assert resumed == serial
-        counters = obs_metrics.supervisor_totals()
-        assert counters["resumed"] == len(jobs)
-        assert counters["resumed_quarantined"] == 0
+        assert (report.prescan, report.scheduled) == (len(jobs) - 1, 1)
+        assert not (tmp_path / "cache" / "journal").exists()
 
 
 class TestFailureReport:
@@ -351,7 +196,7 @@ class TestFailureReport:
         monkeypatch.setenv(supervisor.ENV_CHAOS, "kill:1.0")
         run_variants(_jobs(n_modes=1), jobs=2)
         report = supervisor.failure_report()
-        assert report["schema"] == 3
+        assert report["schema"] == 4
         assert "transport" not in report
         assert report["recovered"] is True
         assert len(report["campaigns"]) == 1
@@ -383,10 +228,8 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["figure", "8", "--resume",
-             "--job-timeout", "12", "--failures-out", "f.json"]
+            ["figure", "8", "--job-timeout", "12", "--failures-out", "f.json"]
         )
-        assert args.resume
         assert args.job_timeout == 12.0
         assert args.failures_out == "f.json"
 
@@ -394,8 +237,8 @@ class TestCliFlags:
         from repro.cli import build_parser
 
         for argv in (
-            ["run", "LL", "--resume"],
-            ["report", "--resume"],
+            ["run", "LL", "--job-timeout", "5"],
+            ["report", "--failures-out", "x.json"],
             ["bench", "--job-timeout", "5"],
             ["validate", "--failures-out", "x.json"],
         ):
@@ -411,9 +254,10 @@ class TestCliFlags:
             ["figure", "8", "--no-supervise"],
             ["figure", "8", "--classify", "scalar"],
             ["run", "LL", "--kernel", "python"],
+            ["figure", "8", "--resume"],
         ],
         ids=["worker", "serve", "transport", "workers", "no-supervise",
-             "classify", "kernel"],
+             "classify", "kernel", "resume"],
     )
     def test_retired_fleet_surface_is_rejected(self, argv):
         from repro.cli import build_parser
@@ -425,10 +269,15 @@ class TestCliFlags:
     def test_bad_chaos_setting_exits_2_before_any_work(self, monkeypatch, capsys):
         from repro.cli import main
 
-        monkeypatch.setenv(supervisor.ENV_CHAOS, "drop:0.1")
-        assert main(["figure", "8", "--benchmarks", "LL"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.strip().splitlines()
-        assert "unknown chaos event 'drop'" in line
-        assert obs_metrics.variant_records() == []
+        for chaos, seed, message in (
+            ("drop:0.1", "0", "REPRO_CHAOS: unknown chaos event 'drop'"),
+            ("kill:0.1", "abc", "REPRO_CHAOS_SEED: expected an integer"),
+        ):
+            monkeypatch.setenv(supervisor.ENV_CHAOS, chaos)
+            monkeypatch.setenv(supervisor.ENV_CHAOS_SEED, seed)
+            assert main(["figure", "8", "--benchmarks", "LL"]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            (line,) = captured.err.strip().splitlines()
+            assert message in line
+            assert obs_metrics.variant_records() == []

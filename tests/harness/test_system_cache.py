@@ -5,7 +5,7 @@ Before the key carried ``cores``/``contention``, a 2-core aggregate
 stored under ``(abbrev, mode, seed, ops)`` would silently overwrite —
 and later be served as — the single-core result for the same variant.
 These tests pin the fixed keying at every layer: digest, disk path,
-``peek_cached_stats``, and the run_* entry points.
+``lookup_variant``, and the run_* entry points.
 """
 
 import gc
@@ -18,7 +18,7 @@ from repro.harness import cache, runner
 from repro.harness.runner import (
     TraceKey,
     clear_trace_cache,
-    peek_cached_stats,
+    lookup_variant,
     run_system,
     run_variant,
     system_result,
@@ -56,9 +56,9 @@ class TestKeying:
         assert cache.trace_digest(a) != cache.trace_digest(b)
 
     def test_default_fields_keep_legacy_digests(self):
-        """Keys that predate the ``cores``/``contention`` fields (the
-        supervisor's journals hold bare tuples) digest identically to
-        new single-core keys, so old cache entries stay valid."""
+        """Keys that predate the ``cores``/``contention`` fields digest
+        identically to new single-core keys, so old cache entries stay
+        valid."""
         Legacy = namedtuple("Legacy", "abbrev mode seed init_ops sim_ops")
         legacy = Legacy("HM", MODE, 7, None, None)
         modern = TraceKey("HM", MODE, 7)
@@ -77,8 +77,8 @@ class TestNoAliasing:
         multi_key = TraceKey(
             "HM", MODE, 7, SMALL["init_ops"], SMALL["sim_ops"], 2, 0.5
         )
-        peeked_single = peek_cached_stats(single_key, config)
-        peeked_multi = peek_cached_stats(multi_key, config)
+        peeked_single = lookup_variant(single_key, config)
+        peeked_multi = lookup_variant(multi_key, config)
         assert peeked_single is not None and peeked_multi is not None
         assert peeked_single.as_dict() == single.as_dict()
         assert peeked_multi.as_dict() == multi.as_dict()
@@ -94,7 +94,7 @@ class TestNoAliasing:
             key = TraceKey(
                 "HM", MODE, 7, SMALL["init_ops"], SMALL["sim_ops"], 2, contention
             )
-            peeked = peek_cached_stats(key, config)
+            peeked = lookup_variant(key, config)
             assert peeked is not None
             assert peeked.as_dict() == fresh.as_dict()
 
