@@ -10,7 +10,8 @@ from conftest import run_once
 
 from repro.harness.runner import build_trace
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
 
 BENCHMARKS = ("LL", "AT", "RT")
 

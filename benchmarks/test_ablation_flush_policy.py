@@ -9,7 +9,8 @@ fresh miss.  This bench runs the same workload with each flush policy.
 from conftest import run_once
 
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
 from repro.workloads.base import Workbench
 from repro.workloads.registry import PAPER_SPECS
 

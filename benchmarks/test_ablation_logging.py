@@ -11,7 +11,8 @@ bottleneck (the paper's whole premise) it loses end to end.
 from conftest import run_once
 
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
 from repro.workloads.avltree import AVLTreeWorkload
 from repro.workloads.base import Workbench
 from repro.workloads.incremental import AVLTreeIncremental, persist_cost_summary

@@ -13,7 +13,8 @@ from conftest import run_once
 
 from repro.pmem.crash import CrashSignal
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
 from repro.workloads.base import Workbench
 from repro.workloads.registry import PAPER_SPECS, WORKLOADS
 

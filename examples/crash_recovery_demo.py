@@ -12,7 +12,8 @@ Run:  python examples/crash_recovery_demo.py
 
 from repro.pmem import CrashTester
 from repro.txn.modes import PersistMode
-from repro.workloads import HashMapWorkload, Workbench
+from repro.workloads.base import Workbench
+from repro.workloads.hashmap import HashMapWorkload
 
 
 def failure_safe_sweep() -> None:

@@ -17,8 +17,9 @@ from typing import List, Optional
 from repro.mem.heap import CACHE_BLOCK
 from repro.pmem import CrashTester
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
-from repro.workloads import OpResult, PersistentWorkload, Workbench
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
+from repro.workloads.base import OpResult, PersistentWorkload, Workbench
 
 _VAL = 0
 _NEXT = 8

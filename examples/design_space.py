@@ -9,9 +9,10 @@ Run:  python examples/design_space.py
 """
 
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
-from repro.uarch.config import SSB_LATENCY_TABLE
-from repro.workloads import BTreeWorkload, Workbench
+from repro.uarch.config import SSB_LATENCY_TABLE, MachineConfig
+from repro.uarch.pipeline import simulate
+from repro.workloads.base import Workbench
+from repro.workloads.btree import BTreeWorkload
 
 
 def build_trace():

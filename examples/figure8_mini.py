@@ -7,8 +7,12 @@ same machinery on three benchmarks so it finishes in a few seconds.
 Run:  python examples/figure8_mini.py
 """
 
-from repro.harness import fig8_overheads, headline_claim, render_bar_table
-from repro.harness.figures import GEOMEAN
+from repro.harness.figures import (
+    GEOMEAN,
+    fig8_overheads,
+    headline_claim,
+    render_bar_table,
+)
 
 BENCHMARKS = ["LL", "AT", "BT"]
 

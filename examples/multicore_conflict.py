@@ -17,9 +17,10 @@ Run:  python examples/multicore_conflict.py
 import random
 
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig
+from repro.uarch.config import MachineConfig
 from repro.uarch.pipeline import PipelineModel
-from repro.workloads import LinkedListWorkload, Workbench
+from repro.workloads.base import Workbench
+from repro.workloads.linkedlist import LinkedListWorkload
 
 
 def build_trace():

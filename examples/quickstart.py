@@ -11,8 +11,10 @@ Run:  python examples/quickstart.py
 """
 
 from repro.txn.modes import PersistMode
-from repro.uarch import MachineConfig, simulate
-from repro.workloads import LinkedListWorkload, Workbench
+from repro.uarch.config import MachineConfig
+from repro.uarch.pipeline import simulate
+from repro.workloads.base import Workbench
+from repro.workloads.linkedlist import LinkedListWorkload
 
 
 def build_trace(mode: PersistMode):

@@ -50,7 +50,8 @@ commands above plus ``validate`` accept ``--job-timeout SECONDS`` (the
 per-job watchdog deadline) and ``--failures-out PATH`` (structured
 report of timeouts/retries/quarantines/pool rebuilds).  Every finished
 cell is stored in the cache, so an interrupted campaign, run again,
-simulates only the cells it had not finished.  A malformed
+simulates only the cells it had not finished; Ctrl-C exits 130 with one
+line that says so and names the store.  A malformed
 ``REPRO_CHAOS`` or ``REPRO_CHAOS_SEED`` setting exits 2 before any work
 starts.
 """
@@ -58,10 +59,14 @@ starts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
-from repro.harness import (
+from repro.harness import cache as harness_cache
+from repro.harness import parallel
+from repro.harness.figures import (
+    GEOMEAN,
     fig8_overheads,
     fig9_instruction_counts,
     fig10_fetch_stalls,
@@ -73,34 +78,20 @@ from repro.harness import (
     fig15_contention_report,
     headline_claim,
     render_bar_table,
-    table1_text,
-    table2_text,
-    table3_text,
+    render_scalar_series,
 )
-from repro.harness import cache as harness_cache
-from repro.harness import parallel
-from repro.harness.bench import (
-    DEFAULT_HISTORY,
-    DEFAULT_OUTPUT,
-    GEN_IPS_FLOOR,
-    PIPELINE_IPS_FLOORS,
-    SP_IPS_FLOOR,
-    SYSTEM_IPS_FLOOR,
-    check_floor,
-    compare_to_history,
-    load_history,
-    render_bench,
-    render_compare,
-    run_bench,
-)
-from repro.harness.figures import GEOMEAN, render_scalar_series
 from repro.harness.parallel import VariantJob, run_variants
 from repro.harness.runner import run_system
-from repro.pmem.crash import CrashTester
+from repro.harness.tables import table1_text, table2_text, table3_text
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
-from repro import validate as validation
 from repro.workloads.registry import PAPER_SPECS, WORKLOADS, build_workload
+
+#: Where ``bench`` writes its record and appends it to the history
+#: trail, and where ``validate`` writes its report, unless told otherwise.
+BENCH_OUTPUT = "BENCH_harness.json"
+BENCH_HISTORY = "BENCH_history.jsonl"
+VALIDATION_REPORT = "VALIDATION_report.json"
 
 
 def _figure_text(number: int, benchmarks: Optional[List[str]] = None) -> str:
@@ -245,6 +236,8 @@ def _run_system_text(abbrev: str, cores: int, contention: float) -> str:
 
 
 def _crashtest_text(abbrev: str, points: int, seed: int) -> str:
+    from repro.pmem.crash import CrashTester
+
     workload = build_workload(
         abbrev, PersistMode.LOG_P_SF, track_persistence=True, seed=seed
     )
@@ -343,8 +336,11 @@ def _trace_system_command(args) -> int:
 
 def _trace_command(args) -> int:
     """Capture one traced run, print its attribution, export Perfetto JSON."""
-    from repro.obs import attribution_errors, consistency_errors
-    from repro.obs.attribution import attribute
+    from repro.obs.attribution import (
+        attribute,
+        attribution_errors,
+        consistency_errors,
+    )
     from repro.obs.capture import traced_run
     from repro.obs.perfetto import validate_chrome_trace, write_chrome_trace
 
@@ -417,6 +413,25 @@ def _checked(cast, ok, rule: str):
         return value
 
     parse.__name__ = cast.__name__  # argparse names the type in its messages
+    return parse
+
+
+def _validation_choice(names_of):
+    """An argparse ``type=`` that accepts one of ``names_of(validate)``,
+    for a name the validation subsystem defines: it loads only when the
+    option is given."""
+
+    def parse(text: str) -> str:
+        from repro import validate
+
+        names = names_of(validate)
+        if text not in names:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {text!r} (choose from "
+                f"{', '.join(map(repr, names))})"
+            )
+        return text
+
     return parse
 
 
@@ -556,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="cheap two-benchmark smoke variant (CI)",
     )
     bench.add_argument(
-        "--output", default=DEFAULT_OUTPUT, metavar="PATH",
-        help=f"where to write the JSON record (default: {DEFAULT_OUTPUT})",
+        "--output", default=BENCH_OUTPUT, metavar="PATH",
+        help=f"where to write the JSON record (default: {BENCH_OUTPUT})",
     )
     bench.add_argument(
         "--enforce-floor", action="store_true",
@@ -565,9 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
              "regression floor (used by CI)",
     )
     bench.add_argument(
-        "--history", default=DEFAULT_HISTORY, metavar="PATH",
+        "--history", default=BENCH_HISTORY, metavar="PATH",
         help="append the record to this JSON-lines trail "
-             f"(default: {DEFAULT_HISTORY}; pass '' to skip)",
+             f"(default: {BENCH_HISTORY}; pass '' to skip)",
     )
     bench.add_argument(
         "--compare", nargs="?", const="", default=None, metavar="REF",
@@ -587,8 +602,9 @@ def build_parser() -> argparse.ArgumentParser:
         "validate", help="run the differential validation subsystem"
     )
     validate.add_argument(
-        "--engine", action="append", choices=validation.ENGINES, default=None,
-        metavar="ENGINE", dest="engines",
+        "--engine", action="append", default=None, metavar="ENGINE",
+        type=_validation_choice(lambda validate: validate.ENGINES),
+        dest="engines",
         help="run only this engine (repeatable; default: all three)",
     )
     validate.add_argument("--seed", type=int, default=0)
@@ -601,15 +617,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="restrict to a subset (default: all seven)",
     )
     validate.add_argument(
-        "--inject", choices=sorted(validation.MUTATIONS), default=None,
-        metavar="MUTATION",
+        "--inject", default=None, metavar="MUTATION",
+        type=_validation_choice(lambda validate: sorted(validate.MUTATIONS)),
         help="deliberately inject a named fault (the run SHOULD fail; "
              "used to demonstrate the validators catch real bugs)",
     )
     validate.add_argument(
-        "--report", default=validation.DEFAULT_REPORT, metavar="PATH",
+        "--report", default=VALIDATION_REPORT, metavar="PATH",
         help=f"where to write the JSON report "
-             f"(default: {validation.DEFAULT_REPORT}; '-' to skip)",
+             f"(default: {VALIDATION_REPORT}; '-' to skip)",
     )
     add_jobs(validate)
     add_supervise(validate)
@@ -620,15 +636,19 @@ def build_parser() -> argparse.ArgumentParser:
 def _configure_supervisor(args) -> Optional[str]:
     """Check ``REPRO_CHAOS``, then apply the --job-timeout flag; returns
     an error message, applying nothing, if the chaos setting is
-    malformed."""
+    malformed.  With neither set, the supervisor is not imported here:
+    a run whose every cell is stored never starts it."""
+    job_timeout = getattr(args, "job_timeout", None)
+    if job_timeout is None and not os.environ.get("REPRO_CHAOS"):
+        return None
     from repro.harness import supervisor
 
     try:
         supervisor.ChaosSpec.from_env()
     except ValueError as exc:
         return str(exc)
-    if getattr(args, "job_timeout", None) is not None:
-        supervisor.set_job_timeout(args.job_timeout)
+    if job_timeout is not None:
+        supervisor.set_job_timeout(job_timeout)
     return None
 
 
@@ -641,14 +661,8 @@ def _write_failures(args) -> None:
         print(f"failure report written to {path}", file=sys.stderr)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    chaos_error = _configure_supervisor(args)
-    if chaos_error:
-        print(chaos_error, file=sys.stderr)
-        return 2
-    if getattr(args, "jobs", None) is not None:
-        parallel.set_default_jobs(args.jobs)
+def _dispatch(args) -> int:
+    """Run the parsed command; returns its exit code."""
     if args.command == "tables":
         print(table1_text())
         print()
@@ -683,36 +697,38 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(text)
         _print_metrics(args)
     elif args.command == "bench":
-        record = run_bench(
+        from repro.harness import bench
+
+        record = bench.run_bench(
             quick=args.quick, output=args.output,
             history=args.history or None,
         )
-        print(render_bench(record))
+        print(bench.render_bench(record))
         if args.output:
             print(f"record written to {args.output}")
         if args.compare is not None:
             # warn-only by design: history baselines come from whatever
             # machines ran before, so a miss is a signal, not a verdict
-            history = load_history(args.history or DEFAULT_HISTORY)
+            history = bench.load_history(args.history or BENCH_HISTORY)
             if args.history and history:
                 history = history[:-1]  # this run's own appended record
-            print(render_compare(
-                compare_to_history(record, history, ref=args.compare or None)
+            print(bench.render_compare(
+                bench.compare_to_history(record, history, ref=args.compare or None)
             ))
         _print_metrics(args)
         if args.enforce_floor:
-            error = check_floor(record)
+            error = bench.check_floor(record)
             if error:
                 print(error)
                 return 1
             floors = ", ".join(
                 f"{backend} >= {floor:,}"
-                for backend, floor in sorted(PIPELINE_IPS_FLOORS.items())
+                for backend, floor in sorted(bench.PIPELINE_IPS_FLOORS.items())
             )
             print(f"pipeline_ips floors ok ({floors} instr/s)")
-            print(f"gen_ips floor ok (>= {GEN_IPS_FLOOR:,} instr/s)")
-            print(f"sp_ips floor ok (>= {SP_IPS_FLOOR:,} instr/s)")
-            print(f"system_ips floor ok (>= {SYSTEM_IPS_FLOOR:,} instr/s)")
+            print(f"gen_ips floor ok (>= {bench.GEN_IPS_FLOOR:,} instr/s)")
+            print(f"sp_ips floor ok (>= {bench.SP_IPS_FLOOR:,} instr/s)")
+            print(f"system_ips floor ok (>= {bench.SYSTEM_IPS_FLOOR:,} instr/s)")
     elif args.command == "cache":
         if args.action == "clear":
             removed = harness_cache.clear_cache()
@@ -726,7 +742,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                 else:
                     print(f"{key:>17}: {value}")
     elif args.command == "validate":
-        result = validation.run_validation(
+        from repro import validate
+
+        result = validate.run_validation(
             seed=args.seed,
             engines=args.engines,
             benchmarks=args.benchmarks,
@@ -743,6 +761,29 @@ def main(argv: Optional[List[str]] = None) -> int:
     _write_failures(args)
     harness_cache.persist_cache_counters()
     return 0
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
+    chaos_error = _configure_supervisor(args)
+    if chaos_error:
+        print(chaos_error, file=sys.stderr)
+        return 2
+    if getattr(args, "jobs", None) is not None:
+        parallel.set_default_jobs(args.jobs)
+    try:
+        return _dispatch(args)
+    except KeyboardInterrupt:
+        # every finished cell is already committed to the store, so say
+        # how to go on instead of printing where the interrupt landed
+        root = harness_cache.cache_root()
+        if root is None:
+            print("interrupted; the cache is off, so no finished cell was "
+                  "kept", file=sys.stderr)
+        else:
+            print(f"interrupted; the finished cells are kept in {root}: run "
+                  "the same command again to continue", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":  # pragma: no cover

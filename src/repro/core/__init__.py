@@ -18,20 +18,3 @@ speculatively, and keeps executing.  The hardware added to the baseline core
 * :class:`~repro.core.epochs.EpochManager` — multiple speculative epochs
   committing strictly in order, each gated on its persist barrier.
 """
-
-from repro.core.bloom import BloomFilter
-from repro.core.ssb import SpeculativeStoreBuffer, SSBEntry, SSBFullError
-from repro.core.checkpoints import CheckpointBuffer
-from repro.core.blt import BlockLookupTable
-from repro.core.epochs import SpeculativeEpoch, EpochManager
-
-__all__ = [
-    "BloomFilter",
-    "SpeculativeStoreBuffer",
-    "SSBEntry",
-    "SSBFullError",
-    "CheckpointBuffer",
-    "BlockLookupTable",
-    "SpeculativeEpoch",
-    "EpochManager",
-]

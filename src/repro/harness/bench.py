@@ -69,8 +69,6 @@ from repro.workloads.concurrent import generate_concurrent
 #: Subset used by ``bench --quick`` (CI smoke): the cheapest two traces.
 QUICK_BENCHMARKS = ("LL", "GH")
 
-DEFAULT_OUTPUT = "BENCH_harness.json"
-
 #: Version of the *bench record* layout itself — independent of
 #: :data:`repro.harness.cache.CACHE_SCHEMA_VERSION`, which keys the
 #: persistent trace/stats store.  2: added ``schema``/``cache_schema``
@@ -109,11 +107,6 @@ DEFAULT_OUTPUT = "BENCH_harness.json"
 #: 11: ``system_ips`` gained its floor ``SYSTEM_IPS_FLOOR``, once the
 #: co-simulation driver ran its cores in stretches on the segment walker.
 BENCH_SCHEMA_VERSION = 11
-
-#: Append-only JSON-lines trail of every bench record ever taken on
-#: this checkout; ``bench --compare`` mines it for the best comparable
-#: prior record per metric.
-DEFAULT_HISTORY = "BENCH_history.jsonl"
 
 #: Throughput metrics tracked by ``bench --compare``, and the relative
 #: drop against the best comparable prior measurement that counts as a
@@ -312,7 +305,7 @@ def measure_generation(seed: int = 7, reps: int = GEN_REPS) -> Dict[str, float]:
 
 def run_bench(
     quick: bool = False,
-    output: Optional[str] = DEFAULT_OUTPUT,
+    output: Optional[str] = None,
     benchmarks: Optional[Sequence[str]] = None,
     seed: int = 7,
     history: Optional[str] = None,
@@ -591,7 +584,7 @@ def run_bench(
 # ----------------------------------------------------------------------
 # bench history: append-only trail + regression comparison
 # ----------------------------------------------------------------------
-def append_history(record: Dict[str, object], path: str = DEFAULT_HISTORY) -> None:
+def append_history(record: Dict[str, object], path: str) -> None:
     """Append *record* as one JSON line to the history trail.
 
     The whole line goes down in a single ``write(2)`` on an ``O_APPEND``
@@ -608,7 +601,7 @@ def append_history(record: Dict[str, object], path: str = DEFAULT_HISTORY) -> No
         os.close(fd)
 
 
-def load_history(path: str = DEFAULT_HISTORY) -> List[Dict[str, object]]:
+def load_history(path: str) -> List[Dict[str, object]]:
     """Every parseable record in the trail, oldest first.
 
     Unparseable lines are skipped, not fatal: a run killed mid-append

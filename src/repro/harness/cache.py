@@ -51,13 +51,14 @@ import tempfile
 import time
 import zlib
 from pathlib import Path
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
-from repro.isa.serialize import TraceFormatError, dump_trace, load_trace
-from repro.isa.trace import Trace
 from repro.obs import telemetry
 from repro.stats.run import RunStats
 from repro.uarch.config import MachineConfig
+
+if TYPE_CHECKING:
+    from repro.isa.trace import Trace
 
 #: Bump whenever trace generation, the timing model, or the on-disk
 #: payload format changes observable behaviour — every previously cached
@@ -325,6 +326,8 @@ def _drop_corrupt(path: Path) -> None:
 # ----------------------------------------------------------------------
 def load_cached_trace(key, root: Optional[PathLike] = None) -> Optional[Trace]:
     """The cached trace for *key*, or ``None`` on a miss / disabled cache."""
+    from repro.isa.serialize import TraceFormatError, load_trace
+
     path = trace_path(key, root)
     if path is None or not path.exists():
         _bump("trace_misses")
@@ -355,6 +358,8 @@ def has_trace(key) -> bool:
 
 def store_trace(key, trace: Trace, root: Optional[PathLike] = None) -> Optional[Path]:
     """Persist *trace* under *key*; returns the path (``None`` if disabled)."""
+    from repro.isa.serialize import dump_trace
+
     path = trace_path(key, root)
     if path is None:
         return None

@@ -3,13 +3,16 @@ or across a local process pool.
 
 The paper's methodology — one recorded trace replayed on many machine
 configurations — is embarrassingly parallel across variants.
-:func:`run_variants` runs a job list in process when ``jobs <= 1`` and
-otherwise hands it to the supervised process pool
+:func:`run_variants` looks every cell up in the store first; a campaign
+with no miss ends there, without a pool or the simulator.  Otherwise it
+runs the misses in process when ``jobs <= 1`` and hands the campaign to
+the supervised process pool
 (:func:`repro.harness.supervisor.run_supervised` — two-phase trace then
 simulation fan-out, watchdog timeouts, bounded retry, pool-death
-recovery).  Results are ordered by job position, never by completion
-order, and simulation is a pure function of ``(trace, config)``, so
-``--jobs N`` output is byte-identical to serial output.  Either way a
+recovery) when ``jobs > 1``.  Results are ordered by job position,
+never by completion order, and simulation is a pure function of
+``(trace, config)``, so ``--jobs N`` output is byte-identical to serial
+output.  Either way a
 benchmark's missing traces are generated as one family, with one
 populate for all of its modes
 (:func:`repro.harness.runner.generate_traces`).
@@ -70,32 +73,30 @@ def run_variants(
 ) -> List[RunStats]:
     """Run every job and return results in job order (deterministic merge).
 
-    With ``jobs <= 1`` (or a single job) everything runs serially in
-    process; otherwise the supervised process pool runs them.  Results
-    are identical either way because simulation is a pure function of
-    ``(trace, config)``.
+    Every cell is looked up first
+    (:func:`repro.harness.runner.lookup_variant`: the memo, then the
+    store, each read at most once).  A campaign whose
+    every cell is stored ends there, with no simulator, workload or pool
+    imported.  Otherwise, with ``jobs <= 1`` (or a single job), the
+    missing traces are generated one benchmark family at a time
+    (:func:`repro.harness.runner.prepare_traces`) and the misses simulated
+    in job order, in process; with more, the supervised process pool runs
+    the campaign.  Results are identical either way because simulation is
+    a pure function of ``(trace, config)``.
     """
     jobs_list = list(jobs_list)
-    n_workers = default_jobs() if jobs is None else max(1, jobs)
-    if n_workers <= 1 or len(jobs_list) <= 1:
-        return _run_serial(jobs_list)
-
-    from repro.harness import supervisor
-
-    return supervisor.run_supervised(jobs_list, n_workers)
-
-
-def _run_serial(jobs_list: List[VariantJob]) -> List[RunStats]:
-    """:func:`repro.harness.runner.run_variant` for every job, in two
-    passes: look every cell up first (memo, then disk, each read at most
-    once), generate the missing traces one benchmark family at a time
-    (:func:`repro.harness.runner.prepare_traces`), then simulate the
-    misses in job order."""
     cells = [(job.trace_key, job.config) for job in jobs_list]
     results = [runner.lookup_variant(key, config) for key, config in cells]
     misses = list(dict.fromkeys(
         cell for cell, stats in zip(cells, results) if stats is None
     ))
+    if not misses:
+        return results
+    n_workers = default_jobs() if jobs is None else max(1, jobs)
+    if n_workers > 1 and len(jobs_list) > 1:
+        from repro.harness import supervisor
+
+        return supervisor.run_supervised(jobs_list, results, n_workers)
     runner.prepare_traces(key for key, _ in misses)
     simulated = {cell: runner.simulate_variant(*cell) for cell in misses}
     return [

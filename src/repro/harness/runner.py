@@ -13,6 +13,12 @@ RPTR2 column sections straight into a column-backed
 ``Instr``, the timing model consumes the packed columns and the memoized
 segment list directly, and freshly generated traces are columnarised
 once and reuse that form for both serialisation and simulation.
+
+Nothing here imports the timing model or the workloads at module level:
+:func:`simulate` and :func:`Workbench` import them at their first call,
+so a process whose every lookup hits loads neither (nor NumPy).  The
+runner calls both through this module's namespace, where the traced
+passes of ``wallbench/`` wrap them.
 """
 
 from __future__ import annotations
@@ -20,18 +26,36 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.harness import cache as disk_cache
 from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry
-from repro.isa.trace import Trace
 from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
-from repro.uarch.pipeline import simulate
-from repro.workloads.base import PersistentWorkload, Workbench
 from repro.workloads.registry import PAPER_SPECS, WORKLOADS
+
+if TYPE_CHECKING:
+    from repro.isa.trace import Trace
+    from repro.workloads import base
+
+
+def simulate(trace: Trace, config: MachineConfig) -> RunStats:
+    """:func:`repro.uarch.pipeline.simulate`.  The timing model, and
+    NumPy with it, loads at the first call: a run that finds every cell
+    in the store never imports it."""
+    from repro.uarch import pipeline
+
+    return pipeline.simulate(trace, config)
+
+
+def Workbench(**kwargs) -> base.Workbench:
+    """A new :class:`repro.workloads.base.Workbench`, imported at the
+    first trace this process generates."""
+    from repro.workloads import base
+
+    return base.Workbench(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -122,7 +146,7 @@ def generate_traces(keys: Sequence[TraceKey]) -> List[Trace]:
 
 
 def _timed_trace(
-    workload: PersistentWorkload, mode: PersistMode, sim_ops: int
+    workload: base.PersistentWorkload, mode: PersistMode, sim_ops: int
 ) -> Trace:
     """Run the timed phase of a populated *workload* in *mode*."""
     workload.bench.set_mode(mode)
@@ -222,10 +246,10 @@ def run_variant(
 
 
 def lookup_variant(key: TraceKey, config: MachineConfig) -> Optional[RunStats]:
-    """The first half of :func:`run_variant`, and the prescan of both
-    schedulers: the in-process memo, then the disk store (a hit is
-    recorded as a ``disk`` variant and promoted into the memo).  ``None``
-    on a miss."""
+    """The first half of :func:`run_variant`, and the prescan of
+    :func:`repro.harness.parallel.run_variants`: the in-process memo,
+    then the disk store (a hit is recorded as a ``disk`` variant and
+    promoted into the memo).  ``None`` on a miss."""
     cached = _STATS_CACHE.get((key, config))
     if cached is not None:
         return cached

@@ -22,8 +22,9 @@ persistent-memory transaction runtimes to the harness itself:
   serial execution;
 * **rerun after an interrupt** — every finished cell is committed to
   the content-keyed store by one atomic ``os.replace``, and the prescan
-  reads that store, so an interrupted campaign, run again, simulates
-  only the cells the store lacks;
+  (:func:`repro.harness.parallel.run_variants`) reads that store, so an
+  interrupted campaign, run again, simulates only the cells the store
+  lacks, and one with nothing to simulate never reaches this module;
 * **chaos mode** — ``REPRO_CHAOS=kill:p,hang:p,corrupt:p`` randomly
   SIGKILLs workers, injects hangs, and corrupts just-written cache
   entries, so tests and CI can prove every recovery path actually fires.
@@ -59,7 +60,7 @@ from repro.harness import runner
 from repro.obs import metrics as obs_metrics
 from repro.obs import telemetry
 from repro.stats.run import RunStats
-from repro.uarch.pipeline import simulate
+from repro.workloads.registry import workload_classes
 
 ENV_CHAOS = "REPRO_CHAOS"
 ENV_CHAOS_SEED = "REPRO_CHAOS_SEED"
@@ -340,7 +341,7 @@ def _do_work(kind: str, key, config, root: str):
         # regenerate defensively
         trace = runner.generate_trace(key)
         disk_cache.store_trace(key, trace, root=root)
-    stats = simulate(trace, config)
+    stats = runner.simulate(trace, config)
     stored = disk_cache.store_stats(key, config, stats, root=root)
     return stats, [stored] if stored is not None else []
 
@@ -617,15 +618,15 @@ class _PhaseRunner:
 # the supervised scheduler
 # ----------------------------------------------------------------------
 def run_supervised(
-    jobs_list: Sequence, n_workers: int
+    jobs_list: Sequence, stored: Sequence[Optional[RunStats]], n_workers: int
 ) -> List[RunStats]:
     """Run *jobs_list* across ``n_workers`` pool workers; results in job
     order.  :func:`repro.harness.parallel.run_variants` calls this for
-    ``jobs > 1``.
+    ``jobs > 1`` once its prescan (:func:`repro.harness.runner.lookup_variant`
+    on every cell: the memo, then the store) has found a miss; *stored*
+    holds what the prescan found, ``None`` for each miss.
 
-    A prescan first looks every cell up as the serial path does
-    (:func:`repro.harness.runner.lookup_variant`: the memo, then the
-    store).  The misses then run in two phases so that every trace is
+    The misses run in two phases so that every trace is
     generated exactly once per campaign: first the trace keys of all
     missing cells are generated into the shared on-disk store, one task
     per benchmark family (one populate for all of its modes), then the
@@ -641,7 +642,7 @@ def run_supervised(
     config = current_config()
     chaos = ChaosSpec.from_env()
 
-    results: List[Optional[RunStats]] = [None] * len(jobs_list)
+    results: List[Optional[RunStats]] = list(stored)
     report = CampaignReport(
         campaign=campaign_id(jobs_list),
         jobs=len(jobs_list),
@@ -658,20 +659,12 @@ def run_supervised(
     try:
         root_str = str(root)
 
-        # ---- prescan: the memo, then the store -----------------------
-        missing: List[Tuple[int, object, object]] = []
-        for index, job in enumerate(jobs_list):
-            cached = runner.lookup_variant(job.trace_key, job.config)
-            if cached is None:
-                missing.append((index, job, job.trace_key))
-            else:
-                results[index] = cached
+        missing: List[Tuple[int, object, object]] = [
+            (index, job, job.trace_key)
+            for index, (job, stats) in enumerate(zip(jobs_list, results))
+            if stats is None
+        ]
         report.prescan = len(jobs_list) - len(missing)
-
-        if not missing:
-            report.completed = report.prescan
-            return results  # type: ignore[return-value]
-
         report.scheduled = len(missing)
 
         # ---- phase 1: trace families ---------------------------------
@@ -687,6 +680,13 @@ def run_supervised(
                 continue
             if path is None or not path.exists():
                 needed.append(key)
+        # the pool forks its workers from this process: import the timing
+        # model, and the workloads when a trace is missing, here once
+        # rather than in every worker
+        from repro.uarch import pipeline  # noqa: F401
+
+        if needed:
+            workload_classes()
         trace_tasks: List[_Task] = []
         for family in runner.trace_families(needed):
             modes = "+".join(key.mode.value for key in family)

@@ -34,45 +34,10 @@ and :mod:`repro.obs.perfetto` exports the whole system as one timeline
 (per-core track groups, shared persistence-domain tracks, conflict flow
 arrows).
 
-:mod:`repro.obs.capture` (imported directly, not from this package
-root, because it pulls in the harness) glues the pieces together for
-the ``python -m repro trace`` CLI and the validation subsystem.
+:mod:`repro.obs.capture` glues the pieces together for the ``python -m
+repro trace`` CLI and the validation subsystem.  Import each piece from
+its own module: this package root imports nothing, so a run that only
+counts (every warm run) loads neither the tracer nor the attribution.
 
 See docs/OBSERVABILITY.md for the event taxonomy and a walkthrough.
 """
-
-from repro.obs.attribution import (
-    ATTRIBUTION_BUCKETS,
-    AttributionReport,
-    SystemAttributionReport,
-    attribute,
-    attribute_system,
-    attribution_errors,
-    consistency_errors,
-    system_attribution_errors,
-)
-from repro.obs.tracer import (
-    ConflictRecord,
-    NullTracer,
-    SpanTracer,
-    SystemTracer,
-    TraceEvent,
-    Tracer,
-)
-
-__all__ = [
-    "ATTRIBUTION_BUCKETS",
-    "AttributionReport",
-    "ConflictRecord",
-    "NullTracer",
-    "SpanTracer",
-    "SystemAttributionReport",
-    "SystemTracer",
-    "TraceEvent",
-    "Tracer",
-    "attribute",
-    "attribute_system",
-    "attribution_errors",
-    "consistency_errors",
-    "system_attribution_errors",
-]

@@ -24,7 +24,9 @@ total, persisted in the cache directory.
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -140,6 +142,19 @@ def summarize() -> Dict[str, object]:
     }
 
 
+def kernel_backend() -> str:
+    """The kernel backend this process's simulations run on.
+
+    Once the timing model is loaded, :mod:`repro.uarch.kernel` says.
+    A run that simulated nothing never loaded it, and importing it (and
+    NumPy) only to print its name would cost more than the run; such a
+    run names the backend from whether NumPy is installed."""
+    kernel = sys.modules.get("repro.uarch.kernel")
+    if kernel is not None:
+        return kernel.resolve_backend(None)
+    return "numpy" if importlib.util.find_spec("numpy") else "python"
+
+
 def metrics_snapshot() -> Dict[str, object]:
     """Everything ``--metrics-out`` writes: the telemetry registry
     (``counters``), the cache's persisted lifetime totals, and the
@@ -148,11 +163,10 @@ def metrics_snapshot() -> Dict[str, object]:
     Schema 7 folded the ``cache_session``, ``supervisor``, ``system``
     and ``telemetry`` blocks into ``counters``."""
     from repro.harness import cache as disk_cache
-    from repro.uarch.kernel import resolve_backend
 
     return {
         "schema": 7,
-        "kernel_backend": resolve_backend(None),
+        "kernel_backend": kernel_backend(),
         "counters": telemetry.snapshot(),
         "cache_lifetime": disk_cache.lifetime_cache_counters(),
         "summary": summarize(),
@@ -172,13 +186,12 @@ def write_metrics(path: Union[str, Path]) -> Path:
 def render_metrics_line() -> Optional[str]:
     """One human-readable accounting line, or ``None`` with nothing to say."""
     from repro.harness import cache as disk_cache
-    from repro.uarch.kernel import resolve_backend
 
     counters = disk_cache.cache_counters()
     summary = summarize()
     if not _RECORDS and not counters.total():
         return None
-    parts = [f"kernel={resolve_backend(None)}"]
+    parts = [f"kernel={kernel_backend()}"]
     if summary["records"]:
         by_source = summary["by_source"]
         sims = {

@@ -16,17 +16,3 @@ The :class:`~repro.txn.modes.PersistMode` selects the paper's evaluation
 variants: ``BASE`` (no logging), ``LOG`` (undo logging only), ``LOG_P``
 (+ clwb/pcommit, no fences), and ``LOG_P_SF`` (the only failure-safe one).
 """
-
-from repro.txn.modes import PersistMode
-from repro.txn.persist_ops import PersistOps
-from repro.txn.undolog import UndoLog, LogOverflowError
-from repro.txn.manager import TxManager, TxStats
-
-__all__ = [
-    "PersistMode",
-    "PersistOps",
-    "UndoLog",
-    "LogOverflowError",
-    "TxManager",
-    "TxStats",
-]

@@ -8,25 +8,3 @@ studies — retirement stalling at ``sfence-pcommit-sfence`` sequences while
 memory-controller write-pending queues drain — and, with speculation enabled
 (:mod:`repro.core`), their removal.
 """
-
-from repro.uarch.config import (
-    CacheConfig,
-    MachineConfig,
-    SSB_LATENCY_TABLE,
-    ssb_latency,
-)
-from repro.uarch.caches import CacheLevel, CacheHierarchy
-from repro.uarch.memctrl import MemoryController
-from repro.uarch.pipeline import PipelineModel, simulate
-
-__all__ = [
-    "CacheConfig",
-    "MachineConfig",
-    "SSB_LATENCY_TABLE",
-    "ssb_latency",
-    "CacheLevel",
-    "CacheHierarchy",
-    "MemoryController",
-    "PipelineModel",
-    "simulate",
-]

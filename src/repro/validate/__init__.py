@@ -45,9 +45,6 @@ from repro.workloads.registry import WORKLOADS
 #: Engine registry, in the order ``repro validate`` runs them.
 ENGINES = ("conformance", "crash", "tracefuzz")
 
-#: Default report path for ``python -m repro validate``.
-DEFAULT_REPORT = "VALIDATION_report.json"
-
 
 def run_validation(
     seed: int = 0,
@@ -92,7 +89,6 @@ def run_validation(
 
 __all__ = [
     "CheckResult",
-    "DEFAULT_REPORT",
     "ENGINES",
     "EngineReport",
     "MUTATIONS",

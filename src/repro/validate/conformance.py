@@ -53,8 +53,11 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.harness.parallel import VariantJob, run_variants
 from repro.harness.runner import build_trace, run_variant
-from repro.obs import attribution_errors, consistency_errors
-from repro.obs.attribution import system_attribution_errors
+from repro.obs.attribution import (
+    attribution_errors,
+    consistency_errors,
+    system_attribution_errors,
+)
 from repro.obs.tracer import SpanTracer, SystemTracer
 from repro.uarch.pipeline import PipelineModel
 from repro.txn.modes import PersistMode

@@ -20,35 +20,3 @@ update takes one ``clwb``.  The self-balancing trees use *full logging*
 (paper §3.2): the whole set of nodes that rebalancing might touch is logged
 up front, so each operation needs exactly one 4-pcommit transaction.
 """
-
-from repro.workloads.base import Workbench, PersistentWorkload, OpResult
-from repro.workloads.linkedlist import LinkedListWorkload
-from repro.workloads.hashmap import HashMapWorkload
-from repro.workloads.graph import GraphWorkload
-from repro.workloads.stringswap import StringSwapWorkload
-from repro.workloads.avltree import AVLTreeWorkload
-from repro.workloads.btree import BTreeWorkload
-from repro.workloads.rbtree import RBTreeWorkload
-from repro.workloads.registry import (
-    WORKLOADS,
-    BenchmarkSpec,
-    PAPER_SPECS,
-    build_workload,
-)
-
-__all__ = [
-    "Workbench",
-    "PersistentWorkload",
-    "OpResult",
-    "LinkedListWorkload",
-    "HashMapWorkload",
-    "GraphWorkload",
-    "StringSwapWorkload",
-    "AVLTreeWorkload",
-    "BTreeWorkload",
-    "RBTreeWorkload",
-    "WORKLOADS",
-    "BenchmarkSpec",
-    "PAPER_SPECS",
-    "build_workload",
-]

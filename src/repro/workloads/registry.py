@@ -11,17 +11,12 @@ the scaled counts; the paper counts are reported alongside in Table 1 output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import TYPE_CHECKING, Dict
 
 from repro.txn.modes import PersistMode
-from repro.workloads.base import PersistentWorkload, Workbench
-from repro.workloads.avltree import AVLTreeWorkload
-from repro.workloads.btree import BTreeWorkload
-from repro.workloads.graph import GraphWorkload
-from repro.workloads.hashmap import HashMapWorkload
-from repro.workloads.linkedlist import LinkedListWorkload
-from repro.workloads.rbtree import RBTreeWorkload
-from repro.workloads.stringswap import StringSwapWorkload
+
+if TYPE_CHECKING:
+    from repro.workloads.base import PersistentWorkload, Workbench
 
 
 @dataclass(frozen=True)
@@ -35,8 +30,8 @@ class BenchmarkSpec:
     paper_sim_ops: int
     scaled_init_ops: int
     scaled_sim_ops: int
-    factory: Callable[[Workbench], PersistentWorkload]
-    kwargs: dict = field(default_factory=dict)
+    #: The workload's constructor arguments besides its bench.
+    params: dict = field(default_factory=dict)
     #: Simulated heap for a paper-scale run.  The default 64 MiB heap
     #: fits every scaled workload, but the allocator never eagerly
     #: reclaims deleted nodes (paper §5.2), so paper op counts need a
@@ -45,12 +40,37 @@ class BenchmarkSpec:
     #: the generated trace.
     paper_heap_bytes: int = 1 << 26
 
+    def factory(self, bench: Workbench, **kwargs) -> PersistentWorkload:
+        """A new workload on *bench*; *kwargs* override :attr:`params`."""
+        return workload_classes()[self.abbrev](bench, **{**self.params, **kwargs})
+
     def build(self, bench: Workbench) -> PersistentWorkload:
-        return self.factory(bench, **self.kwargs)
+        return self.factory(bench)
 
 
-def _make(factory, **kwargs):
-    return lambda bench, **extra: factory(bench, **{**kwargs, **extra})
+def workload_classes() -> Dict[str, type]:
+    """The seven workload classes by abbreviation.
+
+    Their modules load at the first call, that is at the first trace a
+    process generates: a run that finds every trace and result in the
+    store never imports them."""
+    from repro.workloads.avltree import AVLTreeWorkload
+    from repro.workloads.btree import BTreeWorkload
+    from repro.workloads.graph import GraphWorkload
+    from repro.workloads.hashmap import HashMapWorkload
+    from repro.workloads.linkedlist import LinkedListWorkload
+    from repro.workloads.rbtree import RBTreeWorkload
+    from repro.workloads.stringswap import StringSwapWorkload
+
+    return {
+        "GH": GraphWorkload,
+        "HM": HashMapWorkload,
+        "LL": LinkedListWorkload,
+        "SS": StringSwapWorkload,
+        "AT": AVLTreeWorkload,
+        "BT": BTreeWorkload,
+        "RT": RBTreeWorkload,
+    }
 
 
 #: Table 1 of the paper (paper_* columns) with scaled simulation defaults.
@@ -59,48 +79,48 @@ PAPER_SPECS: Dict[str, BenchmarkSpec] = {
         "GH", "Graph", "Insert or delete edges in a graph",
         paper_init_ops=2_600_000, paper_sim_ops=100_000,
         scaled_init_ops=1600, scaled_sim_ops=60,
-        factory=_make(GraphWorkload, n_vertices=64),
+        params={"n_vertices": 64},
         paper_heap_bytes=1 << 29,
     ),
     "HM": BenchmarkSpec(
         "HM", "Hash-Map", "Insert or delete entries in a hash map",
         paper_init_ops=1_500_000, paper_sim_ops=100_000,
         scaled_init_ops=12000, scaled_sim_ops=60,
-        factory=_make(HashMapWorkload, initial_capacity=16384),
+        params={"initial_capacity": 16384},
         paper_heap_bytes=1 << 28,
     ),
     "LL": BenchmarkSpec(
         "LL", "Linked-List", "Insert or delete nodes in a linked list (Max:1024)",
         paper_init_ops=500, paper_sim_ops=50_000,
         scaled_init_ops=500, scaled_sim_ops=40,
-        factory=_make(LinkedListWorkload, max_nodes=1024),
+        params={"max_nodes": 1024},
     ),
     "SS": BenchmarkSpec(
         "SS", "String Swap", "Swap strings in a string array",
         paper_init_ops=120_000, paper_sim_ops=500_000,
         scaled_init_ops=0, scaled_sim_ops=80,
-        factory=_make(StringSwapWorkload, n_strings=8192),
+        params={"n_strings": 8192},
         paper_heap_bytes=1 << 27,
     ),
     "AT": BenchmarkSpec(
         "AT", "AVL-tree", "Insert or delete nodes in an AVL tree",
         paper_init_ops=1_000_000, paper_sim_ops=50_000,
         scaled_init_ops=1000, scaled_sim_ops=30,
-        factory=_make(AVLTreeWorkload, key_space=16384),
+        params={"key_space": 16384},
         paper_heap_bytes=1 << 28,
     ),
     "BT": BenchmarkSpec(
         "BT", "B-tree", "Insert or delete nodes in a B tree",
         paper_init_ops=1_000_000, paper_sim_ops=50_000,
         scaled_init_ops=1000, scaled_sim_ops=30,
-        factory=_make(BTreeWorkload, key_space=16384),
+        params={"key_space": 16384},
         paper_heap_bytes=1 << 28,
     ),
     "RT": BenchmarkSpec(
         "RT", "RB-tree", "Insert or delete nodes in an RB tree",
         paper_init_ops=1_500_000, paper_sim_ops=50_000,
         scaled_init_ops=1500, scaled_sim_ops=30,
-        factory=_make(RBTreeWorkload, key_space=16384),
+        params={"key_space": 16384},
         paper_heap_bytes=1 << 28,
     ),
 }
@@ -119,6 +139,8 @@ def build_workload(
     log_capacity: int = 1 << 16,
 ) -> PersistentWorkload:
     """Construct a workload on a fresh :class:`~repro.workloads.base.Workbench`."""
+    from repro.workloads.base import Workbench
+
     spec = PAPER_SPECS[abbrev]
     bench = Workbench(
         mode=mode,

@@ -197,6 +197,30 @@ class TestInterrupt:
         assert events.count("kill") == 2
         assert ("shutdown", False, True) in events
 
+    @pytest.mark.parametrize("cache_on", [True, False], ids=["store", "no-cache"])
+    def test_ctrl_c_on_the_cli_says_how_to_continue(
+        self, monkeypatch, capsys, cache_on
+    ):
+        """An interrupted campaign exits 130 with one line that says
+        where its finished cells are and that rerunning continues it."""
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(supervisor, "run_supervised", interrupted)
+        if not cache_on:
+            monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        code = main(["figure", "8", "--benchmarks", "LL", "--jobs", "2"])
+        captured = capsys.readouterr()
+        assert code == 130
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        if cache_on:
+            assert str(cache.cache_root()) in line
+            assert "run the same command again" in line
+        else:
+            assert "no finished cell was kept" in line
+
 
 class TestJobResolution:
     def test_default_tracks_cpu_count(self):

@@ -52,7 +52,8 @@ class TestRoundTrip:
 
     def test_simulation_equivalence(self, tmp_path):
         """A reloaded trace simulates to identical statistics."""
-        from repro.uarch import MachineConfig, simulate
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.pipeline import simulate
 
         original = sample_trace()
         path = tmp_path / "trace.bin"

@@ -36,7 +36,8 @@ class TestAsDict:
         from repro.isa.instr import Instr
         from repro.isa.ops import Op
         from repro.isa.trace import Trace
-        from repro.uarch import MachineConfig, simulate
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.pipeline import simulate
 
         stats = simulate(Trace([Instr(Op.LOAD, 0x1000)]), MachineConfig())
         data = stats.as_dict()
