@@ -413,7 +413,7 @@ class _DegradedToSerial(Exception):
 def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     """Hard-stop a pool: SIGKILL live workers, then cancel queued work.
 
-    Runs on every exit from a pooled phase — normal completion, a
+    Runs on every exit from a pooled campaign — normal completion, a
     watchdog or pool-death rebuild, and ``KeyboardInterrupt`` (Ctrl-C
     must exit promptly, completed cells are already in the store) — and
     never blocks waiting for a worker that may be hung.  The kill MUST
@@ -421,9 +421,12 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
     table (``_processes = None``), and a merely-shut-down executor
     still waits for hung workers at interpreter exit.  Killing the
     workers makes the executor observe a broken pool, which is the one
-    state it knows how to wind down from without joining anything.
+    state it knows how to wind down from without joining anything.  The
+    killed workers are then reaped (a bounded wait), so their peak RSS
+    reaches this process's ``RUSAGE_CHILDREN``.
     """
-    for process in list((getattr(pool, "_processes", None) or {}).values()):
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    for process in processes:
         try:
             process.kill()
         except Exception:
@@ -432,10 +435,17 @@ def _terminate_pool(pool: ProcessPoolExecutor) -> None:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
+    for process in processes:
+        try:
+            process.join(1.0)
+        except Exception:
+            pass
 
 
 class _PhaseRunner:
-    """Run one phase's tasks across a self-healing process pool."""
+    """Run a campaign's phases, one after the other, across one
+    self-healing process pool of *n_workers* workers: a phase that ends
+    with the pool alive hands it to the next one."""
 
     def __init__(
         self,
@@ -457,17 +467,19 @@ class _PhaseRunner:
         self.degraded = False
 
     # -- pool lifecycle ------------------------------------------------
-    def _ensure_pool(self, remaining: int) -> None:
-        if self.pool is not None:
-            return
-        self.pool = ProcessPoolExecutor(
-            max_workers=min(self.n_workers, max(1, remaining))
-        )
+    def _ensure_pool(self) -> None:
+        if self.pool is None:
+            self.pool = ProcessPoolExecutor(max_workers=self.n_workers)
 
-    def _pool_died(self, reason: str) -> None:
+    def close(self) -> None:
+        """Terminate the pool, not shut it down: a worker may be mid-hang,
+        and ``shutdown()`` alone would leak it past process exit."""
         if self.pool is not None:
             _terminate_pool(self.pool)
             self.pool = None
+
+    def _pool_died(self, reason: str) -> None:
+        self.close()
         if self.rebuilds_left <= 0:
             self.report.degraded_serial = True
             self.report.event("serial_degrade", "*", reason=reason)
@@ -509,18 +521,16 @@ class _PhaseRunner:
 
     # -- the loop ------------------------------------------------------
     def run(self, tasks: List[_Task]) -> None:
-        """Drive *tasks* to completion; every task ends ``done``."""
+        """Drive one phase's *tasks* to completion with its own rebuild
+        budget; every task ends ``done``.  A degraded campaign stays
+        serial.  The pool is left for the next phase: whoever started
+        the campaign calls :meth:`close` on every exit path."""
+        self.rebuilds_left = self.config.max_pool_rebuilds
         try:
             if not self.degraded:
                 self._run_pooled(tasks)
         except _DegradedToSerial:
             self.degraded = True
-        finally:
-            if self.pool is not None:
-                # _terminate_pool, not shutdown(): a worker may be mid-hang
-                # and shutdown alone would leak it past process exit.
-                _terminate_pool(self.pool)
-                self.pool = None
         # quarantined stragglers (and everything left after a serial
         # degrade) complete in-process, chaos-free — a poison job gets
         # one last deterministic chance, and a real bug surfaces with
@@ -551,7 +561,7 @@ class _PhaseRunner:
             active = [t for t in tasks if not t.done and not t.quarantined]
             if not active:
                 return
-            self._ensure_pool(len(active))
+            self._ensure_pool()
             for task in active:
                 if len(in_flight) >= self.n_workers:
                     break
@@ -634,7 +644,8 @@ def run_supervised(
     When the persistent cache is disabled a temporary directory serves
     as the campaign's shared store.  Results merge by job position, and
     the supervision described in the module docstring applies to both
-    phases.
+    phases.  The phases share one pool: the simulations take over the
+    trace phase's workers unless that phase degraded to serial.
     """
     import tempfile
 
@@ -655,18 +666,39 @@ def run_supervised(
     if root is None:
         scratch = tempfile.TemporaryDirectory(prefix="repro-scratch-")
         root = Path(scratch.name)
+    root_str = str(root)
 
+    missing: List[Tuple[int, object, object]] = [
+        (index, job, job.trace_key)
+        for index, (job, stats) in enumerate(zip(jobs_list, results))
+        if stats is None
+    ]
+    report.prescan = len(jobs_list) - len(missing)
+    report.scheduled = len(missing)
+
+    def done(task: _Task, result, wall: float, worker: str) -> None:
+        if task.kind == "trace":
+            # one record per generated trace; the family's wall time is
+            # shared evenly, as on the serial path
+            for key in result:
+                obs_metrics.record_variant(
+                    "trace", f"{key.abbrev}/{key.mode.value}", "generated",
+                    wall / len(result), worker=worker,
+                )
+            return
+        results[task.index] = result
+        runner.seed_stats_cache(task.key, task.config, result)
+        obs_metrics.record_variant(
+            "sim", task.label, "simulated", wall, worker=worker
+        )
+        report.completed += 1
+
+    # one pool for both phases, sized for the larger (the simulations)
+    pool = _PhaseRunner(
+        min(n_workers, max(1, len(missing))), root_str, config, chaos, report,
+        done,
+    )
     try:
-        root_str = str(root)
-
-        missing: List[Tuple[int, object, object]] = [
-            (index, job, job.trace_key)
-            for index, (job, stats) in enumerate(zip(jobs_list, results))
-            if stats is None
-        ]
-        report.prescan = len(jobs_list) - len(missing)
-        report.scheduled = len(missing)
-
         # ---- phase 1: trace families ---------------------------------
         # one task per benchmark family, so a benchmark is populated
         # once however many of its modes are missing
@@ -694,20 +726,7 @@ def run_supervised(
                 "trace", tuple(family), None, None,
                 f"{family[0].abbrev}/{modes}", family_digest(family),
             ))
-
-        def trace_done(task: _Task, result, wall: float, worker: str) -> None:
-            # one record per generated trace; the family's wall time is
-            # shared evenly, as on the serial path
-            for key in result:
-                obs_metrics.record_variant(
-                    "trace", f"{key.abbrev}/{key.mode.value}", "generated",
-                    wall / len(result), worker=worker,
-                )
-
-        runner_ = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, trace_done
-        )
-        runner_.run(trace_tasks)
+        pool.run(trace_tasks)
 
         # ---- phase 2: simulations ------------------------------------
         sim_tasks = [
@@ -717,24 +736,12 @@ def run_supervised(
             )
             for index, job, key in missing
         ]
-
-        def sim_done(task: _Task, result, wall: float, worker: str) -> None:
-            results[task.index] = result
-            runner.seed_stats_cache(task.key, task.config, result)
-            obs_metrics.record_variant(
-                "sim", task.label, "simulated", wall, worker=worker
-            )
-            report.completed += 1
-
-        sim_runner = _PhaseRunner(
-            n_workers, root_str, config, chaos, report, sim_done
-        )
-        sim_runner.degraded = runner_.degraded  # don't re-learn the lesson
-        sim_runner.run(sim_tasks)
+        pool.run(sim_tasks)
 
         report.completed += report.prescan
         return results  # type: ignore[return-value]
     finally:
+        pool.close()
         if scratch is not None:
             scratch.cleanup()
         report.publish()

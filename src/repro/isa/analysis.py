@@ -12,7 +12,7 @@ These helpers quantify that on any trace:
 
 It also hosts the one-pass pre-analysis behind the timing model's fast
 path: :func:`segment_trace` folds a columnar trace into a flat list of
-``(compute_run, event, ...)`` entries (see :class:`TraceSegments`), so
+``(compute_run, event, ...)`` rows (see :class:`TraceSegments`), so
 the simulator walks one entry per *event* instead of one object per
 instruction.  The segmentation is a pure function of the opcode column —
 independent of any machine configuration — and is memoized on the trace
@@ -21,6 +21,7 @@ alongside its columns.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -96,14 +97,23 @@ _PCOMMIT = int(Op.PCOMMIT)
 class TraceSegments:
     """Flat event/compute-run segmentation of one trace.
 
-    ``entries`` is a list of 5-tuples ``(run, kind, block, meta_idx,
-    index)``: *run* ALU/BRANCH instructions followed by one event of
-    *kind* (an :data:`~repro.isa.ops.Op` value, :data:`K_BARRIER` for a
-    barrier triple, or :data:`K_TAIL` for the final run with no event).
-    *block* is the event's cache-block address (0 for non-memory events),
-    *meta_idx* its index into the columns' meta table, and *index* its
-    position in the trace (for :data:`K_BARRIER`, the first sfence; for
-    :data:`K_TAIL`, the trace length).
+    ``entries`` is a list of rows ``(run, kind, block, meta_idx)``: *run*
+    ALU/BRANCH instructions followed by one event of *kind* (an
+    :data:`~repro.isa.ops.Op` value, :data:`K_BARRIER` for a barrier
+    triple, or :data:`K_TAIL` for the final run with no event).  *block*
+    is the event's cache-block address (0 for non-memory events) and
+    *meta_idx* its index into the columns' meta table.  A row says
+    nothing about where it sits, so equal rows are one shared tuple
+    (a trace repeats a few thousand distinct rows); rows are immutable
+    and nothing compares them by identity.
+
+    ``starts`` (an ``array('q')``, one value per entry plus the trace
+    length) holds positions: ``starts[k]`` is the first instruction of
+    ``entries[k]`` (the instructions ``entries[:k]`` cover: its compute
+    run plus 1 for an op event, 3 for a barrier triple), so the event of
+    ``entries[k]`` sits at ``starts[k] + run`` (for :data:`K_BARRIER`,
+    the first sfence).  The segment walker, the multi-core driver and
+    the kernel (as a zero-copy view) all read this one array.
 
     Barrier triples are recognised greedily left-to-right, mirroring the
     dispatch loop's ``i + 2 < n`` pattern check, so the segmentation is
@@ -111,43 +121,41 @@ class TraceSegments:
     ``coalesce_barrier_checkpoints=False`` simply expands a
     :data:`K_BARRIER` entry back into its three constituent ops.
 
-    The columnar mirror of ``entries`` (``runs``/``kinds``/``blocks``/
-    ``metas``) plus the batch metadata (``batch_end``/``cum_instrs``)
-    feed the vectorized kernel (:mod:`repro.uarch.kernel`):
+    ``batch_end[k]`` (for the vectorized kernel, :mod:`repro.uarch.kernel`)
+    is the index of the first entry ``>= k`` whose event the kernel
+    cannot batch (fence/pcommit/clflush/barrier), or ``len(entries)``
+    when the trace runs out first.  Loads, stores, xchg/lock-rmw,
+    clwb/clflushopt, and the tail run are batchable.  It is an int32
+    array while the trace has fewer than :data:`INT32_LIMIT`
+    instructions (int64 from there on), and ``None`` when numpy is
+    missing: the kernel cannot run then.  The kernel derives everything
+    else it needs from the trace's columns and ``starts``.
 
-    * ``batch_end[k]`` — index of the first entry ``>= k`` whose event
-      the kernel cannot batch (fence/pcommit/clflush/barrier), or
-      ``len(entries)`` when the trace runs out first.  Loads, stores,
-      xchg/lock-rmw, clwb/clflushopt, and the tail run are batchable;
-    * ``cum_instrs[k]`` — instructions covered by ``entries[:k]``
-      (compute run plus 1 for an op event, 3 for a barrier triple).
-
-    Both are pure functions of the opcode column, like the entries
-    themselves, so they are computed once here and shared by every
-    machine configuration.  They are numpy arrays, and ``None`` when
-    numpy is missing: the kernel cannot run then, and the pure-Python
-    walker reads only ``entries``.
+    All of it is a pure function of the opcode column, computed once
+    here and shared by every machine configuration.
     """
 
-    entries: List[Tuple[int, int, int, int, int]]
+    entries: List[Tuple[int, int, int, int]]
     n: int
-    runs: Optional[Sequence[int]] = None
-    kinds: Optional[Sequence[int]] = None
-    blocks: Optional[Sequence[int]] = None
-    metas: Optional[Sequence[int]] = None
+    starts: array
     batch_end: Optional[Sequence[int]] = None
-    cum_instrs: Optional[Sequence[int]] = None
+
+
+#: Index columns (``batch_end`` and the kernel's per-trace arrays) are
+#: int32 while a trace has fewer instructions than this: their largest
+#: value is the entry count, at most the trace length plus one.
+INT32_LIMIT = (1 << 31) - 1
 
 
 def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     """Vectorized segmentation: same entries as the scalar loop below,
     computed with array operations (paper-scale traces segment in
-    milliseconds instead of minutes), plus the columns and batch
-    metadata the kernel reads."""
+    milliseconds instead of minutes), plus the batch extents the kernel
+    reads."""
     n = len(columns.ops)
     ops = _np.frombuffer(columns.ops, dtype=_np.uint8)
     ev = _np.nonzero(ops > 1)[0]
-    kinds_ev = ops[ev].astype(_np.int64)
+    kinds_ev = ops[ev].astype(_np.int8)
     n_ev = len(ev)
     # greedy sfence;pcommit;sfence recognition — candidates are adjacent
     # instruction triples; overlapping candidates resolve left-to-right
@@ -185,33 +193,30 @@ def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     addrs = _np.frombuffer(columns.addrs, dtype=_np.int64)
     meta_idx = _np.frombuffer(columns.meta_idx, dtype=_np.uint16)
     blocks_e = addrs[pos] & _BLOCK_MASK
-    metas_e = meta_idx[pos].astype(_np.int64)
+    metas_e = meta_idx[pos]
     if barh is not None:
         blocks_e[barh] = 0
         metas_e[barh] = 0
-    # each entry consumes its event ops (3 for a barrier triple); the
-    # compute run is the gap back to the previous entry's consumed end
-    cons = pos + _np.where(kinds_e == K_BARRIER, 3, 1)
+    # each entry consumes its event ops (3 for a barrier triple) and the
+    # next entry starts where it ends; its compute run is the gap from
+    # there to its own event
     n_e = len(pos)
-    runs_e = _np.empty(n_e + 1, dtype=_np.int64)
-    runs_e[0] = pos[0] if n_e else n
-    if n_e:
-        _np.subtract(pos[1:], cons[:-1], out=runs_e[1:n_e])
-        runs_e[n_e] = n - int(cons[-1])
-    kinds_full = _np.concatenate([kinds_e, [K_TAIL]])
-    blocks_full = _np.concatenate([blocks_e, [0]])
-    metas_full = _np.concatenate([metas_e, [0]])
-    batch_end, cum = _batch_extents_np(runs_e, kinds_full)
-    # equal block addresses share one int object: a trace touches few
-    # distinct blocks, and the walker holds every entry
-    blocks = blocks_full.tolist()
-    blocks = list(map(dict(zip(blocks, blocks)).__getitem__, blocks))
-    entries = list(zip(
-        runs_e.tolist(), kinds_full.tolist(), blocks, metas_full.tolist(),
-        pos.tolist() + [n],
-    ))
+    starts = _np.empty(n_e + 2, dtype=_np.int64)
+    starts[0] = 0
+    _np.add(pos, _np.where(kinds_e == K_BARRIER, 3, 1), out=starts[1:n_e + 1])
+    starts[n_e + 1] = n
+    runs = _np.empty(n_e + 1, dtype=_np.int64)
+    _np.subtract(pos, starts[:n_e], out=runs[:n_e])
+    runs[n_e] = n - starts[n_e]
+    kinds = _np.append(kinds_e, _np.int8(K_TAIL))
+    intern = {}.setdefault  # equal rows: one shared tuple
+    entries = [intern(row, row) for row in zip(
+        runs.tolist(), kinds.tolist(), blocks_e.tolist() + [0],
+        metas_e.tolist() + [0],
+    )]
+    index = _np.int32 if n < INT32_LIMIT else _np.int64
     return TraceSegments(
-        entries, n, runs_e, kinds_full, blocks_full, metas_full, batch_end, cum
+        entries, n, array("q", starts.tobytes()), _batch_end_np(kinds, index)
     )
 
 
@@ -223,8 +228,11 @@ def segment_trace(columns: TraceColumns) -> TraceSegments:
     addrs = columns.addrs
     meta_idx = columns.meta_idx
     n = len(ops)
-    entries: List[Tuple[int, int, int, int, int]] = []
+    entries: List[Tuple[int, int, int, int]] = []
     append = entries.append
+    starts = array("q", [0])
+    begin = starts.append
+    intern = {}.setdefault
     run = 0
     i = 0
     while i < n:
@@ -235,15 +243,18 @@ def segment_trace(columns: TraceColumns) -> TraceSegments:
             continue
         if op == _SFENCE and i + 2 < n and ops[i + 1] == _PCOMMIT and ops[i + 2] == _SFENCE:
             # sfence; pcommit; sfence
-            append((run, K_BARRIER, 0, 0, i))
-            run = 0
+            row = (run, K_BARRIER, 0, 0)
             i += 3
-            continue
-        append((run, op, addrs[i] & _BLOCK_MASK, meta_idx[i], i))
+        else:
+            row = (run, op, addrs[i] & _BLOCK_MASK, meta_idx[i])
+            i += 1
+        append(intern(row, row))
+        begin(i)
         run = 0
-        i += 1
-    append((run, K_TAIL, 0, 0, n))
-    return TraceSegments(entries, n)
+    row = (run, K_TAIL, 0, 0)
+    append(intern(row, row))
+    begin(n)
+    return TraceSegments(entries, n, starts)
 
 
 #: Event kinds the vectorized kernel must hand back to the scalar
@@ -251,26 +262,16 @@ def segment_trace(columns: TraceColumns) -> TraceSegments:
 _STOP_KINDS = (6, 7, 8, 9, K_BARRIER)
 
 
-def _batch_extents_np(runs, kinds):
-    """Kernel batch extents (``batch_end``/``cum_instrs``) from columns."""
+def _batch_end_np(kinds, index):
+    """Kernel batch extents (``batch_end``) from the entry kinds."""
     ne = len(kinds)
-    # instructions per entry: the compute run plus the event ops
-    ops = _np.where(kinds >= 2, 1, 0)
-    ops = _np.where(kinds == K_BARRIER, 3, ops)
-    cum = _np.zeros(ne + 1, dtype=_np.int64)
-    _np.cumsum(runs + ops, out=cum[1:])
-    stop = _np.isin(kinds, _STOP_KINDS)
-    stop_idx = _np.nonzero(stop)[0]
-    if len(stop_idx):
-        pos = _np.searchsorted(stop_idx, _np.arange(ne))
-        batch_end = _np.where(
-            pos < len(stop_idx),
-            stop_idx[_np.minimum(pos, len(stop_idx) - 1)],
-            ne,
-        )
-    else:
-        batch_end = _np.full(ne, ne, dtype=_np.int64)
-    return batch_end, cum
+    stop_idx = _np.nonzero(_np.isin(kinds, _STOP_KINDS))[0]
+    if not len(stop_idx):
+        return _np.full(ne, ne, dtype=index)
+    pos = _np.searchsorted(stop_idx, _np.arange(ne))
+    return _np.where(
+        pos < len(stop_idx), stop_idx[_np.minimum(pos, len(stop_idx) - 1)], ne,
+    ).astype(index)
 
 
 def barrier_distances(trace: Trace) -> List[int]:

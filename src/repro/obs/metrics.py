@@ -155,23 +155,40 @@ def kernel_backend() -> str:
     return "numpy" if importlib.util.find_spec("numpy") else "python"
 
 
+def peak_rss_mb(children: bool = False) -> float:
+    """Peak resident set size in MB of this process, or with *children*
+    of its largest waited-for child (``ru_maxrss`` is KiB on Linux,
+    bytes on macOS)."""
+    import resource
+
+    who = resource.RUSAGE_CHILDREN if children else resource.RUSAGE_SELF
+    unit = 1 << 20 if sys.platform == "darwin" else 1 << 10
+    return round(resource.getrusage(who).ru_maxrss / unit, 1)
+
+
 def metrics_snapshot() -> Dict[str, object]:
     """Everything ``--metrics-out`` writes: the telemetry registry
-    (``counters``), the cache's persisted lifetime totals, and the
-    per-variant records with their summary.
+    (``counters``), the cache's persisted lifetime totals, the
+    per-variant records with their summary, and the peak RSS (the pool
+    workers' too after a pooled campaign).
 
     Schema 7 folded the ``cache_session``, ``supervisor``, ``system``
-    and ``telemetry`` blocks into ``counters``."""
+    and ``telemetry`` blocks into ``counters``; schema 8 added
+    ``peak_rss_mb`` and ``workers_peak_rss_mb``."""
     from repro.harness import cache as disk_cache
 
-    return {
-        "schema": 7,
+    snapshot = {
+        "schema": 8,
         "kernel_backend": kernel_backend(),
         "counters": telemetry.snapshot(),
         "cache_lifetime": disk_cache.lifetime_cache_counters(),
         "summary": summarize(),
         "variants": [asdict(record) for record in _RECORDS],
+        "peak_rss_mb": peak_rss_mb(),
     }
+    if telemetry.get("supervisor.campaigns"):
+        snapshot["workers_peak_rss_mb"] = peak_rss_mb(children=True)
+    return snapshot
 
 
 def write_metrics(path: Union[str, Path]) -> Path:
@@ -226,4 +243,5 @@ def render_metrics_line() -> Optional[str]:
     recovery = supervisor_recovery()
     if recovery:
         parts.append(recovery)
+    parts.append(f"peak {peak_rss_mb():.0f} MB")
     return "harness: " + ", ".join(parts)

@@ -44,7 +44,8 @@ The batch solve exploits three structural facts of the walker's arithmetic:
 
 Everything that depends only on the trace — op positions, kind masks,
 ordinal prefix sums, pointer-chase structure — is computed once per trace
-(:class:`_TraceOps`, cached on the ``TraceSegments`` object) so each
+from its columns and segment starts (:class:`_TraceOps`, cached on the
+``TraceSegments`` object) so each
 ``advance`` call only slices it.  Every quantity is computed exactly as
 the walker computes it — the kernel is cycle-for-cycle identical,
 asserted by the conformance matrix and the property tests in
@@ -57,6 +58,7 @@ import warnings
 from collections import deque
 from time import perf_counter as _perf_counter
 
+from repro.isa.analysis import _BLOCK_MASK
 from repro.obs import telemetry as _telemetry
 
 #: Backend names accepted by :class:`repro.uarch.config.PipelineConfig`
@@ -212,17 +214,23 @@ def _strand_max(c, seed, width, koffs, grid, out):
 # per-trace op-level precompute
 # ----------------------------------------------------------------------
 class _TraceOps:
-    """Config-independent op-level mirror of one trace's segmentation.
+    """Config-independent op-level index of one trace for the kernel.
 
-    Everything here is a pure function of the segment arrays — op
-    positions, kind masks, ordinal prefix sums, and the pointer-chase
-    structure of the untagged loads — computed once per trace and cached
-    on the ``TraceSegments`` object, so :func:`advance` only slices it
-    (O(log n) searchsorteds per chunk).
+    Everything here is a pure function of the trace's columns and its
+    segmentation's ``starts`` — op positions, kind masks, ordinal prefix
+    sums, and the pointer-chase structure of the untagged loads —
+    computed once per trace and cached on the ``TraceSegments`` object,
+    so :func:`advance` only slices it (O(log n) searchsorteds per
+    chunk).  The batchable ops (loads, stores, xchg/lock-rmw,
+    clwb/clflushopt) are exactly the trace's ops of those kinds: a
+    barrier triple holds none.  Positions and prefix counts take the
+    segmentation's index dtype (int32 below
+    :data:`~repro.isa.analysis.INT32_LIMIT` instructions); kinds stay
+    one byte.
     """
 
     __slots__ = (
-        "op_cum", "g_op", "op_kind", "op_block", "op_meta",
+        "op_cum", "g_op", "op_kind", "op_block",
         "is_load", "is_store", "is_flush",
         "load_cum", "store_cum", "flush_cum", "lsq_cum", "cw_cum", "cf_cum",
         "g_load", "g_store", "g_flush", "g_lsq", "g_note", "lsq_is_load",
@@ -231,31 +239,28 @@ class _TraceOps:
         "_tags",
     )
 
-    def __init__(self, segments):
-        runs = np.asarray(segments.runs)
-        kinds = np.asarray(segments.kinds)
-        blocks = np.asarray(segments.blocks)
-        metas = np.asarray(segments.metas)
-        cum = np.asarray(segments.cum_instrs)
-        ne = len(kinds)
-        batchable = ((kinds >= 2) & (kinds <= 5)) | (kinds == 10) | (kinds == 11)
-        self.op_cum = oc = np.zeros(ne + 1, dtype=np.int64)
-        np.cumsum(batchable, out=oc[1:])
-        eidx = np.nonzero(batchable)[0]
-        # global instruction index of each op (the event follows its run)
-        self.g_op = cum[eidx] + runs[eidx]
-        self.op_kind = ok = kinds[eidx]
-        self.op_block = blocks[eidx]
-        self.op_meta = metas[eidx]
-        n_ops = len(ok)
+    def __init__(self, segments, columns):
+        index = segments.batch_end.dtype
+        ops = np.frombuffer(columns.ops, dtype=np.uint8)
+        batchable = ((ops >= 2) & (ops <= 5)) | (ops == 10) | (ops == 11)
+        # global instruction index of each op, and per entry the ops
+        # before it (entry k's events all lie at or past starts[k])
+        self.g_op = g_op = np.nonzero(batchable)[0].astype(index)
+        self.op_cum = np.searchsorted(
+            g_op, np.frombuffer(segments.starts, dtype=np.int64)
+        ).astype(index)
+        self.op_kind = ok = ops[g_op]
+        self.op_block = (
+            np.frombuffer(columns.addrs, dtype=np.int64)[g_op] & _BLOCK_MASK
+        )
         self.is_load = il = ok == 2
         self.is_flush = ifl = (ok == 4) | (ok == 5)
         self.is_store = ist = ~il & ~ifl
         ilsq = ~ifl
 
         def _cum(mask):
-            c = np.zeros(n_ops + 1, dtype=np.int64)
-            np.cumsum(mask, out=c[1:])
+            c = np.zeros(len(mask) + 1, dtype=index)
+            np.cumsum(mask, dtype=index, out=c[1:])
             return c
 
         self.load_cum = _cum(il)
@@ -264,18 +269,18 @@ class _TraceOps:
         self.lsq_cum = _cum(ilsq)
         self.cw_cum = _cum(ok == 4)
         self.cf_cum = _cum(ok == 5)
-        self.g_load = self.g_op[il]
-        self.g_store = self.g_op[ist]
-        self.g_flush = self.g_op[ifl]
-        self.g_lsq = self.g_op[ilsq]
-        self.g_note = self.g_op[ist | ifl]
+        self.g_load = g_op[il]
+        self.g_store = g_op[ist]
+        self.g_flush = g_op[ifl]
+        self.g_lsq = g_op[ilsq]
+        self.g_note = g_op[ist | ifl]
         self.lsq_is_load = il[ilsq]
 
         # pointer-chase structure: an untagged load is a *field* access
         # exactly when it repeats the previous untagged load's block (every
         # untagged load leaves the chain head at its own block), chase
         # otherwise; a fresh model's chain head (-1) matches no block
-        lt = self.op_meta[il] != 0
+        lt = np.frombuffer(columns.meta_idx, dtype=np.uint16)[self.g_load] != 0
         self.l_tagged = lt
         n_loads = len(lt)
         load_blocks = self.op_block[il]
@@ -291,17 +296,15 @@ class _TraceOps:
             f = u_blocks == prev
             fieldm[u_idx] = f
             chase[u_idx] = ~f
-            self.unt_ord = u_idx
+            self.unt_ord = u_idx.astype(index)
             self.unt_blocks = u_blocks
         else:
-            self.unt_ord = np.empty(0, dtype=np.int64)
+            self.unt_ord = np.empty(0, dtype=index)
             self.unt_blocks = np.empty(0, dtype=np.int64)
         self.l_chase = chase
         self.l_field = fieldm
-        self.l_gov = np.cumsum(chase) - 1
-        cc = np.zeros(n_loads + 1, dtype=np.int64)
-        np.cumsum(chase, out=cc[1:])
-        self.chase_cum = cc
+        self.chase_cum = cc = _cum(chase)
+        self.l_gov = cc[1:] - 1
         self.chase_blocks = load_blocks[chase]
         self._tags = {}
 
@@ -314,10 +317,10 @@ class _TraceOps:
         return t
 
 
-def _trace_ops(segments):
+def _trace_ops(segments, columns):
     T = segments.__dict__.get("_kernel_ops")
     if T is None:
-        T = _TraceOps(segments)
+        T = _TraceOps(segments, columns)
         segments.__dict__["_kernel_ops"] = T
     return T
 
@@ -781,15 +784,15 @@ def advance(model, columns, segments, ei):
     if batch_end is None:  # segmented without numpy: no kernel columns
         return None
     ej = int(batch_end[ei])
-    n_entries = len(segments.entries)
-    cum = segments.cum_instrs
-    prefix = int(segments.runs[ej]) if ej < n_entries else 0
-    base = int(cum[ei])
-    total = int(cum[ej]) - base + prefix
+    entries = segments.entries
+    starts = segments.starts
+    prefix = entries[ej][0] if ej < len(entries) else 0
+    base = starts[ei]
+    total = starts[ej] - base + prefix
     if total < KERNEL_MIN_BATCH:
         return None
 
-    T = _trace_ops(segments)
+    T = _trace_ops(segments, columns)
     q0 = int(T.op_cum[ei])
     q1 = int(T.op_cum[ej])
     L0 = int(T.load_cum[q0])
@@ -802,7 +805,7 @@ def advance(model, columns, segments, ei):
     # block (-1 before the first).  True for any model this kernel and the
     # walker advance in step; bail to the walker if ever violated.
     if L1 > L0 and len(T.unt_ord):
-        j0 = int(np.searchsorted(T.unt_ord, L0))
+        j0 = int(np.searchsorted(T.unt_ord, T.load_cum[q0:q0 + 1])[0])
         if j0 < len(T.unt_ord) and T.unt_ord[j0] < L1:
             expected = int(T.unt_blocks[j0 - 1]) if j0 else -1
             if expected != model._chain_block:
@@ -863,17 +866,22 @@ def advance(model, columns, segments, ei):
         length = min(KERNEL_MAX_CHUNK, total - chunk_start)
         abs0 = base + chunk_start
         abs1 = abs0 + length
-        o1g = int(np.searchsorted(g_op, abs1))
-        m0g, m1g = np.searchsorted(g_lsq, (abs0, abs1))
+        # needles of the positions' own dtype: searchsorted casts the
+        # whole array to any other
+        span = np.array((abs0, abs1), dtype=g_op.dtype)
+        o1g = int(np.searchsorted(g_op, span)[1])
+        m0g, m1g = np.searchsorted(g_lsq, span)
         m0g, m1g = int(m0g), int(m1g)
         nm = m1g - m0g
-        mem_pos = g_lsq[m0g:m1g] - abs0
-        l0g, l1g = np.searchsorted(g_load, (abs0, abs1))
+        # chunk-local positions index every fixpoint pass: int64, which
+        # numpy indexes with no conversion
+        mem_pos = np.subtract(g_lsq[m0g:m1g], abs0, dtype=np.int64)
+        l0g, l1g = np.searchsorted(g_load, span)
         l0g, l1g = int(l0g), int(l1g)
         nl = l1g - l0g
-        s0g, s1g = np.searchsorted(g_store, (abs0, abs1))
+        s0g, s1g = np.searchsorted(g_store, span)
         s0g, s1g = int(s0g), int(s1g)
-        f0g, f1g = np.searchsorted(g_flush, (abs0, abs1))
+        f0g, f1g = np.searchsorted(g_flush, span)
         f0g, f1g = int(f0g), int(f1g)
         koffs = _koffs(length, width)
 
@@ -904,7 +912,7 @@ def advance(model, columns, segments, ei):
 
         # chunk-local load structure (everything loop-invariant hoisted)
         if nl:
-            load_pos_c = g_load[l0g:l1g] - abs0
+            load_pos_c = np.subtract(g_load[l0g:l1g], abs0, dtype=np.int64)
             clb = l0g - L0  # batch-local ordinal of the chunk's first load
             dml_idx = np.nonzero(T.lsq_is_load[m0g:m1g])[0]
             dml = np.empty(nl, dtype=np.int64)
@@ -929,7 +937,7 @@ def advance(model, columns, segments, ei):
                 fd_idx = np.nonzero(fd)[0]
                 lat_fd = lat_c[fd_idx]
                 if nc:
-                    gov_local = T.l_gov[l0g:l1g][fd_idx] - c0
+                    gov_local = T.l_gov[l0g:l1g][fd_idx].astype(np.int64) - c0
                     gidx = np.clip(gov_local, 0, nc - 1)
                     gov_ok = gov_local >= 0
         else:
@@ -1089,7 +1097,7 @@ def advance(model, columns, segments, ei):
             flushes_done = max(flushes_done, int(ack.max()))
             nvmm_wb_d += int(wb_c.sum())
         if inflight:
-            n0g, n1g = np.searchsorted(g_note, (abs0, abs1))
+            n0g, n1g = np.searchsorted(g_note, span)
             if n1g > n0g:
                 rn = rview[g_note[int(n0g):int(n1g)] - abs0]
                 horizon = max(inflight)

@@ -366,6 +366,7 @@ class PipelineModel:
         expanded barrier triple the count exceeds the entry's prefix.
         """
         entries = segments.entries
+        starts = segments.starts
         n_entries = len(entries)
         config = self.config
         coalesce = config.coalesce_barrier_checkpoints
@@ -424,8 +425,7 @@ class PipelineModel:
                 # favour of the walker
                 nj = kernel_advance(self, columns, segments, ei)
             if nj is not None:
-                cum = segments.cum_instrs
-                kernel_n += int(cum[nj]) - int(cum[ei])
+                kernel_n += starts[nj] - starts[ei]
                 if nj >= n_entries:
                     return (kernel_n, walker_n, step_n, spec_n), (nj, 0)
                 kernel_n += entries[nj][0]
@@ -489,7 +489,7 @@ class PipelineModel:
                 hits_d = 0
                 acc_d = 0
                 while ei < n_entries:
-                    run_len, kind, block, mi, idx = entries[ei]
+                    run_len, kind, block, mi = entries[ei]
                     instr_d += run_len
                     for k in range(run_len):
                         if last_retire >= limit:
@@ -801,7 +801,8 @@ class PipelineModel:
             # under speculation too, the publish stop; it is stepped
             # exactly, and the fast phase (or the kernel) resumes at the
             # next entry
-            run_len, kind, _, _, idx = entries[ei]
+            run_len, kind, _, _ = entries[ei]
+            idx = starts[ei] + run_len
             if published and after_publish < stop_clock:
                 stop_clock = after_publish
             if self._last_retire >= min(stop_clock, publish_stop):

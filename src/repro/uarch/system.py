@@ -184,12 +184,12 @@ class _CoreState:
         #: awaiting delivery before the next unit — provenance rides
         #: along so a traced run can attribute aborts aggressor→victim
         self.pending: List[Tuple[int, int, int]] = []
-        # walker runs: the trace's segments and their entries, each
-        # entry's first trace position (then the trace length), and the
+        # walker runs: the trace's segments, their rows and starts (each
+        # entry's first trace position, then the trace length), and the
         # entry holding ``cursor``
         self.segments = None
-        self.entries: Sequence[Tuple[int, int, int, int, int]] = ()
-        self.starts = array("q")
+        self.entries: Sequence[Tuple[int, int, int, int]] = ()
+        self.starts: Sequence[int] = ()
         self.entry = 0
         # lookahead: per entry, how many checkpoints and SSB slots the
         # events before it take under speculation (prefix sums), and the
@@ -400,12 +400,9 @@ class SystemModel:
             fences = {**_FENCES, K_BARRIER: 2}
         for state in states:
             state.core._published = []
-            state.segments = state.trace.segments()
-            state.entries = entries = state.segments.entries
-            state.starts = array(
-                "q", (idx - run for run, _, _, _, idx in entries)
-            )
-            state.starts.append(state.n)
+            state.segments = segments = state.trace.segments()
+            state.entries = entries = segments.entries
+            state.starts = segments.starts
             if lookahead:
                 kinds = list(map(itemgetter(1), entries))
                 state.fences = array("q", accumulate(
@@ -529,7 +526,11 @@ class SystemModel:
                     bisect_left(buffered, slot, entry + 1),
                 )
                 if forced < len(fences):
-                    ops = state.entries[forced - 1][4] - state.cursor
+                    # ops up to the forcing entry's event
+                    ops = (
+                        state.starts[forced - 1] + state.entries[forced - 1][0]
+                        - state.cursor
+                    )
                     if ops > self.config.width:
                         forced = clock + (ops - 1) // self.config.width
                         if forced < earliest:

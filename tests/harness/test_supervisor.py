@@ -123,6 +123,18 @@ class TestSupervisedDeterminism:
         assert counters["jobs"] == len(jobs)
         assert obs_metrics.supervisor_recovery() is None
 
+    def test_one_pool_serves_both_phases(self):
+        """A cold pooled campaign over two families forks its workers
+        once: the simulations run on the trace phase's pool."""
+        run_variants(_jobs(), jobs=2)
+        assert obs_metrics.supervisor_recovery() is None  # no worker died
+        pooled = [r for r in obs_metrics.variant_records() if r.worker != "main"]
+        assert {r.kind for r in pooled} == {"trace", "sim"}
+        assert len({r.worker for r in pooled}) <= 2
+        snapshot = obs_metrics.metrics_snapshot()
+        assert snapshot["peak_rss_mb"] > 0
+        assert snapshot["workers_peak_rss_mb"] > 0
+
     def test_chaos_kill_recovers_byte_identical(self, monkeypatch):
         jobs = _jobs()
         serial = _serial_baseline(jobs, monkeypatch)

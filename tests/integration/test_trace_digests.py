@@ -922,6 +922,17 @@ PINNED_SYSTEM_CORE_DIGESTS = {
 _ALL_SYSTEM_CELLS = _SYSTEM_CELLS + list(PINNED_SYSTEM_MORE_DIGESTS)
 
 
+def _barrier_positions(trace):
+    """Trace positions of the first sfence of every barrier triple: an
+    entry's event sits ``run`` ops past the entry's start."""
+    segments = trace.segments()
+    return {
+        start + run
+        for (run, kind, _, _), start in zip(segments.entries, segments.starts)
+        if kind == K_BARRIER
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def _concurrent_traces(abbrev, cores, contention):
     return tuple(generate_concurrent(
@@ -952,10 +963,7 @@ def _system_cell(abbrev, cores, contention, label):
     system = SystemModel(_SYSTEM_MORE_MACHINES[label], n_cores=cores)
     core_of = {id(core): index for index, core in enumerate(system.cores)}
     replayed = [0] * cores
-    barriers = [
-        {entry[4] for entry in trace.segments().entries if entry[1] == K_BARRIER}
-        for trace in traces
-    ]
+    barriers = [_barrier_positions(trace) for trace in traces]
     finishing = set()
     events = dict.fromkeys(
         ("asleep_aborts", "mid_triple_resumes", "committed_stores"), 0

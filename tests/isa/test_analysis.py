@@ -1,6 +1,7 @@
 """Trace characterisation helpers (repro.isa.analysis)."""
 
 import sys
+from array import array
 from itertools import accumulate
 
 import pytest
@@ -139,23 +140,30 @@ class TestSegmentationVectorizedVsScalar:
         monkeypatch.setattr(analysis, "_np", None)
         ref = analysis.segment_trace(columns)
         assert vec.entries == ref.entries
+        assert vec.starts == ref.starts
         assert vec.n == ref.n
         assert ref.batch_end is None  # no kernel columns without numpy
         entries = ref.entries
-        for k, field in enumerate(("runs", "kinds", "blocks", "metas")):
-            assert [int(v) for v in getattr(vec, field)] == [
-                e[k] for e in entries
-            ], field
-        # batch_end: the next entry the kernel cannot batch; cum_instrs:
-        # instructions before each entry (3 per barrier, 1 per other event)
+        for segments in (vec, ref):
+            # equal rows are one shared tuple; positions live in starts
+            assert len({id(row) for row in segments.entries}) == len(
+                set(segments.entries)
+            )
+            assert isinstance(segments.starts, array)
+            assert segments.starts.typecode == "q"
+        # batch_end: the next entry the kernel cannot batch; starts: the
+        # instructions before each entry (3 per barrier, 1 per other
+        # event), then the trace length
         kinds = [e[1] for e in entries]
         stops = [k for k, kind in enumerate(kinds) if kind in analysis._STOP_KINDS]
         assert [int(v) for v in vec.batch_end] == [
             min([j for j in stops if j >= k], default=len(kinds))
             for k in range(len(kinds))
         ]
+        assert vec.batch_end.dtype == "int32"
         sizes = [
             run + (3 if kind == analysis.K_BARRIER else kind >= 2)
             for run, kind, *_ in entries
         ]
-        assert [int(v) for v in vec.cum_instrs] == list(accumulate(sizes, initial=0))
+        assert list(vec.starts) == list(accumulate(sizes, initial=0))
+        assert vec.starts[-1] == vec.n

@@ -112,7 +112,7 @@ class TestWorkloadRoundTrip:
         trace = build_trace(abbrev, mode, **SMALL)
         segments = trace.segments()
         covered = 0
-        for run, kind, _block, _mi, _idx in segments.entries:
+        for run, kind, _block, _mi in segments.entries:
             covered += run
             if kind == K_BARRIER:
                 covered += 3

@@ -47,6 +47,13 @@ class TestVariantRecords:
         assert "1 simulated" in line
         assert "cache" in line
 
+    def test_render_line_ends_with_the_peak(self):
+        obs_metrics.record_variant("sim", "BT/base", "simulated", 0.5)
+        line = obs_metrics.render_metrics_line()
+        head, _, peak = line.rpartition(", peak ")
+        assert head and peak.endswith(" MB")
+        assert int(peak[: -len(" MB")]) > 0
+
 
 class TestCacheCounters:
     def test_counts_miss_then_hit(self, tmp_path, monkeypatch):
@@ -113,11 +120,12 @@ class TestCacheCounters:
         out = tmp_path / "metrics.json"
         obs_metrics.write_metrics(out)
         payload = json.loads(out.read_text())
-        assert payload["schema"] == 7  # v7: one registry counters block
+        assert payload["schema"] == 8  # v8: the peak RSS
         assert set(payload) == {
             "schema", "kernel_backend", "counters", "cache_lifetime",
-            "summary", "variants",
+            "summary", "variants", "peak_rss_mb",
         }
+        assert payload["peak_rss_mb"] > 0
         assert payload["kernel_backend"] in ("python", "numpy")
         assert payload["summary"]["records"] == 1
         assert payload["variants"][0]["label"] == "BT/base"

@@ -179,7 +179,7 @@ class TestPublishers:
 
         telemetry.counter_inc("custom.probe", 3)
         snap = metrics.metrics_snapshot()
-        assert snap["schema"] == 7
+        assert snap["schema"] == 8
         assert snap["counters"]["custom.probe"] == 3
         # one counters block: the retired per-store blocks are gone
         for retired in ("cache_session", "supervisor", "system", "telemetry"):
