@@ -23,13 +23,13 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.isa.columns import TraceColumns
 from repro.isa.ops import Op, FENCE_OPS, PMEM_OPS
 from repro.isa.trace import Trace
 
-try:  # segmentation vectorises, and the kernel's columns exist, with numpy
+try:  # segmentation vectorises with numpy
     import numpy as _np
 except ImportError:  # pragma: no cover - exercised by the no-numpy CI leg
     _np = None
@@ -113,7 +113,7 @@ class TraceSegments:
     run plus 1 for an op event, 3 for a barrier triple), so the event of
     ``entries[k]`` sits at ``starts[k] + run`` (for :data:`K_BARRIER`,
     the first sfence).  The segment walker, the multi-core driver and
-    the kernel (as a zero-copy view) all read this one array.
+    the kernel all read this one array.
 
     Barrier triples are recognised greedily left-to-right, mirroring the
     dispatch loop's ``i + 2 < n`` pattern check, so the segmentation is
@@ -121,37 +121,21 @@ class TraceSegments:
     ``coalesce_barrier_checkpoints=False`` simply expands a
     :data:`K_BARRIER` entry back into its three constituent ops.
 
-    ``batch_end[k]`` (for the vectorized kernel, :mod:`repro.uarch.kernel`)
-    is the index of the first entry ``>= k`` whose event the kernel
-    cannot batch (fence/pcommit/clflush/barrier), or ``len(entries)``
-    when the trace runs out first.  Loads, stores, xchg/lock-rmw,
-    clwb/clflushopt, and the tail run are batchable.  It is an int32
-    array while the trace has fewer than :data:`INT32_LIMIT`
-    instructions (int64 from there on), and ``None`` when numpy is
-    missing: the kernel cannot run then.  The kernel derives everything
-    else it needs from the trace's columns and ``starts``.
-
     All of it is a pure function of the opcode column, computed once
-    here and shared by every machine configuration.
+    here and shared by every machine configuration.  The vectorized
+    kernel (:mod:`repro.uarch.kernel`) decides which ops it batches from
+    the columns and ``starts`` alone.
     """
 
     entries: List[Tuple[int, int, int, int]]
     n: int
     starts: array
-    batch_end: Optional[Sequence[int]] = None
-
-
-#: Index columns (``batch_end`` and the kernel's per-trace arrays) are
-#: int32 while a trace has fewer instructions than this: their largest
-#: value is the entry count, at most the trace length plus one.
-INT32_LIMIT = (1 << 31) - 1
 
 
 def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
     """Vectorized segmentation: same entries as the scalar loop below,
     computed with array operations (paper-scale traces segment in
-    milliseconds instead of minutes), plus the batch extents the kernel
-    reads."""
+    milliseconds instead of minutes)."""
     n = len(columns.ops)
     ops = _np.frombuffer(columns.ops, dtype=_np.uint8)
     ev = _np.nonzero(ops > 1)[0]
@@ -214,10 +198,7 @@ def _segment_trace_np(columns: TraceColumns) -> TraceSegments:
         runs.tolist(), kinds.tolist(), blocks_e.tolist() + [0],
         metas_e.tolist() + [0],
     )]
-    index = _np.int32 if n < INT32_LIMIT else _np.int64
-    return TraceSegments(
-        entries, n, array("q", starts.tobytes()), _batch_end_np(kinds, index)
-    )
+    return TraceSegments(entries, n, array("q", starts.tobytes()))
 
 
 def segment_trace(columns: TraceColumns) -> TraceSegments:
@@ -255,23 +236,6 @@ def segment_trace(columns: TraceColumns) -> TraceSegments:
     append(intern(row, row))
     begin(n)
     return TraceSegments(entries, n, starts)
-
-
-#: Event kinds the vectorized kernel must hand back to the scalar
-#: stepper: clflush, pcommit, sfence, mfence, and the barrier macro-op.
-_STOP_KINDS = (6, 7, 8, 9, K_BARRIER)
-
-
-def _batch_end_np(kinds, index):
-    """Kernel batch extents (``batch_end``) from the entry kinds."""
-    ne = len(kinds)
-    stop_idx = _np.nonzero(_np.isin(kinds, _STOP_KINDS))[0]
-    if not len(stop_idx):
-        return _np.full(ne, ne, dtype=index)
-    pos = _np.searchsorted(stop_idx, _np.arange(ne))
-    return _np.where(
-        pos < len(stop_idx), stop_idx[_np.minimum(pos, len(stop_idx) - 1)], ne,
-    ).astype(index)
 
 
 def barrier_distances(trace: Trace) -> List[int]:

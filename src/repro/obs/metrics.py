@@ -24,7 +24,6 @@ total, persisted in the cache directory.
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import sys
 from dataclasses import asdict, dataclass
@@ -142,17 +141,13 @@ def summarize() -> Dict[str, object]:
     }
 
 
-def kernel_backend() -> str:
-    """The kernel backend this process's simulations run on.
-
-    Once the timing model is loaded, :mod:`repro.uarch.kernel` says.
-    A run that simulated nothing never loaded it, and importing it (and
-    NumPy) only to print its name would cost more than the run; such a
-    run names the backend from whether NumPy is installed."""
+def kernel_backend() -> Optional[str]:
+    """The kernel backend this process's simulations ran on, as
+    :mod:`repro.uarch.kernel` resolves it, or ``None`` when this process
+    never loaded the timing model (a run that simulated nothing names no
+    backend)."""
     kernel = sys.modules.get("repro.uarch.kernel")
-    if kernel is not None:
-        return kernel.resolve_backend(None)
-    return "numpy" if importlib.util.find_spec("numpy") else "python"
+    return kernel.resolve_backend(None) if kernel is not None else None
 
 
 def peak_rss_mb(children: bool = False) -> float:
@@ -208,7 +203,8 @@ def render_metrics_line() -> Optional[str]:
     summary = summarize()
     if not _RECORDS and not counters.total():
         return None
-    parts = [f"kernel={kernel_backend()}"]
+    backend = kernel_backend()
+    parts = [f"kernel={backend}"] if backend else []
     if summary["records"]:
         by_source = summary["by_source"]
         sims = {

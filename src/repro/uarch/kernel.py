@@ -42,19 +42,23 @@ The batch solve exploits three structural facts of the walker's arithmetic:
   repeat (a Kleene chain that repeats has reached its least fixpoint —
   the walker's causal solution).
 
-Everything that depends only on the trace — op positions, kind masks,
-ordinal prefix sums, pointer-chase structure — is computed once per trace
-from its columns and segment starts (:class:`_TraceOps`, cached on the
-``TraceSegments`` object) so each
-``advance`` call only slices it.  Every quantity is computed exactly as
-the walker computes it — the kernel is cycle-for-cycle identical,
-asserted by the conformance matrix and the property tests in
+The kernel keeps no per-trace state.  :func:`advance` finds where its
+batch ends with one search of the opcode column, then runs the batch one
+chunk of at most :data:`KERNEL_MAX_CHUNK` instructions at a time: it
+builds the chunk's op index (op positions, kinds, blocks, pointer-chase
+structure) from the column slices (:class:`_ChunkOps`), classifies the
+chunk, solves it, and replays its WPQ writebacks, so its memory is
+bounded by the chunk size.  Every quantity is computed exactly as the
+walker computes it — the kernel is cycle-for-cycle identical, asserted
+by the conformance matrix and the property tests in
 ``tests/uarch/test_kernel.py``.
 """
 
 from __future__ import annotations
 
+import re
 import warnings
+from bisect import bisect_right
 from collections import deque
 from time import perf_counter as _perf_counter
 
@@ -77,10 +81,12 @@ NUMPY_MIN_VERSION = (1, 20)
 #: short spans.
 KERNEL_MIN_BATCH = 1024
 
-#: Long batches are solved in chunks of this many instructions so the
-#: working-set arrays stay cache-sized and paper-scale batches (tens of
-#: millions of instructions with no intervening event) don't allocate
-#: gigabytes.
+#: Batches are indexed, classified and solved in chunks of at most this
+#: many instructions, so the working-set arrays stay cache-sized and the
+#: kernel's memory is bounded by the chunk, however long the batch (tens
+#: of millions of event-free instructions at paper scale) or the trace.
+#: Read at call time, so tests can lower it to make batches cross chunk
+#: boundaries.
 KERNEL_MAX_CHUNK = 1 << 16
 
 #: Deep-feedback bailout: when the fixpoint's wave front advances so
@@ -211,118 +217,64 @@ def _strand_max(c, seed, width, koffs, grid, out):
 
 
 # ----------------------------------------------------------------------
-# per-trace op-level precompute
+# per-chunk op index
 # ----------------------------------------------------------------------
-class _TraceOps:
-    """Config-independent op-level index of one trace for the kernel.
+#: Opcodes that end a batch: clflush, pcommit, sfence and mfence (a
+#: barrier triple starts with an sfence).  Everything else past
+#: ALU/BRANCH — loads, stores, xchg/lock-rmw, clwb/clflushopt — the
+#: kernel batches.
+_BATCH_STOP = re.compile(rb"[\x06-\x09]")
 
-    Everything here is a pure function of the trace's columns and its
-    segmentation's ``starts`` — op positions, kind masks, ordinal prefix
-    sums, and the pointer-chase structure of the untagged loads —
-    computed once per trace and cached on the ``TraceSegments`` object,
-    so :func:`advance` only slices it (O(log n) searchsorteds per
-    chunk).  The batchable ops (loads, stores, xchg/lock-rmw,
-    clwb/clflushopt) are exactly the trace's ops of those kinds: a
-    barrier triple holds none.  Positions and prefix counts take the
-    segmentation's index dtype (int32 below
-    :data:`~repro.isa.analysis.INT32_LIMIT` instructions); kinds stay
-    one byte.
+
+class _ChunkOps:
+    """Op-level index of one chunk, built from its column slices.
+
+    A batch holds no opcode of :data:`_BATCH_STOP`, so the chunk's ops
+    past ALU/BRANCH are exactly the batchable ones.  ``pos`` holds their
+    chunk-local positions; xchg/lock-rmw count as stores.  ``tagged``,
+    ``chase`` and ``field`` split the chunk's loads (indices among them).
+    An untagged load is a *field* access exactly when it repeats the chain
+    head and a chase otherwise, and every untagged load leaves the chain
+    head at its own block, so the chain head before each untagged load is
+    the previous one's block — or, for the chunk's first, *chain_block*,
+    the model's head carried into the chunk.  ``gov`` gives each field
+    load the chunk's chase load it follows (-1: the chain carried in),
+    and ``chain_block`` ends as the head the chunk leaves behind.
     """
 
     __slots__ = (
-        "op_cum", "g_op", "op_kind", "op_block",
-        "is_load", "is_store", "is_flush",
-        "load_cum", "store_cum", "flush_cum", "lsq_cum", "cw_cum", "cf_cum",
-        "g_load", "g_store", "g_flush", "g_lsq", "g_note", "lsq_is_load",
-        "l_tagged", "l_chase", "l_field", "l_gov",
-        "chase_cum", "chase_blocks", "unt_ord", "unt_blocks",
-        "_tags",
+        "pos", "kind", "block", "is_load", "is_store", "is_flush",
+        "load_pos", "tagged", "chase", "field", "gov", "chain_block",
     )
 
-    def __init__(self, segments, columns):
-        index = segments.batch_end.dtype
-        ops = np.frombuffer(columns.ops, dtype=np.uint8)
-        batchable = ((ops >= 2) & (ops <= 5)) | (ops == 10) | (ops == 11)
-        # global instruction index of each op, and per entry the ops
-        # before it (entry k's events all lie at or past starts[k])
-        self.g_op = g_op = np.nonzero(batchable)[0].astype(index)
-        self.op_cum = np.searchsorted(
-            g_op, np.frombuffer(segments.starts, dtype=np.int64)
-        ).astype(index)
-        self.op_kind = ok = ops[g_op]
-        self.op_block = (
-            np.frombuffer(columns.addrs, dtype=np.int64)[g_op] & _BLOCK_MASK
-        )
-        self.is_load = il = ok == 2
-        self.is_flush = ifl = (ok == 4) | (ok == 5)
-        self.is_store = ist = ~il & ~ifl
-        ilsq = ~ifl
-
-        def _cum(mask):
-            c = np.zeros(len(mask) + 1, dtype=index)
-            np.cumsum(mask, dtype=index, out=c[1:])
-            return c
-
-        self.load_cum = _cum(il)
-        self.store_cum = _cum(ist)
-        self.flush_cum = _cum(ifl)
-        self.lsq_cum = _cum(ilsq)
-        self.cw_cum = _cum(ok == 4)
-        self.cf_cum = _cum(ok == 5)
-        self.g_load = g_op[il]
-        self.g_store = g_op[ist]
-        self.g_flush = g_op[ifl]
-        self.g_lsq = g_op[ilsq]
-        self.g_note = g_op[ist | ifl]
-        self.lsq_is_load = il[ilsq]
-
-        # pointer-chase structure: an untagged load is a *field* access
-        # exactly when it repeats the previous untagged load's block (every
-        # untagged load leaves the chain head at its own block), chase
-        # otherwise; a fresh model's chain head (-1) matches no block
-        lt = np.frombuffer(columns.meta_idx, dtype=np.uint16)[self.g_load] != 0
-        self.l_tagged = lt
-        n_loads = len(lt)
-        load_blocks = self.op_block[il]
-        chase = np.zeros(n_loads, dtype=bool)
-        fieldm = np.zeros(n_loads, dtype=bool)
-        untagged = ~lt
-        if untagged.any():
-            u_idx = np.nonzero(untagged)[0]
-            u_blocks = load_blocks[u_idx]
-            prev = np.empty_like(u_blocks)
-            prev[0] = -1
+    def __init__(self, columns, abs0, length, chain_block):
+        ops = np.frombuffer(columns.ops, dtype=np.uint8, count=length,
+                            offset=abs0)
+        self.pos = pos = np.flatnonzero(ops > 1)
+        self.kind = kind = ops[pos]
+        self.block = block = np.frombuffer(
+            columns.addrs, dtype=np.int64, count=length, offset=abs0 * 8
+        )[pos] & _BLOCK_MASK
+        self.is_load = il = kind == 2
+        self.is_flush = ifl = (kind == 4) | (kind == 5)
+        self.is_store = ~(il | ifl)
+        self.load_pos = load_pos = pos[il]
+        meta = np.frombuffer(columns.meta_idx, dtype=np.uint16, count=length,
+                             offset=abs0 * 2)
+        untagged = meta[load_pos] == 0
+        self.tagged = np.flatnonzero(~untagged)
+        u_idx = np.flatnonzero(untagged)
+        u_blocks = block[il][u_idx]
+        prev = np.empty_like(u_blocks)
+        if len(u_blocks):
+            prev[0] = chain_block
             prev[1:] = u_blocks[:-1]
-            f = u_blocks == prev
-            fieldm[u_idx] = f
-            chase[u_idx] = ~f
-            self.unt_ord = u_idx.astype(index)
-            self.unt_blocks = u_blocks
-        else:
-            self.unt_ord = np.empty(0, dtype=index)
-            self.unt_blocks = np.empty(0, dtype=np.int64)
-        self.l_chase = chase
-        self.l_field = fieldm
-        self.chase_cum = cc = _cum(chase)
-        self.l_gov = cc[1:] - 1
-        self.chase_blocks = load_blocks[chase]
-        self._tags = {}
-
-    def tags(self, shift):
-        """L1 tags of every op's block (cached per tag shift)."""
-        t = self._tags.get(shift)
-        if t is None:
-            t = self.op_block >> shift
-            self._tags[shift] = t
-        return t
-
-
-def _trace_ops(segments, columns):
-    T = segments.__dict__.get("_kernel_ops")
-    if T is None:
-        T = _TraceOps(segments, columns)
-        segments.__dict__["_kernel_ops"] = T
-    return T
+            chain_block = int(u_blocks[-1])
+        f = u_blocks == prev
+        self.field = u_idx[f]
+        self.chase = u_idx[~f]
+        self.gov = np.cumsum(~f)[f] - 1
+        self.chain_block = chain_block
 
 
 # ----------------------------------------------------------------------
@@ -372,8 +324,8 @@ def _l1_snapshot(model, l1):
     return arr
 
 
-def _elide_runs(T, q0, q1, shift):
-    """Same-tag run elision for the batch's ops [*q0*, *q1*).
+def _elide_runs(tags, is_flush, is_store):
+    """Same-tag run elision for one chunk's ops (L1 *tags*).
 
     A run of consecutive same-tag loads/stores collapses to its head:
     within a batch no event separates adjacent ops, so the head leaves
@@ -383,23 +335,23 @@ def _elide_runs(T, q0, q1, shift):
     stores on one node) makes this a large fraction of all ops.  Tail
     ops are skipped everywhere and counted as the hits they are; a tail
     *store*'s dirty bit is carried to the run head (``eff_store``), so
-    the head's replay leaves the exact same line state.  The batch's
-    first op never qualifies (its predecessor may be an event or
-    another phase entirely), and flushes neither elide nor anchor a
+    the head's replay leaves the exact same line state.  The chunk's
+    first op never qualifies (its predecessor may be an event, another
+    phase entirely, or the previous chunk's last op, which replays
+    exactly either way), and flushes neither elide nor anchor a
     run: clwb leaves a missing tag missing, clflushopt actively evicts
     — neither establishes residency the way a load/store fill does.
 
-    Returns ``(dup_run, keep, eff_store)`` masks over the batch's ops.
+    Returns ``(dup_run, keep, eff_store)`` masks over the chunk's ops.
     """
-    tags_all = T.tags(shift)
-    nq = q1 - q0
+    nq = len(tags)
     dup_run = np.zeros(nq, dtype=bool)
     if nq > 1:
-        np.equal(tags_all[q0 + 1:q1], tags_all[q0:q1 - 1], out=dup_run[1:])
-        np.logical_and(dup_run, ~T.is_flush[q0:q1], out=dup_run)
-        dup_run[1:] &= ~T.is_flush[q0:q1 - 1]
+        np.equal(tags[1:], tags[:-1], out=dup_run[1:])
+        np.logical_and(dup_run, ~is_flush, out=dup_run)
+        dup_run[1:] &= ~is_flush[:-1]
     keep = ~dup_run
-    eff_store = T.is_store[q0:q1]
+    eff_store = is_store
     if dup_run.any():
         heads = np.nonzero(keep)[0]
         eff = np.zeros(nq, dtype=bool)
@@ -410,13 +362,14 @@ def _elide_runs(T, q0, q1, shift):
     return dup_run, keep, eff_store
 
 
-def _classify(model, T, q0, q1):
-    """Classify the batch's ops [*q0*, *q1*): cache behaviour from
-    access order alone, in one in-order pass against the real caches.
+def _classify(model, ix):
+    """Classify one chunk's ops (:class:`_ChunkOps` *ix*): cache
+    behaviour from access order alone, in one in-order pass against the
+    real caches.
 
     Hit levels, LRU movement, dirty writebacks, and latencies depend only
     on access order, never on cycle times, so this pass fully determines
-    the batch's cache behaviour.  The work splits along L1 *sets*,
+    the chunk's cache behaviour.  The work splits along L1 *sets*,
     because LRU state is strictly per-set: within a sub-batch, a set
     whose ops are all loads/stores on tags resident at sub-batch start is
     **closed** — every op is an L1 hit, membership never changes, and
@@ -434,17 +387,22 @@ def _classify(model, T, q0, q1):
     land in offending sets, so closed-set membership cannot rot within a
     sub-batch.
 
-    Returns per-kind latency arrays, flush writeback flags, deferred WPQ
-    records ``((op_ordinal, code, sub_ordinal), block)`` (ordinals global
-    for ops, batch-local for subs), and the L1-hit count the walker would
-    have accumulated inline (its access-count delta is identical).
+    Returns per-op latencies (meaningful for loads and stores), flush
+    writeback flags (meaningful for flushes), the deferred WPQ records
+    ``(op, block)`` in the order the walker would enqueue them, and the
+    L1-hit count the walker would have accumulated inline (its
+    access-count delta is identical).
     """
     caches = model.caches
     l1 = caches.l1
     sets1 = l1._sets
     mask1 = l1.n_sets - 1
     shift1 = l1.block_bits
-    dup_run, keep, eff_store = _elide_runs(T, q0, q1, shift1)
+    kindb = ix.kind
+    blockb = ix.block
+    is_flush = ix.is_flush
+    tags_all = blockb >> shift1
+    dup_run, keep, eff_store = _elide_runs(tags_all, is_flush, ix.is_store)
     nway1 = l1.ways
     l1_lat = model.config.l1.latency
     access = caches.access
@@ -539,35 +497,21 @@ def _classify(model, T, q0, q1):
         def miss_fast(tag, blk, is_write):
             return access(blk, is_write, 0)
 
-    L0 = int(T.load_cum[q0])
-    S0 = int(T.store_cum[q0])
-    F0 = int(T.flush_cum[q0])
-    nl = int(T.load_cum[q1]) - L0
-    ns = int(T.store_cum[q1]) - S0
-    nf = int(T.flush_cum[q1]) - F0
-    load_lat = np.full(nl, l1_lat, dtype=np.int64)
-    store_lat = np.full(ns, l1_lat, dtype=np.int64)
-    flush_wb = np.empty(nf, dtype=bool)
+    nq = len(kindb)
+    lat = np.full(nq, l1_lat, dtype=np.int64)
+    flush_wb = np.zeros(nq, dtype=bool)
     collector = _WritebackCollector()
     hits = 0
 
-    kindb = T.op_kind
-    blockb = T.op_block
-    tags_all = T.tags(shift1)
-
     def span_exact_idx(idx):
-        """Exact per-op replay of the listed op ordinals (increasing —
-        i.e. in global order).  Each op is a run head carrying its elided
+        """Exact per-op replay of the listed ops (increasing — i.e. in
+        program order).  Each op is a run head carrying its elided
         tails' dirty bit (``eff_store``)."""
         nonlocal hits
         kl = np.take(kindb, idx).tolist()
         bl = np.take(blockb, idx).tolist()
-        lil = (np.take(T.load_cum, idx) - L0).tolist()
-        sil = (np.take(T.store_cum, idx) - S0).tolist()
-        fil = (np.take(T.flush_cum, idx) - F0).tolist()
-        cl = eff_store[idx - q0].tolist()
-        for kind, blk, li, si, fi, cs, k in zip(kl, bl, lil, sil, fil, cl,
-                                                idx.tolist()):
+        cl = eff_store[idx].tolist()
+        for kind, blk, cs, k in zip(kl, bl, cl, idx.tolist()):
             tag = blk >> shift1
             ways = sets1[tag & mask1]
             if kind == 2:  # LOAD
@@ -575,20 +519,20 @@ def _classify(model, T, q0, q1):
                     ways[tag] = ways.pop(tag) or cs
                     hits += 1
                 else:
-                    collector.op = (k, 0, li)
-                    load_lat[li] = miss_fast(tag, blk, cs)
+                    collector.op = k
+                    lat[k] = miss_fast(tag, blk, cs)
             elif kind == 4 or kind == 5:  # CLWB / CLFLUSHOPT
-                collector.op = (k, 2, fi)
+                collector.op = k
                 _lookup, dirty = cflush(blk, kind == 5, 0)
-                flush_wb[fi] = dirty
+                flush_wb[k] = dirty
             else:  # STORE / XCHG / LOCK_RMW
                 if tag in ways:
                     ways.pop(tag)
                     ways[tag] = True
                     hits += 1
                 else:
-                    collector.op = (k, 1, si)
-                    store_lat[si] = miss_fast(tag, blk, True)
+                    collector.op = k
+                    lat[k] = miss_fast(tag, blk, True)
 
     def bulk_apply(run_tags, store_mask):
         """Refresh the closed-set hits *run_tags* (any op order already
@@ -622,18 +566,18 @@ def _classify(model, T, q0, q1):
     caches.memctrl = collector
     try:
         sub = _CLASSIFY_SUB
-        a = q0
-        while a < q1:
-            b = min(a + sub, q1)
+        a = 0
+        while a < nq:
+            b = min(a + sub, nq)
             snap = _l1_snapshot(model, l1)
             sub_tags = tags_all[a:b]
-            kp = keep[a - q0:b - q0]
+            kp = keep[a:b]
             if len(snap):
                 probe = np.take(
                     snap, np.searchsorted(snap, sub_tags), mode="clip"
                 )
                 offending = probe != sub_tags
-                np.logical_or(offending, T.is_flush[a:b], out=offending)
+                np.logical_or(offending, is_flush[a:b], out=offending)
                 # elided run tails are guaranteed hits — a stale
                 # non-member probe (tag filled earlier this sub-batch)
                 # must not condemn their set to the exact replay
@@ -641,7 +585,7 @@ def _classify(model, T, q0, q1):
             else:
                 offending = kp.copy()
             if not offending.any():
-                bulk_apply(sub_tags[kp], eff_store[a - q0:b - q0][kp])
+                bulk_apply(sub_tags[kp], eff_store[a:b][kp])
                 sub = min(sub * 2, _CLASSIFY_SUB_MAX)
             else:
                 op_sets = sub_tags & mask1
@@ -652,8 +596,7 @@ def _classify(model, T, q0, q1):
                 closed = ~set_bad
                 np.logical_and(closed, kp, out=closed)
                 if closed.any():
-                    bulk_apply(sub_tags[closed],
-                               eff_store[a - q0:b - q0][closed])
+                    bulk_apply(sub_tags[closed], eff_store[a:b][closed])
                 sub = _CLASSIFY_SUB
             a = b
         hits += int(np.count_nonzero(dup_run))
@@ -670,7 +613,7 @@ def _classify(model, T, q0, q1):
             l3.hits += hit3
             l3.misses += miss3
             l3.writebacks += wb3
-    return load_lat, store_lat, flush_wb, collector.records, hits
+    return lat, flush_wb, collector.records, hits
 
 
 def _scalar_chunk(length, width, depth, fq_cap, rob_cap, lsq_cap,
@@ -773,6 +716,13 @@ def advance(model, columns, segments, ei):
     :data:`KERNEL_MIN_BATCH` (the caller falls through to the Python
     fast phase).
 
+    The batch ends at the first opcode of :data:`_BATCH_STOP` at or after
+    ``starts[ei]``, found with one search of the opcode column; every op
+    before an entry's event is ALU/BRANCH, so that op is the event of the
+    entry whose span holds it.  The batch then runs one chunk of at most
+    :data:`KERNEL_MAX_CHUNK` instructions at a time: index the chunk's
+    ops, classify them, solve the chunk, replay its WPQ writebacks.
+
     Preconditions (guaranteed by the caller): numpy backend resolved, the
     model is pristine (``not _deoptimized``), no speculation is active,
     and the batch starts at an entry's first op.  The fetch queue, ROB
@@ -780,36 +730,14 @@ def advance(model, columns, segments, ei):
     youngest ``width`` entries of the first two are the dispatch and
     retire bandwidth groups.
     """
-    batch_end = segments.batch_end
-    if batch_end is None:  # segmented without numpy: no kernel columns
-        return None
-    ej = int(batch_end[ei])
-    entries = segments.entries
     starts = segments.starts
-    prefix = entries[ej][0] if ej < len(entries) else 0
     base = starts[ei]
-    total = starts[ej] - base + prefix
+    stop = _BATCH_STOP.search(columns.ops, base)
+    end = segments.n if stop is None else stop.start()
+    total = end - base
     if total < KERNEL_MIN_BATCH:
         return None
-
-    T = _trace_ops(segments, columns)
-    q0 = int(T.op_cum[ei])
-    q1 = int(T.op_cum[ej])
-    L0 = int(T.load_cum[q0])
-    L1 = int(T.load_cum[q1])
-    S0 = int(T.store_cum[q0])
-    F0 = int(T.flush_cum[q0])
-
-    # chain-head consistency guard: the precomputed chase/field split
-    # assumes the model's chain head equals the previous untagged load's
-    # block (-1 before the first).  True for any model this kernel and the
-    # walker advance in step; bail to the walker if ever violated.
-    if L1 > L0 and len(T.unt_ord):
-        j0 = int(np.searchsorted(T.unt_ord, T.load_cum[q0:q0 + 1])[0])
-        if j0 < len(T.unt_ord) and T.unt_ord[j0] < L1:
-            expected = int(T.unt_blocks[j0 - 1]) if j0 else -1
-            if expected != model._chain_block:
-                return None
+    ej = len(segments.entries) if stop is None else bisect_right(starts, end) - 1
 
     config = model.config
     width = config.width
@@ -818,15 +746,6 @@ def advance(model, columns, segments, ei):
     rob_cap = config.rob_entries
     lsq_cap = config.lsq_entries
     stats = model.stats
-
-    # ---- classification: cache behaviour, program order, no timing ----
-    t_start = _perf_counter()
-    load_lat, store_lat, flush_wb, records, hits_d = _classify(model, T, q0, q1)
-    t_classified = _perf_counter()
-    _telemetry.counter_inc("kernel.batches")
-    _telemetry.counter_inc("kernel.batch_ops", q1 - q0)
-    _telemetry.counter_inc("kernel.classify_seconds", t_classified - t_start)
-
     lookup_lat = config.l1.latency + config.l2.latency + config.l3.latency
     mc_roundtrip = config.mc_roundtrip
     min_lag = min(fq_cap, rob_cap, lsq_cap)
@@ -842,47 +761,59 @@ def advance(model, columns, segments, ei):
     flush_free = model._flush_free
     stores_visible = model._stores_visible
     flushes_done = model._flushes_done
+    chain_block = model._chain_block
     chain_issue = model._chain_issue
     chain_ready = model._chain_ready
+    chased = False
     inflight = model._inflight_pcommits
     stall_d = 0
     sdp_d = 0
     nvmm_wb_d = 0
+    ops_d = 0
+    loads_d = 0
+    stores_d = 0
+    clwbs_d = 0
+    clflushopts_d = 0
+    hits_d = 0
+    classify_s = 0.0
     memctrl_enqueue = model.memctrl.enqueue_writeback
-    rec_i = 0
-    n_rec = len(records)
-
-    g_op = T.g_op
-    g_load = T.g_load
-    g_store = T.g_store
-    g_flush = T.g_flush
-    g_lsq = T.g_lsq
-    g_note = T.g_note
     max_rows = -(-min(KERNEL_MAX_CHUNK, total) // width)
     grid = np.empty((max_rows + 1, width), dtype=np.int64)
 
-    chunk_start = 0
-    while chunk_start < total:
-        length = min(KERNEL_MAX_CHUNK, total - chunk_start)
-        abs0 = base + chunk_start
-        abs1 = abs0 + length
-        # needles of the positions' own dtype: searchsorted casts the
-        # whole array to any other
-        span = np.array((abs0, abs1), dtype=g_op.dtype)
-        o1g = int(np.searchsorted(g_op, span)[1])
-        m0g, m1g = np.searchsorted(g_lsq, span)
-        m0g, m1g = int(m0g), int(m1g)
-        nm = m1g - m0g
-        # chunk-local positions index every fixpoint pass: int64, which
-        # numpy indexes with no conversion
-        mem_pos = np.subtract(g_lsq[m0g:m1g], abs0, dtype=np.int64)
-        l0g, l1g = np.searchsorted(g_load, span)
-        l0g, l1g = int(l0g), int(l1g)
-        nl = l1g - l0g
-        s0g, s1g = np.searchsorted(g_store, span)
-        s0g, s1g = int(s0g), int(s1g)
-        f0g, f1g = np.searchsorted(g_flush, span)
-        f0g, f1g = int(f0g), int(f1g)
+    t_start = _perf_counter()
+    abs0 = base
+    while abs0 < end:
+        length = min(KERNEL_MAX_CHUNK, end - abs0)
+        ix = _ChunkOps(columns, abs0, length, chain_block)
+        chain_block = ix.chain_block
+
+        # ---- classification: cache behaviour, program order, no timing ----
+        t_classify = _perf_counter()
+        lat, flush_wb, records, hits = _classify(model, ix)
+        classify_s += _perf_counter() - t_classify
+        hits_d += hits
+
+        pos = ix.pos
+        il = ix.is_load
+        ist = ix.is_store
+        ifl = ix.is_flush
+        ilsq = ~ifl
+        ops_d += len(pos)
+        # chunk-local positions of the LSQ ops (loads and stores), which
+        # index every fixpoint pass
+        mem_pos = pos[ilsq]
+        nm = len(mem_pos)
+        lsq_is_load = il[ilsq]
+        load_pos_c = ix.load_pos
+        store_pos = pos[ist]
+        flush_pos = pos[ifl]
+        nl = len(load_pos_c)
+        loads_d += nl
+        stores_d += len(store_pos)
+        if len(flush_pos):
+            clwbs = int(np.count_nonzero(ix.kind == 4))
+            clwbs_d += clwbs
+            clflushopts_d += len(flush_pos) - clwbs
         koffs = _koffs(length, width)
 
         # constraint buffers: [history | this chunk], so the "queue full"
@@ -911,37 +842,28 @@ def advance(model, columns, segments, ei):
             tmp_m = np.empty(nm, dtype=np.int64)
 
         # chunk-local load structure (everything loop-invariant hoisted)
+        tg_idx = ix.tagged
+        ch_idx = ix.chase
+        fd_idx = ix.field
+        nc = len(ch_idx)
+        has_tg = len(tg_idx) > 0
+        has_fd = len(fd_idx) > 0
         if nl:
-            load_pos_c = np.subtract(g_load[l0g:l1g], abs0, dtype=np.int64)
-            clb = l0g - L0  # batch-local ordinal of the chunk's first load
-            dml_idx = np.nonzero(T.lsq_is_load[m0g:m1g])[0]
+            dml_idx = np.flatnonzero(lsq_is_load)
             dml = np.empty(nl, dtype=np.int64)
-            tg = T.l_tagged[l0g:l1g]
-            ch = T.l_chase[l0g:l1g]
-            fd = T.l_field[l0g:l1g]
-            lat_c = load_lat[clb:clb + nl]
+            lat_c = lat[il]
             comp = np.empty(nl, dtype=np.int64)
-            c0 = int(T.chase_cum[l0g])
-            nc = int(T.chase_cum[l1g]) - c0
-            has_tg = bool(tg.any())
-            has_fd = bool(fd.any())
             if has_tg:
-                tg_idx = np.nonzero(tg)[0]
                 lat_tg = lat_c[tg_idx]
             if nc:
-                ch_idx = np.nonzero(ch)[0]
                 lat_ch = lat_c[ch_idx]
                 chain_c = np.cumsum(lat_ch)
                 chain_c_prev = chain_c - lat_ch
             if has_fd:
-                fd_idx = np.nonzero(fd)[0]
                 lat_fd = lat_c[fd_idx]
                 if nc:
-                    gov_local = T.l_gov[l0g:l1g][fd_idx].astype(np.int64) - c0
-                    gidx = np.clip(gov_local, 0, nc - 1)
-                    gov_ok = gov_local >= 0
-        else:
-            nc = 0
+                    gidx = np.clip(ix.gov, 0, nc - 1)
+                    gov_ok = ix.gov >= 0
         chase_x = None
         chase_ci = None
         ci_g = None
@@ -1040,12 +962,13 @@ def advance(model, columns, segments, ei):
                         # ROB-serialised pointer chasing: the wave crawls
                         # ~rob_entries instructions per full-array pass,
                         # so solve the recurrences scalar in one sweep
+                        ltype = np.zeros(nl, dtype=np.int64)
+                        ltype[ch_idx] = 1
+                        ltype[fd_idx] = 2
                         chase_x, chase_ci, load_issue_pre = _scalar_chunk(
                             length, width, depth, fq_cap, rob_cap, lsq_cap,
                             dbuf, rbuf, mbuf, seed_d, seed_r, mem_pos,
-                            T.lsq_is_load[m0g:m1g],
-                            (np.where(ch, 1, np.where(fd, 2, 0)).tolist()
-                             if nl else []),
+                            lsq_is_load, ltype.tolist(),
                             lat_c.tolist() if nl else [],
                             last_retire, chain_issue, chain_ready,
                         )
@@ -1072,65 +995,61 @@ def advance(model, columns, segments, ei):
         stall_d += int(stall[stall > 0].sum())
         last_fetch = int(lf[length])
 
-        if s1g > s0g:  # store-buffer drain scan
-            rs = rview[g_store[s0g:s1g] - abs0]
-            ns = s1g - s0g
-            ar = np.arange(ns, dtype=np.int64)
+        if len(store_pos):  # store-buffer drain scan
+            rs = rview[store_pos]
+            ar = np.arange(len(store_pos), dtype=np.int64)
             y = rs - ar
             np.maximum.accumulate(y, out=y)
             np.maximum(y, sb_free, out=y)
-            start = y + ar
-            sb_free = int(start[-1]) + 1
-            visible = start + store_lat[s0g - S0:s1g - S0]
+            sstart = y + ar
+            sb_free = int(sstart[-1]) + 1
+            visible = sstart + lat[ist]
             stores_visible = max(stores_visible, int(visible.max()))
-        if f1g > f0g:  # flush-port scan
-            rf = rview[g_flush[f0g:f1g] - abs0]
-            nfc = f1g - f0g
-            ar = np.arange(nfc, dtype=np.int64)
+        if len(flush_pos):  # flush-port scan
+            rf = rview[flush_pos]
+            ar = np.arange(len(flush_pos), dtype=np.int64)
             y = rf - ar
             np.maximum.accumulate(y, out=y)
             np.maximum(y, flush_free, out=y)
             fstart = y + ar
             flush_free = int(fstart[-1]) + 1
-            wb_c = flush_wb[f0g - F0:f1g - F0]
+            wb_c = flush_wb[ifl]
             ack = fstart + lookup_lat + np.where(wb_c, mc_roundtrip, 0)
             flushes_done = max(flushes_done, int(ack.max()))
             nvmm_wb_d += int(wb_c.sum())
         if inflight:
-            n0g, n1g = np.searchsorted(g_note, span)
-            if n1g > n0g:
-                rn = rview[g_note[int(n0g):int(n1g)] - abs0]
+            note_pos = pos[~il]
+            if len(note_pos):
+                rn = rview[note_pos]
                 horizon = max(inflight)
                 sdp_d += int(np.count_nonzero(rn < horizon))
                 last_note = int(rn[-1])
                 inflight = [t for t in inflight if t > last_note]
 
         # deferred WPQ writebacks: same blocks, same order, true times
-        if rec_i < n_rec and records[rec_i][0][0] < o1g:
-            load_issue = load_issue_pre
-            while rec_i < n_rec:
-                (op_ord, code, sub), block = records[rec_i]
-                if op_ord >= o1g:
-                    break
-                if code == 0:
-                    if load_issue is None:
-                        load_issue = np.empty(nl, dtype=np.int64)
-                        if has_tg:
-                            load_issue[tg_idx] = dml[tg_idx]
-                        if nc:
-                            load_issue[ch_idx] = chase_ci
-                        if has_fd:
-                            load_issue[fd_idx] = np.maximum(dml[fd_idx], ci_g)
-                    now = int(load_issue[sub - clb])
-                elif code == 1:
-                    now = int(start[sub - (s0g - S0)])
-                else:
-                    now = int(fstart[sub - (f0g - F0)]) + lookup_lat
-                memctrl_enqueue(int(block), now)
-                rec_i += 1
+        if records:
+            when = np.empty(len(pos), dtype=np.int64)
+            if nl:
+                load_issue = load_issue_pre
+                if load_issue is None:
+                    load_issue = np.empty(nl, dtype=np.int64)
+                    if has_tg:
+                        load_issue[tg_idx] = dml[tg_idx]
+                    if nc:
+                        load_issue[ch_idx] = chase_ci
+                    if has_fd:
+                        load_issue[fd_idx] = np.maximum(dml[fd_idx], ci_g)
+                when[il] = load_issue
+            if len(store_pos):
+                when[ist] = sstart
+            if len(flush_pos):
+                when[ifl] = fstart + lookup_lat
+            for op, block in records:
+                memctrl_enqueue(int(block), int(when[op]))
 
         # ---- roll the window state into the next chunk ----
         if nc:
+            chased = True
             chain_issue = int(chase_ci[-1])
             chain_ready = int(chase_x[-1])
         fq_hist = dbuf[length:].copy()
@@ -1138,7 +1057,7 @@ def advance(model, columns, segments, ei):
         lsq_hist = mbuf[nm:].copy()
         fg = fbuf[length:].copy()
         last_retire = int(rview[-1])
-        chunk_start += length
+        abs0 += length
 
     # ---- spill back to the model (the walker's own spill protocol) ----
     model._fetch_group = deque(fg.tolist(), width)
@@ -1152,21 +1071,24 @@ def advance(model, columns, segments, ei):
     model._stores_visible = stores_visible
     model._flushes_done = flushes_done
     model._inflight_pcommits = inflight
-    c1_batch = int(T.chase_cum[L1])
-    if c1_batch > int(T.chase_cum[L0]):
-        model._chain_block = int(T.chase_blocks[c1_batch - 1])
+    if chased:
+        model._chain_block = chain_block
         model._chain_issue = chain_issue
         model._chain_ready = chain_ready
     stats.instructions += total
-    stats.loads += L1 - L0
-    stats.stores += int(T.store_cum[q1]) - S0
-    stats.clwbs += int(T.cw_cum[q1] - T.cw_cum[q0])
-    stats.clflushopts += int(T.cf_cum[q1] - T.cf_cum[q0])
+    stats.loads += loads_d
+    stats.stores += stores_d
+    stats.clwbs += clwbs_d
+    stats.clflushopts += clflushopts_d
     stats.fetch_stall_cycles += stall_d
     stats.stores_during_pcommit += sdp_d
     stats.nvmm_writes += nvmm_wb_d
     model.caches.l1.hits += hits_d
     model.caches.accesses += hits_d
-    t_solved = _perf_counter()
-    _telemetry.counter_inc("kernel.solve_seconds", t_solved - t_classified)
+    _telemetry.counter_inc("kernel.batches")
+    _telemetry.counter_inc("kernel.batch_ops", ops_d)
+    _telemetry.counter_inc("kernel.classify_seconds", classify_s)
+    _telemetry.counter_inc(
+        "kernel.solve_seconds", _perf_counter() - t_start - classify_s
+    )
     return ej

@@ -103,8 +103,8 @@ class TestSegmentationVectorizedVsScalar:
     """segment_trace has two implementations — the numpy one and the
     pure-Python fallback used when numpy is absent.  They must produce
     identical segmentations, entry for entry, on every
-    barrier-recognition edge; the numpy one's kernel columns must mirror
-    those entries."""
+    barrier-recognition edge; the kernel's batches must end where those
+    entries say."""
 
     CASES = {
         "empty": [],
@@ -129,7 +129,18 @@ class TestSegmentationVectorizedVsScalar:
             + [Instr(Op.XCHG, 0x2000), Instr(Op.MFENCE)]
             + [Instr(Op.BRANCH)] * 2
         ),
+        "flushes": [
+            Instr(Op.CLFLUSHOPT, 0x40),
+            Instr(Op.ALU),
+            Instr(Op.CLFLUSH, 0x80),
+            Instr(Op.LOCK_RMW, 0xC0),
+            Instr(Op.PCOMMIT),
+            Instr(Op.ALU),
+        ],
     }
+
+    #: Entry kinds that end a kernel batch.
+    STOPS = (Op.CLFLUSH, Op.PCOMMIT, Op.SFENCE, Op.MFENCE, analysis.K_BARRIER)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_case(self, name, monkeypatch):
@@ -139,31 +150,42 @@ class TestSegmentationVectorizedVsScalar:
         vec = analysis.segment_trace(columns)
         monkeypatch.setattr(analysis, "_np", None)
         ref = analysis.segment_trace(columns)
-        assert vec.entries == ref.entries
-        assert vec.starts == ref.starts
-        assert vec.n == ref.n
-        assert ref.batch_end is None  # no kernel columns without numpy
-        entries = ref.entries
+        assert vec == ref
         for segments in (vec, ref):
+            assert set(vars(segments)) == {"entries", "n", "starts"}
             # equal rows are one shared tuple; positions live in starts
             assert len({id(row) for row in segments.entries}) == len(
                 set(segments.entries)
             )
             assert isinstance(segments.starts, array)
             assert segments.starts.typecode == "q"
-        # batch_end: the next entry the kernel cannot batch; starts: the
-        # instructions before each entry (3 per barrier, 1 per other
-        # event), then the trace length
-        kinds = [e[1] for e in entries]
-        stops = [k for k, kind in enumerate(kinds) if kind in analysis._STOP_KINDS]
-        assert [int(v) for v in vec.batch_end] == [
-            min([j for j in stops if j >= k], default=len(kinds))
-            for k in range(len(kinds))
-        ]
-        assert vec.batch_end.dtype == "int32"
+        # starts: the instructions before each entry (3 per barrier, 1 per
+        # other event), then the trace length
         sizes = [
             run + (3 if kind == analysis.K_BARRIER else kind >= 2)
-            for run, kind, *_ in entries
+            for run, kind, *_ in ref.entries
         ]
         assert list(vec.starts) == list(accumulate(sizes, initial=0))
         assert vec.starts[-1] == vec.n
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_kernel_batch_ends_at_the_next_stop(self, name, monkeypatch):
+        """From entry k the kernel's batch ends at the first clflush,
+        pcommit, sfence, mfence or barrier entry at or after k, or runs
+        through the tail."""
+        from repro.uarch import kernel
+        from repro.uarch.config import MachineConfig
+        from repro.uarch.pipeline import PipelineModel
+
+        if not kernel.numpy_available():
+            pytest.skip("the kernel needs numpy")
+        monkeypatch.setattr(kernel, "KERNEL_MIN_BATCH", 0)  # take every batch
+        columns = Trace(self.CASES[name]).columns()
+        segments = analysis.segment_trace(columns)
+        kinds = [kind for _, kind, *_ in segments.entries]
+        stops = [k for k, kind in enumerate(kinds) if kind in self.STOPS]
+        for k in range(len(kinds)):
+            model = PipelineModel(MachineConfig())
+            assert kernel.advance(model, columns, segments, k) == min(
+                [j for j in stops if j >= k], default=len(kinds)
+            )

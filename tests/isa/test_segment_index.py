@@ -1,6 +1,7 @@
 """The segment index the walker, the multi-core driver and the kernel
 share (:class:`repro.isa.analysis.TraceSegments`): interned position-free
-rows, one ``starts`` array, narrow kernel columns, and its size."""
+rows, one ``starts`` array, nothing the kernel keeps of its own, and its
+size."""
 
 import sys
 from array import array
@@ -8,10 +9,10 @@ from array import array
 import pytest
 
 from repro.harness.runner import TraceKey, generate_trace, generate_traces
-from repro.isa import analysis
 from repro.isa.analysis import K_BARRIER, K_TAIL
 from repro.isa.ops import Op
 from repro.isa.trace import Trace
+from repro.obs import telemetry
 from repro.txn.modes import PersistMode
 from repro.uarch import kernel
 from repro.uarch.config import MachineConfig
@@ -20,11 +21,11 @@ from repro.workloads.registry import PAPER_SPECS
 
 BENCHMARKS = tuple(PAPER_SPECS)
 
-#: Bytes per micro-op of the whole index (rows, ``starts``, kernel
-#: columns and ``_TraceOps``) over the seven scaled seed-7 Log+P+Sf
-#: traces: about 33 measured, against about 100 for 5-tuple rows with
-#: their positions, six int64 entry columns and int64 kernel arrays.
-MAX_INDEX_BYTES_PER_OP = 40
+#: Bytes per micro-op of the whole index (rows and ``starts``) over the
+#: seven scaled seed-7 Log+P+Sf traces: about 8.5 measured, against
+#: about 100 for 5-tuple rows with their positions, six int64 entry
+#: columns and int64 per-trace kernel arrays.
+MAX_INDEX_BYTES_PER_OP = 10
 
 
 @pytest.fixture(scope="module")
@@ -85,45 +86,25 @@ class TestRowsAndStarts:
 
 
 needs_numpy = pytest.mark.skipif(
-    kernel.np is None, reason="the kernel's columns need numpy"
-)
-
-#: _TraceOps arrays holding positions, ordinals or prefix counts
-_INDEX_ARRAYS = (
-    "op_cum", "g_op", "load_cum", "store_cum", "flush_cum", "lsq_cum",
-    "cw_cum", "cf_cum", "g_load", "g_store", "g_flush", "g_lsq", "g_note",
-    "l_gov", "chase_cum", "unt_ord",
+    kernel.np is None, reason="the kernel needs numpy"
 )
 
 
 @needs_numpy
-class TestIndexWidth:
-    def _kernel_run(self, trace, monkeypatch):
-        """Stats of a fresh segmentation of *trace*, with the kernel
-        taking every batch."""
+class TestKernelKeepsNoTraceState:
+    def test_kernel_run_leaves_only_the_index(self, monkeypatch):
+        """After a run with the kernel taking every batch, the trace's
+        segmentation holds ``entries``, ``n`` and ``starts``: the kernel
+        builds its op index per chunk and attaches nothing to it."""
         monkeypatch.setattr(kernel, "KERNEL_MIN_BATCH", 1)
-        fresh = Trace.from_columns(trace.columns())
-        stats = PipelineModel(MachineConfig()).run(fresh)
-        return stats, fresh.segments()
-
-    def test_int32_below_the_limit_int64_at_it(self, monkeypatch):
-        """Index columns are int32 below ``INT32_LIMIT`` micro-ops; with
-        the limit lowered under the trace length they stay int64, and
-        the simulation is the same either way."""
         trace = generate_trace(
             TraceKey("LL", PersistMode.LOG_P_SF, 0, init_ops=60, sim_ops=20)
         )
-        narrow, segments = self._kernel_run(trace, monkeypatch)
-        assert segments.batch_end.dtype == "int32"
-        ops = kernel._trace_ops(segments, trace.columns())
-        assert {getattr(ops, name).dtype.name for name in _INDEX_ARRAYS} == {"int32"}
-
-        monkeypatch.setattr(analysis, "INT32_LIMIT", len(trace) - 1)
-        wide, segments = self._kernel_run(trace, monkeypatch)
-        assert segments.batch_end.dtype == "int64"
-        ops = kernel._trace_ops(segments, trace.columns())
-        assert {getattr(ops, name).dtype.name for name in _INDEX_ARRAYS} == {"int64"}
-        assert wide == narrow
+        fresh = Trace.from_columns(trace.columns())
+        batches = telemetry.get("kernel.batches", 0)
+        PipelineModel(MachineConfig()).run(fresh)
+        assert telemetry.get("kernel.batches", 0) > batches  # the kernel ran
+        assert set(vars(fresh.segments())) == {"entries", "n", "starts"}
 
 
 def _object_bytes(seen, obj):
@@ -135,8 +116,7 @@ def _object_bytes(seen, obj):
 
 def index_bytes(trace):
     """Bytes of *trace*'s whole segment index: rows (the list, each
-    distinct tuple and int once), ``starts``, the kernel columns, and
-    the kernel's ``_TraceOps`` as :func:`kernel._trace_ops` builds it."""
+    distinct tuple and int once) and ``starts``."""
     segments = trace.segments()
     seen = set()
     total = sys.getsizeof(segments.entries)
@@ -144,21 +124,9 @@ def index_bytes(trace):
         total += _object_bytes(seen, row)
         for value in row:
             total += _object_bytes(seen, value)
-    total += sys.getsizeof(segments.starts)
-    total += sum(
-        value.nbytes for value in vars(segments).values()
-        if isinstance(value, kernel.np.ndarray)
-    )
-    ops = kernel._trace_ops(segments, trace.columns())
-    total += sum(
-        value.nbytes
-        for value in (getattr(ops, name) for name in type(ops).__slots__)
-        if isinstance(value, kernel.np.ndarray)
-    )
-    return total
+    return total + sys.getsizeof(segments.starts)
 
 
-@needs_numpy
 def test_index_bytes_per_micro_op(scaled_traces):
     n = sum(len(trace) for trace in scaled_traces)
     per_op = sum(index_bytes(trace) for trace in scaled_traces) / n

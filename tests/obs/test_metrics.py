@@ -1,7 +1,9 @@
 """Harness self-observability: variant records and the views of the
 telemetry registry (cache counters, kernel phases, ``--metrics-out``)."""
 
+import importlib.util
 import json
+import sys
 
 import pytest
 
@@ -53,6 +55,30 @@ class TestVariantRecords:
         head, _, peak = line.rpartition(", peak ")
         assert head and peak.endswith(" MB")
         assert int(peak[: -len(" MB")]) > 0
+
+
+class TestKernelBackend:
+    def test_unloaded_kernel_names_no_backend(self, monkeypatch):
+        """A process that never loaded the kernel names no backend, even
+        where NumPy is found: it does not guess from the installation."""
+        monkeypatch.delitem(sys.modules, "repro.uarch.kernel", raising=False)
+        monkeypatch.setattr(
+            importlib.util, "find_spec", lambda name, *args, **kwargs: object()
+        )
+        assert obs_metrics.kernel_backend() is None
+        obs_metrics.record_variant("sim", "BT/base", "disk", 0.01)
+        line = obs_metrics.render_metrics_line()
+        assert line.startswith("harness: ") and "kernel=" not in line
+
+    def test_loaded_kernel_names_its_backend(self):
+        from repro.uarch import kernel
+
+        backend = kernel.resolve_backend(None)
+        assert obs_metrics.kernel_backend() == backend
+        obs_metrics.record_variant("sim", "BT/base", "simulated", 0.5)
+        assert obs_metrics.render_metrics_line().startswith(
+            f"harness: kernel={backend}, "
+        )
 
 
 class TestCacheCounters:
@@ -126,7 +152,7 @@ class TestCacheCounters:
             "summary", "variants", "peak_rss_mb",
         }
         assert payload["peak_rss_mb"] > 0
-        assert payload["kernel_backend"] in ("python", "numpy")
+        assert payload["kernel_backend"] == obs_metrics.kernel_backend()
         assert payload["summary"]["records"] == 1
         assert payload["variants"][0]["label"] == "BT/base"
 

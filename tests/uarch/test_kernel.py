@@ -5,7 +5,8 @@ with the walker: same RunStats and the same cache hierarchy left behind
 (residency, LRU order, dirty bits, stamps, and counters), on every
 trace.  These tests pin that contract four ways — targeted traces aimed
 at the kernel's own seams (batch threshold, same-block run elision,
-scalar-chunk bailout), directed traces aimed at the classification
+scalar-chunk bailout, chunk boundaries, the carried chain head),
+directed traces aimed at the classification
 pass's set analysis (same-set thrash, dirty-victim cascades, flush
 segmentation), property-based random traces from the full micro-op
 grammar and from a conflict-biased address pool, and the benchmark
@@ -20,10 +21,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.harness.runner import build_trace, clear_trace_cache
+from repro.harness.runner import (
+    TraceKey,
+    build_trace,
+    clear_trace_cache,
+    generate_traces,
+)
 from repro.isa.instr import Instr
 from repro.isa.ops import Op
 from repro.isa.trace import Trace
+from repro.obs import telemetry
+from repro.obs.capture import TRACE_MODES
 from repro.txn.modes import PersistMode
 from repro.uarch import kernel
 from repro.uarch.config import MachineConfig, PipelineConfig
@@ -275,6 +283,109 @@ class TestKernelSeams:
         clear_trace_cache()
         assert_backends_agree(trace)
         assert calls, "scalar bailout never triggered"
+
+    def test_batch_starts_from_the_models_chain_head(self):
+        # a first run on the walker leaves the chain head at `node`, which
+        # the second trace cannot know (it has no earlier untagged load):
+        # its first kernel batch must take the load of `node` as a field
+        # access of that node, exactly as the walker does
+        node = 0x40000
+        evict = [
+            Instr(Op.LOAD, node + i * _SET_STRIDE, meta="tagged")
+            for i in range(1, _L1_WAYS + 2)
+        ]
+        first = Trace(loads([node]) + evict + alu(40) + barrier())
+        second = Trace(
+            loads([node, node + 8, 0x70000, node + 16]) + alu(40)
+            + stores([0x50000]) + barrier()
+        )
+
+        def two_runs(backend):
+            model = PipelineModel(
+                MachineConfig(), pipeline=PipelineConfig(kernel=backend)
+            )
+            with kernel_knobs(min_batch=1 << 30):  # the walker runs it all
+                model.run(first, finish=False)
+            assert model._chain_block == node
+            batches = telemetry.get("kernel.batches", 0)
+            with kernel_knobs(min_batch=1):
+                stats = model.run(second)
+            took = telemetry.get("kernel.batches", 0) > batches
+            chain = (model._chain_block, model._chain_issue, model._chain_ready)
+            return model, stats, chain, took
+
+        py_model, py_stats, py_chain, _ = two_runs("python")
+        np_model, np_stats, np_chain, took = two_runs("numpy")
+        assert took, "the kernel declined the batch"
+        assert np_stats.as_dict() == py_stats.as_dict()
+        assert np_chain == py_chain
+        assert cache_state(np_model) == cache_state(py_model)
+
+
+# ----------------------------------------------------------------------
+# chunk seams: every batch split into chunks of a few hundred instructions
+# ----------------------------------------------------------------------
+#: The persistency modes of the golden battery's setups.
+_BATTERY_MODES = list(dict.fromkeys(mode for mode, _ in TRACE_MODES.values()))
+
+
+@pytest.fixture(scope="module")
+def battery():
+    """The golden battery's traces (``init_ops=60``, ``sim_ops=4``, seed
+    0) by benchmark and mode."""
+    traces = {}
+    for abbrev in WORKLOADS:
+        keys = [TraceKey(abbrev, mode, 0, init_ops=60, sim_ops=4)
+                for mode in _BATTERY_MODES]
+        traces.update(zip(((abbrev, key.mode) for key in keys),
+                          generate_traces(keys)))
+    return traces
+
+
+@requires_numpy
+class TestChunkSeams:
+    """:func:`kernel.advance` indexes, classifies, solves and replays the
+    WPQ writebacks of one chunk at a time.  With chunks of a few hundred
+    instructions every long batch crosses chunk seams, where the chain
+    head, the window state, the pointer-chase chain and the deferred
+    writebacks carry over and run elision restarts."""
+
+    @pytest.fixture(autouse=True)
+    def count_chunks(self, monkeypatch):
+        chunks = []
+        real = kernel._ChunkOps
+
+        def counted(*args):
+            chunks.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(kernel, "_ChunkOps", counted)
+        self.chunks = chunks
+
+    def _agree(self, trace, config, chunk, monkeypatch):
+        monkeypatch.setattr(kernel, "KERNEL_MAX_CHUNK", chunk)
+        batches = telemetry.get("kernel.batches", 0)
+        del self.chunks[:]
+        assert_backends_agree(trace, config)
+        return len(self.chunks) - (telemetry.get("kernel.batches", 0) - batches)
+
+    @pytest.mark.parametrize("chunk", [257, 777])
+    def test_battery_cells(self, battery, chunk, monkeypatch):
+        seams = sum(
+            self._agree(battery[abbrev, mode], config, chunk, monkeypatch)
+            for mode, config in TRACE_MODES.values()
+            for abbrev in WORKLOADS
+        )
+        assert seams > 0, "no batch crossed a chunk seam"
+
+    @pytest.mark.parametrize("chunk", [257, 777])
+    @pytest.mark.parametrize("label", ["base", "log"])
+    def test_ss40_cells(self, label, chunk, monkeypatch):
+        mode, config = TRACE_MODES[label]
+        (trace,) = generate_traces(
+            [TraceKey("SS", mode, 0, init_ops=60, sim_ops=40)]
+        )
+        assert self._agree(trace, config, chunk, monkeypatch) > 0
 
 
 # ----------------------------------------------------------------------
