@@ -343,16 +343,18 @@ def load_cached_trace(key, root: Optional[PathLike] = None) -> Optional[Trace]:
     return trace
 
 
-def has_trace(key) -> bool:
+def has_trace(key, root: Optional[PathLike] = None, count: bool = True) -> bool:
     """Whether the store holds an entry for *key*, without loading it.
 
-    An absent entry counts as a trace miss, as a failed load would (the
-    caller generates the trace); a present one counts nothing, since the
-    load that follows counts the hit or the corrupt drop."""
-    path = trace_path(key)
+    With *count*, an absent entry counts as a trace miss, as a failed
+    load would (the caller generates the trace); a present one counts
+    nothing, since the load that follows counts the hit or the corrupt
+    drop."""
+    path = trace_path(key, root)
     if path is not None and path.exists():
         return True
-    _bump("trace_misses")
+    if count:
+        _bump("trace_misses")
     return False
 
 

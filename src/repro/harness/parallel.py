@@ -14,7 +14,7 @@ never by completion order, and simulation is a pure function of
 ``(trace, config)``, so ``--jobs N`` output is byte-identical to serial
 output.  Either way a
 benchmark's missing traces are generated as one family, with one
-populate for all of its modes
+populate and one timed run for all of its modes
 (:func:`repro.harness.runner.generate_traces`).
 
 Pool workers exchange traces through the shared on-disk store in the

@@ -98,8 +98,8 @@ def clear_trace_cache() -> None:
 
 def trace_families(keys: Iterable[TraceKey]) -> List[List[TraceKey]]:
     """*keys* grouped by every :class:`TraceKey` field but the mode, in
-    order of first appearance: the keys of one family share a populated
-    workload (:func:`generate_traces`)."""
+    order of first appearance: the keys of one family share one
+    populated workload and one timed run (:func:`generate_traces`)."""
     families: Dict[TraceKey, List[TraceKey]] = {}
     for key in keys:
         families.setdefault(replace(key, mode=PersistMode.BASE), []).append(key)
@@ -112,14 +112,17 @@ def generate_traces(keys: Sequence[TraceKey]) -> List[Trace]:
 
     The paper fast-forwards a benchmark's #InitOps once and times only
     its #SimOps.  Populate runs gated as ``BASE``, so the populated state
-    is the same in every mode: the workload is built and populated once,
-    every key but the last runs its timed phase on its own
-    :meth:`~repro.workloads.base.PersistentWorkload.fork` of that image,
-    switched to the key's mode, and the last key runs on the image
-    itself.  At most one fork lives beside the image, and neither
-    outlives the call.  Each trace is byte-identical to a separate
-    construct, populate and run in its mode.
+    is the same in every mode, and each mode's persistence machinery
+    wraps the same workload code.  So the workload is built and
+    populated once, its timed phase runs once, in ``LOG_P_SF``, and every
+    other mode's trace is that recording with what the mode does not
+    issue projected out (:func:`repro.txn.persist_ops.project_trace`).
+    Each trace is byte-identical to a separate construct, populate and
+    run in its mode (counters ``workloads.timed_runs`` and
+    ``workloads.projected_traces``).
     """
+    from repro.txn.persist_ops import project_trace
+
     keys = list(keys)
     if len(trace_families(keys)) != 1:
         raise ValueError("generate_traces needs keys that differ only in mode")
@@ -135,28 +138,45 @@ def generate_traces(keys: Sequence[TraceKey]) -> List[Trace]:
         # eagerly reclaimed); the size is fixed per workload in the
         # registry, so the trace stays a pure function of the key
         kwargs["heap_size"] = spec.paper_heap_bytes
-    bench = Workbench(mode=first.mode, record=True, seed=first.seed, **kwargs)
+    bench = Workbench(mode=PersistMode.LOG_P_SF, record=True, seed=first.seed, **kwargs)
     # the constructor's stores are dropped by populate's finish_init
     with bench.untimed():
         workload = spec.build(bench)
     workload.populate(init_ops)
-    traces = [_timed_trace(workload.fork(), key.mode, sim_ops) for key in keys[:-1]]
-    traces.append(_timed_trace(workload, keys[-1].mode, sim_ops))
-    return traces
-
-
-def _timed_trace(
-    workload: base.PersistentWorkload, mode: PersistMode, sim_ops: int
-) -> Trace:
-    """Run the timed phase of a populated *workload* in *mode*."""
-    workload.bench.set_mode(mode)
     workload.run(sim_ops)
-    return workload.bench.trace
+    telemetry.counter_inc("workloads.timed_runs")
+    recorder = bench.recorder
+    projected = sum(key.mode is not PersistMode.LOG_P_SF for key in keys)
+    if projected:
+        telemetry.counter_inc("workloads.projected_traces", projected)
+    return [
+        project_trace(bench.trace, key.mode, recorder.alu_per_load, recorder.alu_per_store)
+        for key in keys
+    ]
 
 
 def generate_trace(key: TraceKey) -> Trace:
     """Run the functional workload for *key* and return its trace (uncached)."""
     return generate_traces([key])[0]
+
+
+def store_family(keys: List[TraceKey], root=None) -> List[Trace]:
+    """:func:`generate_traces` of one family's *keys*, stored at *root*
+    (default: the cache root) with every other mode of the family the
+    store lacks, so asking for the modes one at a time still times each
+    benchmark once.  That check counts no miss; only *keys*' traces are
+    returned."""
+    wanted = len(keys)
+    if disk_cache.trace_path(keys[0], root) is not None:
+        family = (replace(keys[0], mode=mode) for mode in PersistMode)
+        keys = keys + [
+            key for key in family
+            if key not in keys and not disk_cache.has_trace(key, root, count=False)
+        ]
+    traces = generate_traces(keys)
+    for key, trace in zip(keys, traces):
+        disk_cache.store_trace(key, trace, root=root)
+    return traces[:wanted]
 
 
 def trace_for_key(key: TraceKey) -> Trace:
@@ -195,12 +215,11 @@ def prepare_traces(keys: Iterable[TraceKey]) -> None:
 
 
 def _generate(keys: List[TraceKey]) -> None:
-    """Generate *keys* family by family into the memo and the disk store."""
+    """Generate *keys* family by family into the memo, and each family's
+    modes into the disk store (:func:`store_family`)."""
     for family in trace_families(keys):
         started = time.perf_counter()
-        traces = generate_traces(family)
-        for key, trace in zip(family, traces):
-            disk_cache.store_trace(key, trace)
+        for key, trace in zip(family, store_family(family)):
             _TRACE_CACHE[key] = trace
         share = (time.perf_counter() - started) / len(family)
         for key in family:

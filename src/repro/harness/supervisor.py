@@ -320,41 +320,34 @@ def _do_work(kind: str, key, config, root: str):
 
     ``kind == "trace"``: *key* is one family of trace keys (they differ
     only in mode); generate the ones missing from the shared store with
-    one populate (:func:`repro.harness.runner.generate_traces`) and store
-    them.  The result lists the keys generated.
+    one populate and one timed run, and store them with the family's
+    other missing modes (:func:`repro.harness.runner.store_family`).
+    The result lists the keys generated.
     ``kind == "sim"``: simulate *key* on *config*, persisting the stats.
     Runs identically in pool workers and in the serial fallback.
     """
     if kind == "trace":
-        todo = [k for k in key if not _trace_stored(k, root)]
+        todo = [k for k in key if not disk_cache.has_trace(k, root, count=False)]
         if not todo:
             return [], []
-        traces = runner.generate_traces(todo)
-        stored = [
-            disk_cache.store_trace(k, trace, root=root)
-            for k, trace in zip(todo, traces)
-        ]
-        return todo, [path for path in stored if path is not None]
+        runner.store_family(todo, root)
+        return todo, [disk_cache.trace_path(k, root=root) for k in todo]
     trace = disk_cache.load_cached_trace(key, root=root)
     if trace is None:
         # the trace phase should have produced it (or chaos ate it);
         # regenerate defensively
-        trace = runner.generate_trace(key)
-        disk_cache.store_trace(key, trace, root=root)
+        (trace,) = runner.store_family([key], root)
     stats = runner.simulate(trace, config)
     stored = disk_cache.store_stats(key, config, stats, root=root)
     return stats, [stored] if stored is not None else []
 
 
-def _trace_stored(key, root: str) -> bool:
-    path = disk_cache.trace_path(key, root=root)
-    return path is not None and path.exists()
-
-
-def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
+def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool, Dict]:
     """Pool entry point: chaos hooks around :func:`_do_work`.
 
-    Returns ``(result, wall_seconds, worker_pid, chaos_corrupted)``.
+    Returns ``(result, wall_seconds, worker_pid, chaos_corrupted,
+    counts)``, *counts* being what the work published to this worker's
+    telemetry registry, emptied first.
     Chaos draws are deterministic in (seed, job digest, attempt): kill
     and hang fire *before* the work (they must not affect results),
     corruption fires *after* the result has been computed and returned
@@ -370,6 +363,7 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
             os.kill(os.getpid(), signal.SIGKILL)
         if rng.random() < spec.hang:
             time.sleep(_HANG_SECONDS)
+    telemetry.reset()
     started = time.perf_counter()
     result, stored = _do_work(kind, key, config, root)
     wall = time.perf_counter() - started
@@ -377,7 +371,7 @@ def _supervised_worker(payload: Tuple) -> Tuple[object, float, int, bool]:
     if rng is not None and stored and rng.random() < spec.corrupt:
         _corrupt_file(Path(rng.choice(stored)), rng)
         corrupted = True
-    return result, wall, os.getpid(), corrupted
+    return result, wall, os.getpid(), corrupted, telemetry.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -504,7 +498,9 @@ class _PhaseRunner:
         self.report.retries += 1
 
     def _complete(self, task: _Task, payload) -> None:
-        result, wall, pid, corrupted = payload
+        """Accept a worker's result and add its counts to the registry."""
+        result, wall, pid, corrupted, counts = payload
+        telemetry.merge(counts)
         task.done = True
         task.future = None
         if corrupted:
@@ -701,17 +697,16 @@ def run_supervised(
     try:
         # ---- phase 1: trace families ---------------------------------
         # one task per benchmark family, so a benchmark is populated
-        # once however many of its modes are missing
+        # once however many of its modes are missing; each trace to
+        # generate counts a miss, as on the serial path
         needed: List = []
         for key in dict.fromkeys(key for _, _, key in missing):
             memo = runner._TRACE_CACHE.get(key)
-            path = disk_cache.trace_path(key, root=root_str)
-            if memo is not None:
-                if path is not None and not path.exists():
-                    disk_cache.store_trace(key, memo, root=root_str)
-                continue
-            if path is None or not path.exists():
-                needed.append(key)
+            if memo is None:
+                if not disk_cache.has_trace(key, root=root_str):
+                    needed.append(key)
+            elif not disk_cache.has_trace(key, root_str, count=False):
+                disk_cache.store_trace(key, memo, root=root_str)
         # the pool forks its workers from this process: import the timing
         # model, and the workloads when a trace is missing, here once
         # rather than in every worker

@@ -54,10 +54,6 @@ class TraceRecorder:
     resets it to an empty trace when simulation starts).
     """
 
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
-
     def __init__(self, alu_per_load: int = 1, alu_per_store: int = 1):
         self._builder = ColumnBuilder()
         self._view: Optional[Trace] = None

@@ -31,10 +31,6 @@ class Allocator:
     one cache block and persists with a single ``clwb``.
     """
 
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
-
     def __init__(self, heap: NVMHeap, base: int = CACHE_BLOCK):
         if base % CACHE_BLOCK:
             raise ValueError("allocator base must be block aligned")

@@ -165,21 +165,6 @@ class NVMHeap:
             raise ValueError("snapshot size mismatch")
         self._data[:] = image
 
-    def copy(self, used: int) -> "NVMHeap":
-        """An unobserved heap of the same size holding this heap's first
-        *used* bytes, for a heap whose bytes from *used* on are all zero.
-
-        The copy gets its own lazily zeroed mapping, so only the pages
-        below *used* become resident; copying the whole mapping would
-        fault in every page of it.  The bytes go straight from mapping to
-        mapping, with no intermediate ``bytes`` object of their size.
-        """
-        twin = NVMHeap(self.size)
-        used = min(used, self.size)
-        with memoryview(self._data) as view:
-            twin._data[:used] = view[:used]
-        return twin
-
     def _check(self, addr: int, size: int) -> None:
         if addr <= 0 or addr + size > self.size:
             raise outside_heap(addr, size)

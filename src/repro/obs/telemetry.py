@@ -1,7 +1,8 @@
 """Process-wide telemetry registry: the one store of host-side counts.
 
 Every host-side measurement the simulator and harness keep lives here,
-under a dotted name: cache traffic (``cache.*``), batch counts and
+under a dotted name: cache traffic (``cache.*``), timed runs and
+projected traces of trace generation (``workloads.*``), batch counts and
 per-phase wall clock from the NumPy kernel (``kernel.*``), run totals
 from the pipeline (``pipeline.*``), served multi-core cells
 (``system.*``) and campaign-supervisor recoveries (``supervisor.*``).
@@ -16,13 +17,16 @@ microsecond), and publishers fire per cache lookup, kernel batch,
 pipeline run or campaign, never per simulated op, so a whole campaign
 pays well under a millisecond.  The registry holds host-side facts
 only (call counts, wall clock): simulated results never depend on it.
-Counts are per process; a pool worker's publishes stay in the worker.
+Counts are per process: a pool worker starts each task from an empty
+registry and returns its snapshot with the result, and the supervisor
+adds that to the parent's registry (:func:`merge`).
 
 Three instrument kinds share one namespace:
 
 * **counters** — monotone totals (``cache.stats_hits``); float-valued
   increments are allowed (``kernel.classify_seconds``);
-* **gauges** — last-write-wins values;
+* **gauges** — last-write-wins values (no pool task sets one, and
+  :func:`merge` would add one up like a counter);
 * **histograms** — running ``count/sum/min/max`` summaries
   (``pipeline.run_cycles``, ``system.cores``), no buckets: the
   consumers are regression tracking and the metrics snapshot, not
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-__all__ = ["counter_inc", "gauge_set", "observe", "get", "snapshot", "reset"]
+__all__ = ["counter_inc", "gauge_set", "observe", "get", "snapshot", "merge", "reset"]
 
 #: Every instrument by name: a number, or a histogram's summary dict.
 _values: Dict[str, object] = {}
@@ -85,6 +89,22 @@ def snapshot() -> Dict[str, object]:
         else:
             out[name] = _round(value)
     return out
+
+
+def merge(counts: Dict[str, object]) -> None:
+    """Add another process's :func:`snapshot` of its counters and
+    histograms to this registry."""
+    for name, value in counts.items():
+        if not isinstance(value, dict):
+            counter_inc(name, value)
+            continue
+        summary = _values.setdefault(
+            name, {"count": 0, "sum": 0, "min": value["min"], "max": value["max"]}
+        )
+        summary["count"] += value["count"]
+        summary["sum"] += value["sum"]
+        summary["min"] = min(summary["min"], value["min"])
+        summary["max"] = max(summary["max"], value["max"])
 
 
 def reset() -> None:

@@ -26,7 +26,7 @@ from repro.mem.alloc import Allocator
 from repro.mem.heap import NVMHeap, CACHE_BLOCK
 from repro.txn.modes import PersistMode
 from repro.txn.persist_ops import PersistOps
-from repro.txn.undolog import UndoLog
+from repro.txn.undolog import LOG_BIT, UndoLog
 
 
 @dataclass
@@ -46,10 +46,6 @@ class TxError(RuntimeError):
 
 class TxManager:
     """Drives the WAL protocol for one single-threaded workload."""
-
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
 
     def __init__(
         self,
@@ -119,7 +115,7 @@ class TxManager:
         persist.persist_barrier(meta="step1")
         # Step 2: set logged_bit and make it durable.
         self.log.write_logged_bit(1)
-        persist.clwb(self.log.logged_bit_addr, meta="log-bit")
+        persist.clwb(self.log.logged_bit_addr, meta=LOG_BIT)
         persist.persist_barrier(meta="step2")
 
     def flush(self, addr: int, size: int = CACHE_BLOCK) -> None:
@@ -143,7 +139,7 @@ class TxManager:
         if self.mode.logging:
             # Step 4: clear logged_bit and make it durable.
             self.log.write_logged_bit(0)
-            persist.clwb(self.log.logged_bit_addr, meta="log-bit")
+            persist.clwb(self.log.logged_bit_addr, meta=LOG_BIT)
         persist.persist_barrier(meta="step4")
         self._in_tx = False
         self._sealed = False

@@ -9,17 +9,26 @@ whichever back-ends are attached:
 
 It also implements the *mode gating*: in ``LOG`` mode persistency
 instructions are swallowed, in ``LOG_P`` mode fences are swallowed, so the
-same workload source produces all of Figure 8's variants.
+same workload source produces all of Figure 8's variants.  Since each
+variant issues a subset of the full protocol's micro-ops in the same
+order, :func:`project_trace` applies the gating to a recorded
+``LOG_P_SF`` trace after the fact.
 """
 
 from __future__ import annotations
 
+import re
+from array import array
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
+from repro.isa.columns import TraceColumns
+from repro.isa.ops import PMEM_OPS, Op
 from repro.isa.recorder import TraceRecorder
+from repro.isa.trace import Trace
 from repro.pmem.domain import PersistenceDomain
 from repro.txn.modes import PersistMode
+from repro.txn.undolog import LOG_TAGS
 
 
 #: Valid flush-instruction choices for :class:`PersistOps`.
@@ -35,10 +44,6 @@ class PersistOps:
     (footnote 2); the flush-policy ablation bench quantifies both
     alternatives.
     """
-
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
 
     def __init__(
         self,
@@ -131,3 +136,66 @@ class PersistOps:
         self.sfence(meta)
         self.pcommit(meta)
         self.sfence(meta)
+
+
+def _dropped(mode: PersistMode) -> "re.Pattern[bytes]":
+    """A bytes class of the ``LOG_P_SF`` opcodes the gating above does
+    not issue in *mode*: sfences without :attr:`~PersistMode.fences`,
+    the PMEM ops without :attr:`~PersistMode.pmem`, and without
+    :attr:`~PersistMode.logging` loads and stores, of which
+    :func:`project_trace` drops only the undo log's."""
+    ops = set() if mode.fences else {Op.SFENCE}
+    if not mode.pmem:
+        ops |= PMEM_OPS
+    if not mode.logging:
+        ops |= {Op.LOAD, Op.STORE}
+    return re.compile(b"[" + re.escape(bytes(sorted(ops))) + b"]")
+
+
+def project_trace(
+    trace: Trace, mode: PersistMode, alu_per_load: int = 1, alu_per_store: int = 1
+) -> Trace:
+    """The trace *mode* records, from the ``LOG_P_SF`` *trace* of the
+    same populated workload and timed operations: *trace* without what
+    the gating above drops in *mode* (:func:`_dropped`).  The undo log's
+    loads and stores carry one of :data:`~repro.txn.undolog.LOG_TAGS`
+    and go with the *alu_per_load*/*alu_per_store* ALU ops recorded
+    right before them (``ValueError`` if those are missing).  The kept
+    spans are copied into exact-size columns and the meta table is
+    rebuilt in first-appearance order, byte for byte as *mode* records.
+    """
+    if mode is PersistMode.LOG_P_SF:
+        return trace
+    columns = trace.columns()
+    ops, meta_idx = columns.ops, columns.meta_idx
+    logged = {i for i, meta in enumerate(columns.metas) if meta in LOG_TAGS}
+    pads = {Op.LOAD: alu_per_load, Op.STORE: alu_per_store}
+    spans, start = [], 0
+    for match in _dropped(mode).finditer(ops):
+        at = match.start()
+        pad = pads.get(ops[at])
+        if pad is not None:
+            if meta_idx[at] not in logged:
+                continue
+            if at - pad < start or ops[at - pad:at].count(Op.ALU) != pad:
+                raise ValueError(f"logged access at op {at} lacks its ALU padding")
+            at -= pad
+        if at > start:
+            spans.append((start, at))
+        start = match.end()
+    spans.append((start, len(ops)))
+    size = sum(end - begin for begin, end in spans)
+    kept = []
+    for column in (ops, columns.addrs, columns.sizes, meta_idx):
+        out, source, pos = array(column.typecode, [0]) * size, memoryview(column), 0
+        view = memoryview(out)
+        for begin, end in spans:
+            view[pos:pos + end - begin] = source[begin:end]
+            pos += end - begin
+        kept.append(out)
+    order = [old for old in dict.fromkeys(kept[3]) if old]
+    if order != list(range(1, len(order) + 1)):
+        new = {old: index for index, old in enumerate([0] + order)}
+        kept[3] = array("H", [new[old] for old in kept[3]])
+    metas = [None] + [columns.metas[old] for old in order]
+    return Trace.from_columns(TraceColumns(*kept, metas))

@@ -33,6 +33,12 @@ class LogOverflowError(RuntimeError):
 
 _HEADER = CACHE_BLOCK  # logged_bit + n_entries, padded to one block
 
+#: ``meta`` tags of the log's loads and stores in a transaction.  Only
+#: logging code makes them, so a ``BASE`` trace is a ``LOG`` trace
+#: without them (:func:`repro.txn.persist_ops.project_trace`).
+LOG_BIT, LOG_HDR, LOG_READ, LOG_WRITE = "log-bit", "log-hdr", "log-read", "log-write"
+LOG_TAGS = frozenset((LOG_BIT, LOG_HDR, LOG_READ, LOG_WRITE))
+
 
 def _round8(n: int) -> int:
     return (n + 7) & ~7
@@ -40,10 +46,6 @@ def _round8(n: int) -> int:
 
 class UndoLog:
     """A fixed-capacity undo log living in the simulated NVMM."""
-
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
 
     def __init__(self, heap: NVMHeap, allocator: Allocator, capacity: int = 1 << 16):
         if capacity <= _HEADER:
@@ -64,16 +66,16 @@ class UndoLog:
         return self.base
 
     def read_logged_bit(self) -> int:
-        return self.heap.load_u64(self.base, meta="log-bit")
+        return self.heap.load_u64(self.base, meta=LOG_BIT)
 
     def write_logged_bit(self, value: int) -> None:
-        self.heap.store_u64(self.base, value, meta="log-bit")
+        self.heap.store_u64(self.base, value, meta=LOG_BIT)
 
     def read_n_entries(self) -> int:
-        return self.heap.load_u64(self.base + 8, meta="log-hdr")
+        return self.heap.load_u64(self.base + 8, meta=LOG_HDR)
 
     def write_n_entries(self, value: int) -> None:
-        self.heap.store_u64(self.base + 8, value, meta="log-hdr")
+        self.heap.store_u64(self.base + 8, value, meta=LOG_HDR)
 
     # ------------------------------------------------------------------
     # appending
@@ -98,11 +100,11 @@ class UndoLog:
                 f"{self.base + self.capacity - self._cursor} free"
             )
         entry = self._cursor
-        pre_image = self.heap.load_bytes(addr, size, meta="log-read")
-        self.heap.store_u64(entry, addr, meta="log-write")
-        self.heap.store_u64(entry + 8, size, meta="log-write")
+        pre_image = self.heap.load_bytes(addr, size, meta=LOG_READ)
+        self.heap.store_u64(entry, addr, meta=LOG_WRITE)
+        self.heap.store_u64(entry + 8, size, meta=LOG_WRITE)
         self.heap.store_bytes(entry + 16, pre_image.ljust(_round8(size), b"\0"),
-                              meta="log-write")
+                              meta=LOG_WRITE)
         self._cursor += entry_size
         count = self.read_n_entries()
         self.write_n_entries(count + 1)

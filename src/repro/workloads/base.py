@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import abc
-import copy
 import random
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -67,10 +66,6 @@ class Workbench:
         semantics can be tested.
     """
 
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
-
     def __init__(
         self,
         mode: PersistMode = PersistMode.LOG_P_SF,
@@ -101,11 +96,6 @@ class Workbench:
     @property
     def trace(self) -> Optional[Trace]:
         return self.recorder.trace if self.recorder else None
-
-    def set_mode(self, mode: PersistMode) -> None:
-        """Switch the persistence variant, e.g. of a populated image
-        before its timed phase."""
-        self.mode = self.persist.mode = mode
 
     def untimed(self) -> ContextManager[None]:
         """Suppress trace recording (the paper's fast-forward mode)."""
@@ -146,10 +136,6 @@ class PersistentWorkload(abc.ABC):
     name: str = ""
     abbrev: str = ""
 
-    def __getstate__(self):
-        # restored attribute by attribute (see PersistentWorkload.fork)
-        return None, self.__dict__
-
     def __init__(self, bench: Workbench):
         self.bench = bench
         self.heap = bench.heap
@@ -179,29 +165,6 @@ class PersistentWorkload(abc.ABC):
             for _ in range(n_ops):
                 self.random_operation()
         self.bench.finish_init()
-
-    def fork(self) -> "PersistentWorkload":
-        """An independent copy of this workload and its workbench.
-
-        The allocator hands out no address at or above its high-water
-        mark, so the heap copy takes only the bytes below it
-        (:meth:`~repro.mem.heap.NVMHeap.copy`).  Everything else — the
-        allocator, RNG, recorder, transaction manager and model — is
-        deep-copied, and the copy's heap reports to the copy's own
-        observers.
-
-        The copied classes of the workbench give ``__getstate__`` a
-        ``(None, attributes)`` state, which ``copy`` (and ``pickle``)
-        restore with ``setattr``: that keeps CPython's inline attribute
-        values, where the default ``__dict__.update`` drops them and
-        slows every attribute access in the fork's timed phase.
-        """
-        heap = self.heap
-        twin_heap = heap.copy(self.alloc.high_water_mark)
-        memo = {id(heap): twin_heap}
-        twin = copy.deepcopy(self, memo)
-        twin_heap._observers = copy.deepcopy(heap._observers, memo)
-        return twin
 
     def random_operation(self) -> OpResult:
         """One paper-style operation on a random key."""

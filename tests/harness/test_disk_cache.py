@@ -8,9 +8,11 @@ import time
 import pytest
 
 from repro.harness import cache
-from repro.harness import runner
+from repro.harness import runner, supervisor
 from repro.harness.parallel import VariantJob, run_variants
 from repro.harness.runner import TraceKey, build_trace, clear_trace_cache, run_variant
+from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry
 from repro.stats.run import RunStats
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
@@ -65,6 +67,12 @@ class TestColdWarmEquivalence:
         ]
         with pytest.raises(AssertionError, match="unexpected trace generation"):
             run_variants(jobs, jobs=1)
+        # the pool's trace task and its defensive regeneration
+        key, root = jobs[0].trace_key, str(cache.cache_root())
+        with pytest.raises(AssertionError, match="unexpected trace generation"):
+            supervisor._do_work("trace", (key,), None, root)
+        with pytest.raises(AssertionError, match="unexpected trace generation"):
+            supervisor._do_work("sim", key, MachineConfig(), root)
 
     def test_warm_serial_campaign_touches_no_trace(self, monkeypatch):
         jobs = [
@@ -90,6 +98,43 @@ class TestColdWarmEquivalence:
         warm = build_trace("LL", PersistMode.BASE, **SMALL)
         assert warm is not cold
         assert list(warm) == list(cold)
+
+
+class TestFamilyStore:
+    """A miss generates the key's whole family once and stores every
+    mode the store lacks; the memo holds only what was asked for."""
+
+    def test_one_key_at_a_time_records_each_benchmark_once(self):
+        obs_metrics.reset_metrics()
+        for mode in PersistMode:
+            build_trace("LL", mode, **SMALL)
+            assert list(runner._TRACE_CACHE) == [TraceKey("LL", mode, 7, **SMALL)]
+            clear_trace_cache()
+        assert telemetry.get("workloads.timed_runs") == 1
+        assert telemetry.get("workloads.projected_traces") == 3
+        counters = cache.cache_counters()
+        assert (counters.trace_misses, counters.trace_hits) == (1, 3)
+        assert counters.trace_stores == len(PersistMode)
+
+    def test_stored_modes_are_neither_projected_nor_counted(self):
+        keys = [TraceKey("LL", mode, 7, **SMALL) for mode in PersistMode]
+        generated = runner.generate_traces(keys)
+        cache.store_trace(keys[0], generated[0])
+        obs_metrics.reset_metrics()
+        (trace,) = runner.store_family([keys[-1]])
+        assert trace.columns() == generated[-1].columns()
+        assert telemetry.get("workloads.projected_traces") == 2
+        counters = cache.cache_counters()
+        assert (counters.trace_misses, counters.trace_stores) == (0, 3)
+        for key, expected in zip(keys, generated):
+            assert cache.load_cached_trace(key).columns() == expected.columns()
+
+    def test_no_store_projects_only_the_asked_modes(self, monkeypatch):
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        obs_metrics.reset_metrics()
+        build_trace("LL", PersistMode.LOG_P_SF, **SMALL)
+        assert telemetry.get("workloads.timed_runs") == 1
+        assert telemetry.get("workloads.projected_traces") == 0
 
 
 class TestKeying:
@@ -155,10 +200,11 @@ class TestRobustness:
         assert cache.load_cached_stats(key, config) is None
 
     def test_clear_cache_counts_files(self):
+        # the one timed run stores the family's four traces
         run_variant("LL", PersistMode.BASE, **SMALL)
         info = cache.cache_info()
-        assert info["traces"] == 1 and info["stats"] == 1
-        assert cache.clear_cache() == 2
+        assert info["traces"] == 4 and info["stats"] == 1
+        assert cache.clear_cache() == 5
         assert cache.cache_info()["bytes"] == 0
 
 
@@ -181,8 +227,8 @@ class TestStaleTmpSweep:
         assert removed == 1
         assert not stale.exists()
         assert fresh.exists()  # a live writer's staging file survives
-        # finished entries are never touched
-        assert cache.cache_info()["traces"] == 1
+        # finished entries (the family's four traces) are never touched
+        assert cache.cache_info()["traces"] == 4
 
     def test_cache_info_sweeps_and_reports(self, tmp_path):
         run_variant("LL", PersistMode.BASE, **SMALL)
@@ -191,14 +237,15 @@ class TestStaleTmpSweep:
         self._stale(root, "stats", "abc123.json.r4t5y6")
         info = cache.cache_info()
         assert info["stale_tmp_removed"] == 2
-        assert info["traces"] == 1 and info["stats"] == 1
+        assert info["traces"] == 4 and info["stats"] == 1
 
     def test_clear_cache_removes_tmp_regardless_of_age(self, tmp_path):
         run_variant("LL", PersistMode.BASE, **SMALL)
         root = tmp_path / "cache"
         fresh = root / "traces" / "deadbeef.rptr.zz11"
         fresh.write_bytes(b"just written")
-        assert cache.clear_cache() == 3  # trace + stats + staging file
+        # the family's four traces + stats + staging file
+        assert cache.clear_cache() == 6
         assert not fresh.exists()
 
 

@@ -2,6 +2,7 @@
 cache sharing, one populate per benchmark family, Ctrl-C handling of the
 supervised pool, and job-count resolution."""
 
+import json
 import os
 
 import pytest
@@ -16,7 +17,7 @@ from repro.harness.parallel import (
     run_variants,
     set_default_jobs,
 )
-from repro.harness.runner import clear_trace_cache, run_variant
+from repro.harness.runner import TraceKey, clear_trace_cache, run_variant
 from repro.obs import metrics as obs_metrics
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
@@ -89,9 +90,13 @@ class TestCacheSharing:
         ]
         run_variants(jobs, jobs=2)
         root = tmp_path / "cache"
-        # one shared trace (both variants replay the same LOG_P_SF trace),
-        # one stats record per machine configuration
-        assert len(list((root / "traces").iterdir())) == 1
+        # both variants replay the same LOG_P_SF trace, and its one timed
+        # run stores the family's other three modes too; one stats record
+        # per machine configuration
+        assert sorted(path.name for path in (root / "traces").iterdir()) == sorted(
+            f"{cache.trace_digest(TraceKey('LL', mode, 7, **SMALL))}.rptr"
+            for mode in PersistMode
+        )
         assert len(list((root / "stats").iterdir())) == 2
 
     def test_results_land_in_process_memo(self):
@@ -137,6 +142,33 @@ class TestTraceFamilies:
             f"{ab}/{mode.value}" for ab in ("LL", "GH") for mode in PersistMode
         )
         assert {r.source for r in traces} == {"generated"}
+
+    def test_pool_reports_the_serial_counts(self, tmp_path, monkeypatch, capsys):
+        """Pool workers return what they counted with each result, so a
+        pooled campaign reports the serial campaign's cache and
+        generation counts: two timed runs and six projected traces."""
+        counts = {}
+        for jobs in ("1", "2"):
+            monkeypatch.setenv(cache.ENV_CACHE_DIR, str(tmp_path / f"cache-{jobs}"))
+            clear_trace_cache()
+            obs_metrics.reset_metrics()
+            out = tmp_path / f"metrics-{jobs}.json"
+            assert main(FIG8 + ["--jobs", jobs, "--metrics-out", str(out)]) == 0
+            counts[jobs] = {
+                name: value
+                for name, value in json.loads(out.read_text())["counters"].items()
+                if name.startswith(("cache.", "workloads.", "pipeline."))
+            }
+        serial, pooled = counts["1"], counts["2"]
+        # the one difference: each of the ten simulation tasks loads its
+        # trace from the store the pool shares, where the serial campaign
+        # reads its memo
+        assert pooled.pop("cache.trace_hits") == 10
+        assert pooled == serial
+        assert serial["workloads.timed_runs"] == 2
+        assert serial["workloads.projected_traces"] == 6
+        assert (serial["cache.trace_misses"], serial["cache.trace_stores"]) == (8, 8)
+        assert (serial["cache.stats_misses"], serial["cache.stats_stores"]) == (10, 10)
 
     def test_pool_runs_one_trace_task_per_benchmark(
         self, tmp_path, monkeypatch, capsys

@@ -144,9 +144,10 @@ def _trace_digest(trace):
 )
 @pytest.mark.parametrize("abbrev", WORKLOADS)
 def test_family_trace_bytes_pinned(abbrev, modes):
-    """One populate for all four modes (:func:`generate_traces`: the
-    image is built in the first mode, every mode but the last runs on a
-    fork of it) gives every trace its pinned bytes."""
+    """One populate and one timed run for all four modes
+    (:func:`generate_traces`: the timed phase runs in Log+P+Sf and the
+    other modes are projected from its trace) gives every trace its
+    pinned bytes, in either key order."""
     keys = [TraceKey(abbrev, mode, 0, init_ops=60, sim_ops=4) for mode in modes]
     traces = generate_traces(keys)
     digests = {key.mode: _trace_digest(trace) for key, trace in zip(keys, traces)}

@@ -173,28 +173,3 @@ class TestSnapshots:
     def test_block_of(self, heap):
         assert heap.block_of(0x1038) == 0x1000
         assert heap.block_of(CACHE_BLOCK) == CACHE_BLOCK
-
-
-class TestCopy:
-    def test_copy_holds_the_used_prefix(self, heap):
-        heap.store_u64(0x100, 42)
-        heap.store_u64(0x2000, 7)  # at or above `used`: not copied
-        twin = heap.copy(0x1000)
-        assert twin.size == heap.size
-        assert twin.raw_read(0x100, 8) == heap.raw_read(0x100, 8)
-        assert twin.raw_read(0x2000, 8) == bytes(8)
-
-    def test_copy_is_independent_and_unobserved(self, heap):
-        recorder = _Recorder()
-        heap.attach(recorder)
-        heap.store_u64(0x100, 1)
-        twin = heap.copy(0x200)
-        twin.store_u64(0x100, 2)
-        heap.store_u64(0x108, 3)
-        assert heap.load_u64(0x100) == 1
-        assert twin.load_u64(0x108) == 0
-        assert len(recorder.events) == 3  # none of the twin's accesses
-
-    def test_used_past_the_end_copies_everything(self, heap):
-        heap.store_u64(heap.size - 8, 9)
-        assert heap.copy(heap.size + 4096).snapshot() == heap.snapshot()

@@ -47,6 +47,23 @@ class TestRegistry:
             "count": 3, "sum": 60, "min": 10, "max": 30, "mean": 20,
         }
 
+    def test_merge_adds_another_registry(self):
+        """A pool worker's snapshot of one task, added to the parent."""
+        telemetry.counter_inc("runs", 2)
+        telemetry.observe("cycles", 50)
+        telemetry.merge({
+            "runs": 1, "new": 0.5,
+            "cycles": {"count": 2, "sum": 100, "min": 10, "max": 90, "mean": 50},
+            "fresh": {"count": 1, "sum": 7, "min": 7, "max": 7, "mean": 7},
+        })
+        snap = telemetry.snapshot()
+        assert (snap["runs"], snap["new"]) == (3, 0.5)
+        assert snap["cycles"] == {"count": 3, "sum": 150, "min": 10, "max": 90, "mean": 50}
+        assert snap["fresh"] == {"count": 1, "sum": 7, "min": 7, "max": 7, "mean": 7}
+        telemetry.reset()
+        telemetry.merge(snap)
+        assert telemetry.snapshot() == snap
+
     def test_retired_env_switch_is_ignored(self, monkeypatch):
         # REPRO_TELEMETRY used to switch the registry off; it is retired
         monkeypatch.setenv("REPRO_TELEMETRY", "0")

@@ -6,12 +6,11 @@ back, so the committed state must equal the one a fully logged
 fast-forward reaches — checked here against that reference on every
 benchmark and mode.
 
-Trace generation populates a benchmark once for all of its modes and
-runs each mode's timed phase on a fork of that image
-(:func:`repro.harness.runner.generate_traces`).  That rests on the
-populated state being the same whichever mode built it, on nothing being
-written at or above the allocator's high-water mark (the heap copy
-stops there), and on a fork's run leaving the image alone.
+Trace generation populates a benchmark once for all of its modes, runs
+the timed phase once in Log+P+Sf and projects the other modes from that
+trace (:func:`repro.harness.runner.generate_traces`).  That rests on the
+populated state being the same whichever mode built it.  The populated
+heap also holds nothing at or above the allocator's high-water mark.
 """
 
 import hashlib
@@ -182,45 +181,6 @@ class TestPopulatedImage:
         heap, mark = workload.heap, workload.alloc.high_water_mark
         assert 0 < mark <= heap.size
         assert heap.raw_read(mark, heap.size - mark) == bytes(heap.size - mark)
-
-
-class TestFork:
-    @pytest.mark.parametrize("abbrev", WORKLOADS)
-    def test_fork_run_leaves_the_image_alone(self, abbrev):
-        image = _image(abbrev, PersistMode.BASE)
-        before = _image_state(image)
-        twin = image.fork()
-        twin.bench.set_mode(PersistMode.LOG_P_SF)
-        twin.run(SIM_OPS)
-        assert len(twin.bench.trace) > 0
-        assert _image_state(twin) != before
-        assert _image_state(image) == before
-        assert len(image.bench.trace) == 0
-        assert image.persist.mode is image.bench.mode is PersistMode.BASE
-        assert image.tx.stats == TxStats()
-
-    @pytest.mark.parametrize("mode", list(PersistMode), ids=lambda mode: mode.name)
-    @pytest.mark.parametrize("abbrev", WORKLOADS)
-    def test_fork_runs_like_a_fresh_build(self, abbrev, mode):
-        twin = _image(abbrev, PersistMode.BASE).fork()
-        twin.bench.set_mode(mode)
-        twin.run(SIM_OPS)
-        fresh = _image(abbrev, mode)
-        fresh.run(SIM_OPS)
-        assert twin.bench.trace.columns() == fresh.bench.trace.columns()
-        assert _image_state(twin) == _image_state(fresh)
-        assert twin.check_invariants() is None
-
-    def test_fork_owns_its_heap_and_observers(self):
-        image = _image("HM", PersistMode.LOG_P_SF)
-        twin = image.fork()
-        bench = twin.bench
-        assert twin.heap is bench.heap is twin.alloc.heap is twin.tx.heap
-        assert twin.heap is not image.heap
-        assert bench.recorder is not image.bench.recorder
-        assert _observers(bench) == [bench.recorder]
-        assert twin.persist.recorder is bench.recorder
-        assert _observers(image.bench) == [image.bench.recorder]
 
 
 def _observers(bench):
