@@ -28,10 +28,8 @@ def _measure(ab: str, seed: int = 5):
     workload.populate(min(spec.scaled_init_ops, 300))
 
     # one clean op for the cost baseline (and its store count)
-    from repro.isa.trace import Trace
-
     stores_before = bench.domain.n_stores
-    bench.recorder.trace = Trace()
+    bench.recorder.restart()
     workload.operation(12345 % workload._key_space)
     op_stats = simulate(bench.recorder.trace, MachineConfig())
     stores_per_op = bench.domain.n_stores - stores_before
@@ -65,7 +63,7 @@ def _measure(ab: str, seed: int = 5):
     finally:
         bench.heap.detach(crasher)
     bench.domain.crash()
-    bench.recorder.trace = Trace()
+    bench.recorder.restart()
     undone = workload.recover()
     recovery_stats = simulate(bench.recorder.trace, MachineConfig())
     # (the reference model is not resynchronised: this bench measures

@@ -15,7 +15,8 @@ never by completion order, and simulation is a pure function of
 output.  Either way a
 benchmark's missing traces are generated as one family, with one
 populate and one timed run for all of its modes
-(:func:`repro.harness.runner.generate_traces`).
+(:func:`repro.harness.runner.generate_traces`); in process, one
+family at a time.
 
 Pool workers exchange traces through the shared on-disk store in the
 columnar RPTR2 format: a worker's load is four ``array.frombytes``
@@ -75,14 +76,15 @@ def run_variants(
 
     Every cell is looked up first
     (:func:`repro.harness.runner.lookup_variant`: the memo, then the
-    store, each read at most once).  A campaign whose
-    every cell is stored ends there, with no simulator, workload or pool
-    imported.  Otherwise, with ``jobs <= 1`` (or a single job), the
-    missing traces are generated one benchmark family at a time
-    (:func:`repro.harness.runner.prepare_traces`) and the misses simulated
-    in job order, in process; with more, the supervised process pool runs
-    the campaign.  Results are identical either way because simulation is
-    a pure function of ``(trace, config)``.
+    store, each read at most once).  A campaign whose every cell is
+    stored ends there, with no simulator, workload or pool imported.
+    Otherwise, with ``jobs <= 1`` (or a single job), the misses run in
+    process one trace family at a time: the family's traces are fetched
+    or generated (:func:`repro.harness.runner.family_traces`), its
+    misses simulated in job order, and its Base, Log and Log+P traces
+    freed.  With more, the supervised process pool runs the campaign.
+    Results are identical either way because simulation is a pure
+    function of ``(trace, config)``.
     """
     jobs_list = list(jobs_list)
     cells = [(job.trace_key, job.config) for job in jobs_list]
@@ -97,8 +99,15 @@ def run_variants(
         from repro.harness import supervisor
 
         return supervisor.run_supervised(jobs_list, results, n_workers)
-    runner.prepare_traces(key for key, _ in misses)
-    simulated = {cell: runner.simulate_variant(*cell) for cell in misses}
+    simulated = {}
+    for family in runner.trace_families(key for key, _ in misses):
+        traces = dict(zip(family, runner.family_traces(family)))
+        for cell in misses:
+            if cell[0] in traces:
+                simulated[cell] = runner.simulate_variant(*cell, traces[cell[0]])
+        # the memo keeps only the recording: the family's other modes and
+        # their segment indexes go here, before the next family's are made
+        del traces
     return [
         simulated[cell] if stats is None else stats
         for cell, stats in zip(cells, results)
@@ -116,12 +125,8 @@ def prefetch_variants(
     cross-product before their (serial, order-sensitive) result assembly
     loops; the assembly then hits the in-process memo only.
     """
-    jobs_list = [VariantJob(ab, mode, config, seed) for ab, mode, config in pairs]
-    # de-duplicate while preserving order (BASE repeats across series)
-    unique: List[VariantJob] = []
-    seen = set()
-    for job in jobs_list:
-        if job not in seen:
-            seen.add(job)
-            unique.append(job)
-    return run_variants(unique, jobs=jobs)
+    # each job once, in order (BASE repeats across series)
+    return run_variants(
+        list(dict.fromkeys(VariantJob(ab, mode, config, seed) for ab, mode, config in pairs)),
+        jobs=jobs,
+    )

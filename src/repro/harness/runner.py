@@ -6,6 +6,11 @@ of figures, sweeps, and the test suites regenerate nothing that is
 already known.  The parallel scheduler (:mod:`repro.harness.parallel`)
 shares the same disk store across worker processes.
 
+The trace memo holds one trace per benchmark family, its ``LOG_P_SF``
+recording (with its segment index once simulated).  The other modes are
+projections of it (:func:`generate_traces`): read from the store or
+projected again, they are never kept (:func:`family_traces`).
+
 Traces flow through here in their **columnar form**
 (:class:`~repro.isa.columns.TraceColumns`): disk hits deserialise the
 RPTR2 column sections straight into a column-backed
@@ -97,11 +102,11 @@ def clear_trace_cache() -> None:
 
 
 def trace_families(keys: Iterable[TraceKey]) -> List[List[TraceKey]]:
-    """*keys* grouped by every :class:`TraceKey` field but the mode, in
-    order of first appearance: the keys of one family share one
-    populated workload and one timed run (:func:`generate_traces`)."""
+    """*keys*, each once, grouped by every :class:`TraceKey` field but
+    the mode, in order of first appearance: the keys of one family share
+    one populated workload and one timed run (:func:`generate_traces`)."""
     families: Dict[TraceKey, List[TraceKey]] = {}
-    for key in keys:
+    for key in dict.fromkeys(keys):
         families.setdefault(replace(key, mode=PersistMode.BASE), []).append(key)
     return list(families.values())
 
@@ -160,70 +165,75 @@ def generate_trace(key: TraceKey) -> Trace:
     return generate_traces([key])[0]
 
 
-def store_family(keys: List[TraceKey], root=None) -> List[Trace]:
-    """:func:`generate_traces` of one family's *keys*, stored at *root*
-    (default: the cache root) with every other mode of the family the
-    store lacks, so asking for the modes one at a time still times each
-    benchmark once.  That check counts no miss; only *keys*' traces are
-    returned."""
-    wanted = len(keys)
+def store_family(keys: List[TraceKey], root=None) -> Dict[TraceKey, Trace]:
+    """:func:`generate_traces` of one family's distinct *keys*, stored at
+    *root* (default: the cache root) with every other mode of the family
+    the store lacks, so asking for the modes one at a time still times
+    each benchmark once.  That check counts no miss.  Returns every trace
+    generated, by key: those stored, and the family's ``LOG_P_SF``
+    recording, which is not stored again when the store holds it."""
     if disk_cache.trace_path(keys[0], root) is not None:
         family = (replace(keys[0], mode=mode) for mode in PersistMode)
         keys = keys + [
             key for key in family
             if key not in keys and not disk_cache.has_trace(key, root, count=False)
         ]
-    traces = generate_traces(keys)
-    for key, trace in zip(keys, traces):
-        disk_cache.store_trace(key, trace, root=root)
-    return traces[:wanted]
+    recording = replace(keys[0], mode=PersistMode.LOG_P_SF)
+    generated = list(dict.fromkeys(keys + [recording]))
+    traces = dict(zip(generated, generate_traces(generated)))
+    for key in keys:
+        disk_cache.store_trace(key, traces[key], root=root)
+    return traces
 
 
 def trace_for_key(key: TraceKey) -> Trace:
-    """The trace for *key*: in-process memo, then disk, then generation.
-
-    Disk hits and fresh generations are recorded in
-    :mod:`repro.obs.metrics` (memo hits are not — they are dict lookups)."""
-    cached = _TRACE_CACHE.get(key)
-    if cached is not None:
-        return cached
-    started = time.perf_counter()
-    trace = disk_cache.load_cached_trace(key)
-    if trace is None:
-        _generate([key])
-        return _TRACE_CACHE[key]
-    obs_metrics.record_variant(
-        "trace", _label(key), "disk", time.perf_counter() - started
-    )
-    _TRACE_CACHE[key] = trace
-    return trace
+    """The trace for *key*: :func:`family_traces` of *key* alone."""
+    return family_traces([key])[0]
 
 
-def prepare_traces(keys: Iterable[TraceKey]) -> None:
-    """Generate the traces of *keys* that neither the in-process memo
-    nor the disk store holds, one :func:`generate_traces` family at a
-    time, into both.
+def family_traces(keys: List[TraceKey]) -> List[Trace]:
+    """The traces of one family's distinct *keys*, in key order.
 
-    A stored trace is left on disk until :func:`trace_for_key` first
-    needs it.  Each generated trace is recorded as one ``generated``
-    trace variant; a family's wall time is shared evenly by its
-    traces."""
-    _generate([
-        key for key in dict.fromkeys(keys)
-        if key not in _TRACE_CACHE and not disk_cache.has_trace(key)
-    ])
+    Each is the memoized recording, else the stored trace, else a
+    projection of the memoized recording; the keys that all three miss
+    are generated with one :func:`store_family` call.  A recording loaded
+    or generated here is memoized, asked for or not, so no process runs
+    a benchmark's timed phase twice, with or without a store; the other
+    modes are never kept.  Disk hits, projections and generations are
+    recorded in :mod:`repro.obs.metrics` (memo hits are not); a
+    generation's wall time is shared evenly by its keys."""
+    recording = replace(keys[0], mode=PersistMode.LOG_P_SF)
+    found: Dict[TraceKey, Trace] = {}
+    for key in keys:
+        trace = _TRACE_CACHE.get(key)
+        if trace is None:
+            started = time.perf_counter()
+            trace = disk_cache.load_cached_trace(key)
+            source = "disk"
+            if trace is None and recording in _TRACE_CACHE:
+                from repro.txn.persist_ops import project_trace
 
-
-def _generate(keys: List[TraceKey]) -> None:
-    """Generate *keys* family by family into the memo, and each family's
-    modes into the disk store (:func:`store_family`)."""
-    for family in trace_families(keys):
+                trace = project_trace(_TRACE_CACHE[recording], key.mode)
+                source = "generated"
+                telemetry.counter_inc("workloads.projected_traces")
+            if trace is None:
+                continue
+            if key == recording:
+                _TRACE_CACHE[key] = trace
+            obs_metrics.record_variant(
+                "trace", _label(key), source, time.perf_counter() - started
+            )
+        found[key] = trace
+    missing = [key for key in keys if key not in found]
+    if missing:
         started = time.perf_counter()
-        for key, trace in zip(family, store_family(family)):
-            _TRACE_CACHE[key] = trace
-        share = (time.perf_counter() - started) / len(family)
-        for key in family:
+        generated = store_family(missing)
+        _TRACE_CACHE[recording] = generated[recording]
+        share = (time.perf_counter() - started) / len(missing)
+        for key in missing:
+            found[key] = generated[key]
             obs_metrics.record_variant("trace", _label(key), "generated", share)
+    return [found[key] for key in keys]
 
 
 def _label(key: TraceKey) -> str:
@@ -261,7 +271,7 @@ def run_variant(
     config = config or MachineConfig()
     key = TraceKey(abbrev, mode, seed, init_ops, sim_ops)
     stats = lookup_variant(key, config)
-    return stats if stats is not None else simulate_variant(key, config)
+    return stats if stats is not None else simulate_variant(key, config, trace_for_key(key))
 
 
 def lookup_variant(key: TraceKey, config: MachineConfig) -> Optional[RunStats]:
@@ -282,11 +292,9 @@ def lookup_variant(key: TraceKey, config: MachineConfig) -> Optional[RunStats]:
     return stats
 
 
-def simulate_variant(key: TraceKey, config: MachineConfig) -> RunStats:
-    """The second half of :func:`run_variant`: simulate *key*'s trace
-    (:func:`trace_for_key`) on *config* and store the stats in both
-    layers."""
-    trace = trace_for_key(key)
+def simulate_variant(key: TraceKey, config: MachineConfig, trace: Trace) -> RunStats:
+    """The second half of :func:`run_variant`: simulate *key*'s *trace*
+    on *config* and store the stats in both layers."""
     started = time.perf_counter()
     stats = simulate(trace, config)
     _STATS_CACHE[(key, config)] = stats

@@ -336,7 +336,7 @@ def _do_work(kind: str, key, config, root: str):
     if trace is None:
         # the trace phase should have produced it (or chaos ate it);
         # regenerate defensively
-        (trace,) = runner.store_family([key], root)
+        trace = runner.store_family([key], root)[key]
     stats = runner.simulate(trace, config)
     stored = disk_cache.store_stats(key, config, stats, root=root)
     return stats, [stored] if stored is not None else []

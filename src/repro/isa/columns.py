@@ -69,30 +69,11 @@ class TraceColumns:
     @classmethod
     def from_instrs(cls, instrs: Iterable[Instr]) -> "TraceColumns":
         """Pack an ``Instr`` sequence into columns (one linear pass)."""
-        ops = array("B")
-        addrs = array("q")
-        sizes = array("H")
-        meta_idx = array("H")
-        metas: List[Optional[str]] = [None]
-        index_of = {None: 0}
-        ops_append = ops.append
-        addrs_append = addrs.append
-        sizes_append = sizes.append
-        meta_append = meta_idx.append
+        builder = ColumnBuilder()
+        append = builder.append
         for instr in instrs:
-            meta = instr.meta
-            idx = index_of.get(meta)
-            if idx is None:
-                idx = len(metas)
-                if idx > MAX_METAS:
-                    raise ValueError("too many distinct meta strings for u16 index")
-                index_of[meta] = idx
-                metas.append(meta)
-            ops_append(instr.op)
-            addrs_append(instr.addr)
-            sizes_append(instr.size & 0xFFFF)
-            meta_append(idx)
-        return cls(ops, addrs, sizes, meta_idx, metas)
+            append(instr.op, instr.addr, instr.size & 0xFFFF, instr.meta)
+        return cls(builder.ops, builder.addrs, builder.sizes, builder.meta_idx, builder.metas)
 
     # ------------------------------------------------------------------
     # row materialisation

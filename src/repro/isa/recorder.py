@@ -55,9 +55,7 @@ class TraceRecorder:
     """
 
     def __init__(self, alu_per_load: int = 1, alu_per_store: int = 1):
-        self._builder = ColumnBuilder()
-        self._view: Optional[Trace] = None
-        self._view_len = -1
+        self.restart()
         self.alu_per_load = alu_per_load
         self.alu_per_store = alu_per_store
         self._fast_forward = 0
@@ -75,14 +73,11 @@ class TraceRecorder:
         self._view_len = len(self._builder)
         return view
 
-    @trace.setter
-    def trace(self, trace: Trace) -> None:
+    def restart(self) -> None:
+        """Drop everything recorded so far."""
         self._builder = ColumnBuilder()
-        self._view = None
+        self._view: Optional[Trace] = None
         self._view_len = -1
-        append = self._builder.append
-        for instr in trace:
-            append(int(instr.op), instr.addr, instr.size & 0xFFFF, instr.meta)
 
     # ------------------------------------------------------------------
     # fast-forward control

@@ -140,16 +140,41 @@ class PersistOps:
 
 def _dropped(mode: PersistMode) -> "re.Pattern[bytes]":
     """A bytes class of the ``LOG_P_SF`` opcodes the gating above does
-    not issue in *mode*: sfences without :attr:`~PersistMode.fences`,
-    the PMEM ops without :attr:`~PersistMode.pmem`, and without
-    :attr:`~PersistMode.logging` loads and stores, of which
-    :func:`project_trace` drops only the undo log's."""
+    not issue in *mode*: sfences without :attr:`~PersistMode.fences` and
+    the PMEM ops without :attr:`~PersistMode.pmem`.  Without
+    :attr:`~PersistMode.logging`, :func:`project_trace` also drops the
+    undo log's loads and stores (:func:`_logged_accesses`)."""
     ops = set() if mode.fences else {Op.SFENCE}
     if not mode.pmem:
         ops |= PMEM_OPS
-    if not mode.logging:
-        ops |= {Op.LOAD, Op.STORE}
     return re.compile(b"[" + re.escape(bytes(sorted(ops))) + b"]")
+
+
+def _logged_accesses(columns: TraceColumns, alu_per_load: int, alu_per_store: int):
+    """The ``(begin, end)`` op span of each load and store tagged with
+    one of :data:`~repro.txn.undolog.LOG_TAGS`, and of the ALU ops
+    recorded right before it (``ValueError`` if they are missing).  Only
+    the entries whose first meta-index byte is a logged index's are
+    visited (a regex over a strided copy of that byte)."""
+    meta_idx = columns.meta_idx
+    logged = {i for i, meta in enumerate(columns.metas) if meta in LOG_TAGS}
+    if not logged:
+        return []
+    lane = re.escape(array("H", sorted(logged)).tobytes()[::2])
+    first_bytes = bytes(memoryview(meta_idx).cast("B")[::2])
+    code, alu = columns.ops.tobytes(), bytes([Op.ALU])
+    runs = {int(Op.LOAD): alu * alu_per_load, int(Op.STORE): alu * alu_per_store}
+    spans = []
+    for match in re.finditer(b"[" + lane + b"]", first_bytes):
+        at = match.start()
+        run = runs.get(code[at])
+        if run is None or meta_idx[at] not in logged:
+            continue
+        begin = at - len(run)
+        if begin < 0 or not code.startswith(run, begin):
+            raise ValueError(f"logged access at op {at} lacks its ALU padding")
+        spans.append((begin, at + 1))
+    return spans
 
 
 def project_trace(
@@ -157,42 +182,32 @@ def project_trace(
 ) -> Trace:
     """The trace *mode* records, from the ``LOG_P_SF`` *trace* of the
     same populated workload and timed operations: *trace* without what
-    the gating above drops in *mode* (:func:`_dropped`).  The undo log's
-    loads and stores carry one of :data:`~repro.txn.undolog.LOG_TAGS`
-    and go with the *alu_per_load*/*alu_per_store* ALU ops recorded
-    right before them (``ValueError`` if those are missing).  The kept
-    spans are copied into exact-size columns and the meta table is
-    rebuilt in first-appearance order, byte for byte as *mode* records.
+    the gating above drops in *mode* (:func:`_dropped`).  Without
+    logging, the undo log's loads and stores carry one of
+    :data:`~repro.txn.undolog.LOG_TAGS` and go with the
+    *alu_per_load*/*alu_per_store* ALU ops recorded right before them
+    (``ValueError`` if those are missing).  The kept spans are copied
+    into exact-size columns and the meta table is rebuilt in
+    first-appearance order, byte for byte as *mode* records.
     """
     if mode is PersistMode.LOG_P_SF:
         return trace
     columns = trace.columns()
-    ops, meta_idx = columns.ops, columns.meta_idx
-    logged = {i for i, meta in enumerate(columns.metas) if meta in LOG_TAGS}
-    pads = {Op.LOAD: alu_per_load, Op.STORE: alu_per_store}
+    cuts = [match.span() for match in _dropped(mode).finditer(columns.ops)]
+    if not mode.logging:
+        cuts = sorted(cuts + _logged_accesses(columns, alu_per_load, alu_per_store))
     spans, start = [], 0
-    for match in _dropped(mode).finditer(ops):
-        at = match.start()
-        pad = pads.get(ops[at])
-        if pad is not None:
-            if meta_idx[at] not in logged:
-                continue
-            if at - pad < start or ops[at - pad:at].count(Op.ALU) != pad:
-                raise ValueError(f"logged access at op {at} lacks its ALU padding")
-            at -= pad
-        if at > start:
-            spans.append((start, at))
-        start = match.end()
-    spans.append((start, len(ops)))
-    size = sum(end - begin for begin, end in spans)
+    for begin, end in cuts:
+        if begin > start:
+            spans.append((start, begin))
+        start = end
+    spans.append((start, len(columns.ops)))
     kept = []
-    for column in (ops, columns.addrs, columns.sizes, meta_idx):
-        out, source, pos = array(column.typecode, [0]) * size, memoryview(column), 0
-        view = memoryview(out)
-        for begin, end in spans:
-            view[pos:pos + end - begin] = source[begin:end]
-            pos += end - begin
-        kept.append(out)
+    for column in (columns.ops, columns.addrs, columns.sizes, columns.meta_idx):
+        raw, width = memoryview(column).cast("B"), column.itemsize
+        kept.append(array(column.typecode, b"".join(
+            raw[begin * width:end * width] for begin, end in spans
+        )))
     order = [old for old in dict.fromkeys(kept[3]) if old]
     if order != list(range(1, len(order) + 1)):
         new = {old: index for index, old in enumerate([0] + order)}

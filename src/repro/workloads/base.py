@@ -18,10 +18,6 @@ from repro.txn.modes import PersistMode
 from repro.txn.persist_ops import PersistOps
 
 
-#: Marker emitted between operations; tests use it to slice traces.
-OP_MARKER = "op-boundary"
-
-
 @contextmanager
 def fast_forward(heap: NVMHeap, recorder: Optional[TraceRecorder]) -> Iterator[None]:
     """The paper's fast-forward mode for one heap and its recorder.
@@ -114,7 +110,7 @@ class Workbench:
         if self.domain is not None:
             self.domain.sync_base()
         if self.recorder is not None:
-            self.recorder.trace = Trace()
+            self.recorder.restart()
         self.tx.stats = TxStats()
         self.persist.n_clwb = 0
         self.persist.n_clflushopt = 0
@@ -174,11 +170,9 @@ class PersistentWorkload(abc.ABC):
     def operation(self, key: int) -> OpResult:
         """Search *key*; delete it if present, insert it otherwise."""
 
-    def run(self, n_ops: int, mark: bool = False) -> None:
+    def run(self, n_ops: int) -> None:
         """Run *n_ops* timed operations (the paper's #SimOps)."""
         for _ in range(n_ops):
-            if mark and self.bench.recorder is not None:
-                self.bench.recorder.marker(OP_MARKER)
             self.random_operation()
 
     # ------------------------------------------------------------------

@@ -102,13 +102,17 @@ class TestColdWarmEquivalence:
 
 class TestFamilyStore:
     """A miss generates the key's whole family once and stores every
-    mode the store lacks; the memo holds only what was asked for."""
+    mode the store lacks; the memo holds only recordings (Log+P+Sf)."""
 
     def test_one_key_at_a_time_records_each_benchmark_once(self):
         obs_metrics.reset_metrics()
+        recording = TraceKey("LL", PersistMode.LOG_P_SF, 7, **SMALL)
         for mode in PersistMode:
             build_trace("LL", mode, **SMALL)
-            assert list(runner._TRACE_CACHE) == [TraceKey("LL", mode, 7, **SMALL)]
+            # the miss (Base) memoizes the recording it generated; the
+            # projected modes are then read from the store, not memoized
+            loaded = mode in (PersistMode.LOG, PersistMode.LOG_P)
+            assert list(runner._TRACE_CACHE) == ([] if loaded else [recording])
             clear_trace_cache()
         assert telemetry.get("workloads.timed_runs") == 1
         assert telemetry.get("workloads.projected_traces") == 3
@@ -121,13 +125,23 @@ class TestFamilyStore:
         generated = runner.generate_traces(keys)
         cache.store_trace(keys[0], generated[0])
         obs_metrics.reset_metrics()
-        (trace,) = runner.store_family([keys[-1]])
+        trace = runner.store_family([keys[-1]])[keys[-1]]
         assert trace.columns() == generated[-1].columns()
         assert telemetry.get("workloads.projected_traces") == 2
         counters = cache.cache_counters()
         assert (counters.trace_misses, counters.trace_stores) == (0, 3)
         for key, expected in zip(keys, generated):
             assert cache.load_cached_trace(key).columns() == expected.columns()
+
+    def test_no_store_times_each_benchmark_once(self, monkeypatch):
+        """Without a store, the other modes are projected from the
+        memoized recording."""
+        monkeypatch.setenv(cache.ENV_NO_CACHE, "1")
+        obs_metrics.reset_metrics()
+        for mode in PersistMode:
+            build_trace("LL", mode, **SMALL)
+        assert telemetry.get("workloads.timed_runs") == 1
+        assert telemetry.get("workloads.projected_traces") == 3
 
     def test_no_store_projects_only_the_asked_modes(self, monkeypatch):
         monkeypatch.setenv(cache.ENV_NO_CACHE, "1")

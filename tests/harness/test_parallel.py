@@ -4,12 +4,13 @@ supervised pool, and job-count resolution."""
 
 import json
 import os
+import weakref
 
 import pytest
 
 from repro.cli import main
 from repro.harness import cache
-from repro.harness import supervisor
+from repro.harness import runner, supervisor
 from repro.harness.parallel import (
     VariantJob,
     default_jobs,
@@ -19,6 +20,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.runner import TraceKey, clear_trace_cache, run_variant
 from repro.obs import metrics as obs_metrics
+from repro.obs import telemetry
 from repro.txn.modes import PersistMode
 from repro.uarch.config import MachineConfig
 from repro.workloads.base import PersistentWorkload
@@ -142,6 +144,46 @@ class TestTraceFamilies:
             f"{ab}/{mode.value}" for ab in ("LL", "GH") for mode in PersistMode
         )
         assert {r.source for r in traces} == {"generated"}
+
+    def test_serial_campaign_keeps_only_the_recordings(self, capsys):
+        obs_metrics.reset_metrics()
+        assert main(FIG8 + ["--jobs", "1"]) == 0
+        assert sorted(runner._TRACE_CACHE, key=lambda key: key.abbrev) == [
+            TraceKey(ab, PersistMode.LOG_P_SF, 7) for ab in ("GH", "LL")
+        ]
+        counters = cache.cache_counters()
+        assert (counters.trace_misses, counters.trace_stores) == (8, 8)
+        assert telemetry.get("workloads.timed_runs") == 2
+        assert telemetry.get("workloads.projected_traces") == 6
+
+    def test_serial_campaign_frees_each_family_before_the_next(
+        self, monkeypatch, capsys
+    ):
+        """A weakref census taken at every simulation: at most one
+        family's Base, Log and Log+P traces are alive at a time."""
+        projected = []
+        generate, simulate = runner.generate_traces, runner.simulate
+
+        def generating(keys):
+            traces = generate(keys)
+            projected.extend(
+                (key.abbrev, weakref.ref(trace))
+                for key, trace in zip(keys, traces)
+                if key.mode is not PersistMode.LOG_P_SF
+            )
+            return traces
+
+        alive = []
+
+        def census(trace, config):
+            alive.append({ab for ab, ref in projected if ref() is not None})
+            return simulate(trace, config)
+
+        monkeypatch.setattr(runner, "generate_traces", generating)
+        monkeypatch.setattr(runner, "simulate", census)
+        assert main(FIG8 + ["--jobs", "1"]) == 0
+        assert len(projected) == 6 and len(alive) == 10
+        assert [len(families) for families in alive] == [1] * 10
 
     def test_pool_reports_the_serial_counts(self, tmp_path, monkeypatch, capsys):
         """Pool workers return what they counted with each result, so a

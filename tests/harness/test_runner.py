@@ -20,9 +20,14 @@ def fresh_cache():
 
 class TestTraceCache:
     def test_same_key_returns_same_object(self):
+        """The memo keeps the recording (Log+P+Sf); a projected mode is
+        read again, with equal columns."""
+        a = build_trace("LL", PersistMode.LOG_P_SF, sim_ops=3, init_ops=10)
+        b = build_trace("LL", PersistMode.LOG_P_SF, sim_ops=3, init_ops=10)
+        assert a is b
         a = build_trace("LL", PersistMode.BASE, sim_ops=3, init_ops=10)
         b = build_trace("LL", PersistMode.BASE, sim_ops=3, init_ops=10)
-        assert a is b
+        assert a.columns() == b.columns()
 
     def test_different_modes_differ(self):
         a = build_trace("LL", PersistMode.BASE, sim_ops=3, init_ops=10)
